@@ -1,8 +1,8 @@
 """Comparison models: undifferenced block linear regression and per-station
 seasonal ARIMA.
 
-The LR baseline reuses the block pipeline with no differencing step and a
-wide window; its forecast has no lagged-traffic term. The SA baseline fits
+The LR baseline is a BlockModel trained with no differencing step (m = 0)
+and a wide window; its forecast has no lagged-traffic term. The SA baseline fits
 one ARMA(ar, ma) per station on the seasonally differenced series using the
 Hannan-Rissanen two-stage least-squares procedure, then forecasts by the
 standard one-step recursion plus the traffic observed one season earlier.
@@ -23,37 +23,8 @@ from .errors import (
     SingularSystem,
     UnknownBs,
 )
-from .forecaster import (
-    MODES,
-    ForecastSeries,
-    forecast_horizon,
-    train_block_regression,
-)
-from .pipeline import NormalizationStats
+from .forecaster import MODES, ForecastSeries, train_block_regression
 from .regressor import BlockModel
-
-
-@dataclass
-class LrModel:
-    """Block linear model over raw (undifferenced) traffic windows."""
-
-    theta0: float
-    theta: np.ndarray
-    stats: NormalizationStats
-    window_w: int
-
-    @property
-    def n_params(self) -> int:
-        return self.window_w + 1
-
-    def as_block_model(self) -> BlockModel:
-        return BlockModel(
-            theta0=self.theta0,
-            theta=self.theta,
-            stats=self.stats,
-            seasonality_m=0,
-            window_w=self.window_w,
-        )
 
 
 @dataclass
@@ -86,27 +57,10 @@ class SaModel:
         return (self.ar_order + self.ma_order + 2) * len(self.per_bs)
 
 
-def train_lr(t: TrafficMatrix, w: int = 72, train_hours: int = 240) -> LrModel:
-    """Train the undifferenced baseline: BR pipeline with m = 0."""
+def train_lr(t: TrafficMatrix, w: int = 72, train_hours: int = 240) -> BlockModel:
+    """Train the undifferenced baseline: the BR pipeline with m = 0."""
     model, _ = train_block_regression(t, m=0, w=w, train_hours=train_hours)
-    return LrModel(
-        theta0=model.theta0,
-        theta=model.theta,
-        stats=model.stats,
-        window_w=model.window_w,
-    )
-
-
-def forecast_lr(
-    model: LrModel,
-    t: TrafficMatrix,
-    bs: str,
-    start: int,
-    k: int,
-    mode: str = "one_step",
-) -> ForecastSeries:
-    """Forecast with the raw-window model; no lagged-traffic addition."""
-    return forecast_horizon(model.as_block_model(), t, bs, start, k, mode)
+    return model
 
 
 def ar_long_order(n: int) -> int:

@@ -18,13 +18,13 @@ import argparse
 import json
 import sys
 
-from .baselines import SaModel, train_lr, train_sa
+from .baselines import train_sa
 from .corpus import SynthConfig, clean, load_corpus, save_corpus, synthesize
 from .errors import BlockregError, InvalidConfig, ParseError
 from .evaluation import (
     Split,
-    _forecast_for,
     evaluate,
+    forecast_fleet,
     report_csv,
     report_doc,
     sweep_csv,
@@ -40,7 +40,7 @@ DEFAULT_SWEEP_GRID = [24, 48, 72, 96, 120, 144, 168]
 COMMAND_KEYS = {
     "synth": {f for f in SynthConfig.__dataclass_fields__},
     "clean": set(),
-    "train": {"kind", "m", "w", "ar", "ma", "train_hours", "seed", "threads"},
+    "train": {"kind", "m", "w", "ar", "ma", "train_hours", "threads"},
     "forecast": {"train_hours", "test_hours", "mode", "threads"},
     "eval": {"train_hours", "test_hours", "mode", "seed", "threads"},
     "sweep": {"w", "train_hours", "test_hours", "mode", "threads", "seasonalities"},
@@ -77,8 +77,23 @@ def _setting(args, config: dict, key: str, default):
     return default
 
 
-def _check_threads(threads) -> int:
-    threads = int(threads)
+def _int_setting(args, config: dict, key: str, default: int) -> int:
+    """Integer setting from a flag, the config file, or the default.
+
+    Only a real int is accepted: a bool, float, string or null from the
+    config file is an error, never coerced.
+    """
+    return _as_int(key, _setting(args, config, key, default))
+
+
+def _as_int(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _check_threads(args, config: dict) -> int:
+    threads = _int_setting(args, config, "threads", 1)
     if threads < 1:
         raise InvalidConfig(f"--threads must be >= 1, got {threads}")
     # Execution is sequential; the flag caps parallelism and never changes
@@ -110,35 +125,33 @@ def _cmd_train(args) -> int:
     kind = _setting(args, config, "kind", "br")
     if kind not in ("br", "lr", "sa"):
         raise InvalidConfig(f"--kind must be br, lr, or sa, got {kind!r}")
-    m = int(_setting(args, config, "m", 24))
-    w_default = 72 if kind == "lr" else 3
-    w = int(_setting(args, config, "w", w_default))
-    ar = int(_setting(args, config, "ar", 2))
-    ma = int(_setting(args, config, "ma", 1))
-    train_hours = int(_setting(args, config, "train_hours", 240))
-    _check_threads(_setting(args, config, "threads", 1))
+    m = _int_setting(args, config, "m", 24)
+    w = _int_setting(args, config, "w", 72 if kind == "lr" else 3)
+    ar = _int_setting(args, config, "ar", 2)
+    ma = _int_setting(args, config, "ma", 1)
+    train_hours = _int_setting(args, config, "train_hours", 240)
+    _check_threads(args, config)
 
     t = load_corpus(args.input)
     t.require_clean()
-    if kind == "br":
-        model, diag = train_block_regression(t, m=m, w=w, train_hours=train_hours)
-        save_model(model, args.model)
-        print(
-            f"train: br model with {model.n_params} parameters "
-            f"(iterations={diag.iterations} converged={str(diag.converged).lower()}) "
-            f"-> {args.model}"
-        )
-    elif kind == "lr":
-        model = train_lr(t, w=w, train_hours=train_hours)
-        save_model(model, args.model)
-        print(f"train: lr model with {model.n_params} parameters -> {args.model}")
-    else:
+    if kind == "sa":
         model = train_sa(t, ar=ar, ma=ma, s=m, train_hours=train_hours)
         save_model(model, args.model)
         print(
             f"train: sa model with {model.n_params} parameters "
             f"(failed={len(model.failed_bs)}) -> {args.model}"
         )
+        return 0
+    # lr is the br pipeline without differencing.
+    model, diag = train_block_regression(
+        t, m=0 if kind == "lr" else m, w=w, train_hours=train_hours
+    )
+    save_model(model, args.model)
+    print(
+        f"train: {model.kind} model with {model.n_params} parameters "
+        f"(iterations={diag.iterations} converged={str(diag.converged).lower()}) "
+        f"-> {args.model}"
+    )
     return 0
 
 
@@ -156,22 +169,16 @@ def _forecast_csv(series_list) -> str:
 
 def _cmd_forecast(args) -> int:
     config = _load_config_file(args.config, "forecast")
-    train_hours = int(_setting(args, config, "train_hours", 240))
-    test_hours = int(_setting(args, config, "test_hours", 96))
+    train_hours = _int_setting(args, config, "train_hours", 240)
+    test_hours = _int_setting(args, config, "test_hours", 96)
     mode = _setting(args, config, "mode", "one_step")
-    _check_threads(_setting(args, config, "threads", 1))
+    _check_threads(args, config)
 
     t = load_corpus(args.input)
     t.require_clean()
     model = load_model(args.model)
-    failed = set(model.failed_bs) if isinstance(model, SaModel) else set()
-    series_list = []
-    for bs_id in sorted(t.bs_ids):
-        if bs_id in failed:
-            continue
-        series_list.append(
-            _forecast_for(model, t, bs_id, train_hours, test_hours, mode)
-        )
+    # load_corpus sorts stations by id, so the rows come out sorted too.
+    series_list = forecast_fleet(model, t, train_hours, test_hours, mode)
     atomic_write_text(args.output, _forecast_csv(series_list))
     print(
         f"forecast: {len(series_list)} stations x {test_hours} hours "
@@ -183,12 +190,14 @@ def _cmd_forecast(args) -> int:
 def _cmd_eval(args) -> int:
     config = _load_config_file(args.config, "eval")
     split = Split(
-        train_hours=int(_setting(args, config, "train_hours", 240)),
-        test_hours=int(_setting(args, config, "test_hours", 96)),
+        train_hours=_int_setting(args, config, "train_hours", 240),
+        test_hours=_int_setting(args, config, "test_hours", 96),
     )
     mode = _setting(args, config, "mode", "one_step")
     seed = _setting(args, config, "seed", None)
-    _check_threads(_setting(args, config, "threads", 1))
+    if seed is not None:
+        seed = _as_int("seed", seed)
+    _check_threads(args, config)
 
     t = load_corpus(args.input)
     model = load_model(args.model)
@@ -208,13 +217,16 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_config_file(args.config, "sweep")
     split = Split(
-        train_hours=int(_setting(args, config, "train_hours", 240)),
-        test_hours=int(_setting(args, config, "test_hours", 96)),
+        train_hours=_int_setting(args, config, "train_hours", 240),
+        test_hours=_int_setting(args, config, "test_hours", 96),
     )
-    w = int(_setting(args, config, "w", 3))
+    w = _int_setting(args, config, "w", 3)
     mode = _setting(args, config, "mode", "one_step")
-    grid = [int(m) for m in config.get("seasonalities", DEFAULT_SWEEP_GRID)]
-    _check_threads(_setting(args, config, "threads", 1))
+    grid = config.get("seasonalities", DEFAULT_SWEEP_GRID)
+    if not isinstance(grid, list):
+        raise InvalidConfig(f"seasonalities must be a list, got {grid!r}")
+    grid = [_as_int("seasonalities", m) for m in grid]
+    _check_threads(args, config)
 
     t = load_corpus(args.input)
     result = sweep_seasonality(t, grid, w=w, split=split, mode=mode)
@@ -275,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ma", type=int, default=None, help="sa MA order (default 1)")
     p.add_argument("--train-hours", dest="train_hours", type=int, default=None,
                    help="training range in hours (default 240)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="recorded for provenance; training is deterministic")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("forecast", help="write per-station forecasts as CSV")

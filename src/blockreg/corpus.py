@@ -8,7 +8,6 @@ every other stage requires a cleaned matrix.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -121,17 +120,6 @@ class SynthConfig:
         cfg.validate()
         return cfg
 
-    @classmethod
-    def from_json_file(cls, path: str) -> "SynthConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read SynthConfig {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParseError(f"SynthConfig {path} must be a JSON object")
-        return cls.from_dict(doc)
-
 
 def synthesize(cfg: SynthConfig) -> TrafficMatrix:
     """Generate a deterministic synthetic traffic corpus.
@@ -208,15 +196,13 @@ def clean(raw: TrafficMatrix) -> TrafficMatrix:
     )
 
 
-def load_corpus(path: str, format: str = "csv") -> TrafficMatrix:
+def load_corpus(path: str) -> TrafficMatrix:
     """Read a traffic corpus from a ``bs_id,hour,volume`` CSV file.
 
     Returns an uncleaned matrix: absent (bs, hour) records become NaN and
     negative volumes are kept. Rows come out sorted by bs_id; columns span
     the minimum to maximum hour present in the file.
     """
-    if format != "csv":
-        raise InvalidConfig(f"unsupported corpus format {format!r}")
     records: dict[tuple[str, int], float] = {}
     try:
         fh = open(path, "r", encoding="utf-8", newline="")

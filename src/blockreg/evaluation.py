@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import LrModel, SaModel, forecast_lr, forecast_sa
+from .baselines import SaModel, forecast_sa
 from .corpus import TrafficMatrix
 from .errors import (
     BlockregError,
@@ -20,7 +20,7 @@ from .errors import (
     LengthMismatch,
     ZeroMeanActual,
 )
-from .forecaster import MODES, forecast_horizon, train_block_regression
+from .forecaster import MODES, ForecastSeries, forecast_horizon, train_block_regression
 from .regressor import BlockModel
 
 HISTOGRAM_BIN_WIDTH = 0.1
@@ -115,9 +115,7 @@ def histogram(values: list[float]) -> list[HistogramBin]:
 
 def _model_config(model) -> dict:
     if isinstance(model, BlockModel):
-        return {"kind": "br", "m": model.seasonality_m, "w": model.window_w}
-    if isinstance(model, LrModel):
-        return {"kind": "lr", "m": 0, "w": model.window_w}
+        return {"kind": model.kind, "m": model.seasonality_m, "w": model.window_w}
     if isinstance(model, SaModel):
         return {
             "kind": "sa",
@@ -128,12 +126,19 @@ def _model_config(model) -> dict:
     raise InvalidConfig(f"cannot evaluate model of type {type(model).__name__}")
 
 
-def _forecast_for(model, t, bs, start, k, mode):
-    if isinstance(model, BlockModel):
-        return forecast_horizon(model, t, bs, start, k, mode)
-    if isinstance(model, LrModel):
-        return forecast_lr(model, t, bs, start, k, mode)
-    return forecast_sa(model, t, bs, start, k, mode)
+def forecast_fleet(
+    model, t: TrafficMatrix, start: int, k: int, mode: str = "one_step"
+) -> list[ForecastSeries]:
+    """Forecast k hours from corpus column ``start`` for every station.
+
+    One series per station, in corpus order. Stations whose SA fit failed
+    have no coefficients and are skipped.
+    """
+    if isinstance(model, SaModel):
+        forecast, skip = forecast_sa, set(model.failed_bs)
+    else:
+        forecast, skip = forecast_horizon, set()
+    return [forecast(model, t, bs, start, k, mode) for bs in t.bs_ids if bs not in skip]
 
 
 def evaluate(
@@ -164,16 +169,12 @@ def evaluate(
         }
     )
 
-    failed = set(model.failed_bs) if isinstance(model, SaModel) else set()
+    series = forecast_fleet(model, t, split.train_hours, split.test_hours, mode)
     per_bs: dict[str, float] = {}
-    excluded = 0
-    for bs_id in t.bs_ids:
-        if bs_id in failed:
-            excluded += 1
-            continue
-        fs = _forecast_for(model, t, bs_id, split.train_hours, split.test_hours, mode)
+    excluded = t.n_bs - len(series)
+    for fs in series:
         try:
-            per_bs[bs_id] = nrmse(fs.actual, fs.forecast)
+            per_bs[fs.bs_id] = nrmse(fs.actual, fs.forecast)
         except ZeroMeanActual:
             excluded += 1
     if not per_bs:

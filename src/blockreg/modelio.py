@@ -9,12 +9,13 @@ identical models produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
-from .baselines import LrModel, SaCoefficients, SaModel
+from .baselines import SaCoefficients, SaModel
 from .errors import InvalidConfig, ParseError
 from .pipeline import NormalizationStats
 from .regressor import BlockModel
@@ -50,7 +51,7 @@ def model_doc(model) -> dict:
     if isinstance(model, BlockModel):
         return {
             "format_version": FORMAT_VERSION,
-            "kind": "br",
+            "kind": model.kind,
             "theta0": model.theta0,
             "theta": _floats(model.theta),
             "mu_x": _floats(model.stats.mu_x),
@@ -58,20 +59,6 @@ def model_doc(model) -> dict:
             "mu_y": model.stats.mu_y,
             "sigma_y": model.stats.sigma_y,
             "m": model.seasonality_m,
-            "w": model.window_w,
-            "params": model.n_params,
-        }
-    if isinstance(model, LrModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "lr",
-            "theta0": model.theta0,
-            "theta": _floats(model.theta),
-            "mu_x": _floats(model.stats.mu_x),
-            "sigma_x": _floats(model.stats.sigma_x),
-            "mu_y": model.stats.mu_y,
-            "sigma_y": model.stats.sigma_y,
-            "m": 0,
             "w": model.window_w,
             "params": model.n_params,
         }
@@ -107,23 +94,105 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _linear_parts(doc: dict, path: str):
-    theta0 = float(_require(doc, "theta0", path))
-    theta = np.asarray(_require(doc, "theta", path), dtype=float)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int(doc: dict, key: str, path: str, low: int) -> int:
+    value = _require(doc, key, path)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ParseError(f"{path}: model field {key!r} must be an integer >= {low}")
+    return value
+
+
+def _finite(doc: dict, key: str, path: str) -> float:
+    value = _require(doc, key, path)
+    if not _is_number(value) or not math.isfinite(value):
+        raise ParseError(f"{path}: model field {key!r} must be a finite number")
+    return float(value)
+
+
+def _finite_list(doc: dict, key: str, path: str) -> np.ndarray:
+    value = _require(doc, key, path)
+    if not isinstance(value, list) or not all(
+        _is_number(v) and math.isfinite(v) for v in value
+    ):
+        raise ParseError(
+            f"{path}: model field {key!r} must be a list of finite numbers"
+        )
+    return np.asarray(value, dtype=float)
+
+
+def _block_model(doc: dict, kind: str, path: str) -> BlockModel:
+    m = _int(doc, "m", path, 0)
+    if kind == "lr" and m != 0:
+        raise ParseError(f"{path}: an lr model has m = 0, got m={m}")
+    w = _int(doc, "w", path, 1)
+    theta = _finite_list(doc, "theta", path)
     stats = NormalizationStats(
-        mu_x=np.asarray(_require(doc, "mu_x", path), dtype=float),
-        sigma_x=np.asarray(_require(doc, "sigma_x", path), dtype=float),
-        mu_y=float(_require(doc, "mu_y", path)),
-        sigma_y=float(_require(doc, "sigma_y", path)),
+        mu_x=_finite_list(doc, "mu_x", path),
+        sigma_x=_finite_list(doc, "sigma_x", path),
+        mu_y=_finite(doc, "mu_y", path),
+        sigma_y=_finite(doc, "sigma_y", path),
     )
-    w = int(_require(doc, "w", path))
     if theta.shape != (w,) or stats.mu_x.shape != (w,) or stats.sigma_x.shape != (w,):
         raise ParseError(f"{path}: model arrays inconsistent with w={w}")
-    return theta0, theta, stats, w
+    if np.any(stats.sigma_x <= 0) or stats.sigma_y <= 0:
+        raise ParseError(f"{path}: normalization sigmas must be > 0")
+    return BlockModel(
+        theta0=_finite(doc, "theta0", path),
+        theta=theta,
+        stats=stats,
+        seasonality_m=m,
+        window_w=w,
+    )
+
+
+def _sa_model(doc: dict, path: str) -> SaModel:
+    per_bs_doc = _require(doc, "per_bs", path)
+    if not isinstance(per_bs_doc, dict):
+        raise ParseError(f"{path}: per_bs must be an object")
+    ar = _int(doc, "ar", path, 0)
+    ma = _int(doc, "ma", path, 0)
+    per_bs = {}
+    for bs, c in per_bs_doc.items():
+        where = f"{path}: station {bs}"
+        if not isinstance(c, dict):
+            raise ParseError(f"{where}: coefficients must be an object")
+        phi = _finite_list(c, "phi", where)
+        psi = _finite_list(c, "psi", where)
+        if phi.shape != (ar,) or psi.shape != (ma,):
+            raise ParseError(f"{where}: coefficient lengths "
+                             f"inconsistent with ar={ar}, ma={ma}")
+        sigma2 = _finite(c, "sigma2", where)
+        if sigma2 < 0:
+            raise ParseError(f"{where}: sigma2 must be >= 0")
+        per_bs[bs] = SaCoefficients(
+            phi=phi,
+            psi=psi,
+            intercept=_finite(c, "intercept", where),
+            sigma2=sigma2,
+        )
+    failed_bs = doc.get("failed_bs", [])
+    if not isinstance(failed_bs, list) or not all(
+        isinstance(bs, str) for bs in failed_bs
+    ):
+        raise ParseError(f"{path}: failed_bs must be a list of station ids")
+    return SaModel(
+        per_bs=per_bs,
+        seasonality=_int(doc, "seasonality", path, 1),
+        ar_order=ar,
+        ma_order=ma,
+        failed_bs=failed_bs,
+    )
 
 
 def load_model(path: str):
-    """Load a model file; returns a BlockModel, LrModel, or SaModel."""
+    """Load a model file; returns a BlockModel (kind br or lr) or an SaModel.
+
+    Every field is checked: a missing, mistyped or non-finite value, or a
+    non-positive normalization sigma, raises ParseError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -140,39 +209,8 @@ def load_model(path: str):
             f"(expected {FORMAT_VERSION})"
         )
     kind = doc.get("kind", "br")
-    if kind == "br":
-        theta0, theta, stats, w = _linear_parts(doc, path)
-        m = int(_require(doc, "m", path))
-        return BlockModel(
-            theta0=theta0, theta=theta, stats=stats, seasonality_m=m, window_w=w
-        )
-    if kind == "lr":
-        theta0, theta, stats, w = _linear_parts(doc, path)
-        return LrModel(theta0=theta0, theta=theta, stats=stats, window_w=w)
+    if kind in ("br", "lr"):
+        return _block_model(doc, kind, path)
     if kind == "sa":
-        per_bs_doc = _require(doc, "per_bs", path)
-        if not isinstance(per_bs_doc, dict):
-            raise ParseError(f"{path}: per_bs must be an object")
-        ar = int(_require(doc, "ar", path))
-        ma = int(_require(doc, "ma", path))
-        per_bs = {}
-        for bs, c in per_bs_doc.items():
-            phi = np.asarray(c.get("phi", []), dtype=float)
-            psi = np.asarray(c.get("psi", []), dtype=float)
-            if phi.shape != (ar,) or psi.shape != (ma,):
-                raise ParseError(f"{path}: station {bs}: coefficient lengths "
-                                 f"inconsistent with ar={ar}, ma={ma}")
-            per_bs[bs] = SaCoefficients(
-                phi=phi,
-                psi=psi,
-                intercept=float(c.get("intercept", 0.0)),
-                sigma2=float(c.get("sigma2", 0.0)),
-            )
-        return SaModel(
-            per_bs=per_bs,
-            seasonality=int(_require(doc, "seasonality", path)),
-            ar_order=ar,
-            ma_order=ma,
-            failed_bs=list(doc.get("failed_bs", [])),
-        )
+        return _sa_model(doc, path)
     raise ParseError(f"{path}: unknown model kind {kind!r}")

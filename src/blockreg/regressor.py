@@ -27,7 +27,8 @@ class BlockModel:
     """Trained linear model plus everything needed to forecast with it.
 
     ``theta`` is ordered oldest lag first, matching the feature pipeline.
-    ``seasonality_m == 0`` marks a model over raw (undifferenced) windows.
+    ``seasonality_m == 0`` marks a model over raw (undifferenced) windows:
+    the LR baseline, whose ``kind`` is "lr"; every other model is "br".
     """
 
     theta0: float
@@ -39,6 +40,10 @@ class BlockModel:
     @property
     def n_params(self) -> int:
         return self.window_w + 1
+
+    @property
+    def kind(self) -> str:
+        return "lr" if self.seasonality_m == 0 else "br"
 
 
 @dataclass

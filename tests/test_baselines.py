@@ -9,7 +9,7 @@ from blockreg import (
     SaModel,
     TrafficMatrix,
     ar_long_order,
-    forecast_lr,
+    forecast_horizon,
     forecast_sa,
     hannan_rissanen,
     train_block_regression,
@@ -92,10 +92,10 @@ def test_lr_on_predifferenced_corpus_equals_br(small_corpus):
     assert lr.stats.sigma_y == pytest.approx(br.stats.sigma_y, abs=1e-9)
 
 
-def test_forecast_lr_no_seasonal_readdition(small_corpus):
+def test_lr_forecast_no_seasonal_readdition(small_corpus):
     lr = train_lr(small_corpus, w=6, train_hours=240)
     bs = small_corpus.bs_ids[0]
-    fs = forecast_lr(lr, small_corpus, bs, 240, 8)
+    fs = forecast_horizon(lr, small_corpus, bs, 240, 8)
     i = small_corpus.bs_index(bs)
     lags = small_corpus.values[i, 234:240]
     xhat = (lags - lr.stats.mu_x) / lr.stats.sigma_x

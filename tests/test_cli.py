@@ -229,3 +229,46 @@ def test_help_lists_defaults():
     assert "default 240" in train_help
     eval_help = run("eval", "--help").stdout
     assert "--mode" in eval_help and "--threads" in eval_help
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("train", {"m": "abc"}),
+    ("train", {"m": True}),
+    ("train", {"w": 2.7}),
+    ("train", {"train_hours": None}),
+    ("sweep", {"seasonalities": [24, "48"]}),
+    ("sweep", {"seasonalities": 24}),
+    ("eval", {"threads": "2"}),
+    ("eval", {"seed": "abc"}),
+])
+def test_non_integer_setting_exits_2(workspace, tmp_path, command, setting):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(setting))
+    out = {"train": ("--model", tmp_path / "m.json"),
+           "sweep": ("--output", tmp_path / "s.json"),
+           "eval": ("--model", workspace / "br.json",
+                    "--output", tmp_path / "r.json")}[command]
+    r = run(command, "--input", workspace / "corpus.csv", *out, "--config", cfg)
+    assert r.returncode == 2, r.stderr
+    err = json.loads(r.stderr)
+    assert err["error"] == "InvalidConfig"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_eval_nan_theta_model_exits_3(workspace, tmp_path):
+    doc = json.loads((workspace / "br.json").read_text())
+    doc["theta"][0] = float("nan")
+    model = tmp_path / "nan.json"
+    model.write_text(json.dumps(doc))
+    r = run("eval", "--input", workspace / "corpus.csv", "--model", model,
+            "--output", tmp_path / "r.json")
+    assert r.returncode == 3, r.stderr
+    assert json.loads(r.stderr)["error"] == "ParseError"
+
+
+def test_br_with_m_zero_is_lr(workspace, tmp_path):
+    r = run("train", "--input", workspace / "corpus.csv",
+            "--model", tmp_path / "m.json", "--kind", "br", "--m", 0, "--w", 72)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("train: lr model with 73 parameters (iterations=")
+    assert (tmp_path / "m.json").read_bytes() == (workspace / "lr.json").read_bytes()

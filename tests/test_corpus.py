@@ -159,11 +159,6 @@ def test_load_missing_file():
         load_corpus("/nonexistent/path.csv")
 
 
-def test_load_rejects_unknown_format(tmp_path):
-    with pytest.raises(InvalidConfig):
-        load_corpus(str(tmp_path / "c.bin"), format="bin")
-
-
 def test_clean_drops_faulty_rows_whole():
     t = make_corpus(n_bs=4, n_hours=24)
     t.values[1, 3] = math.nan

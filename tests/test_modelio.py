@@ -1,11 +1,12 @@
 """Model JSON round-trips and the atomic writer."""
 
+import json
+
 import numpy as np
 import pytest
 
 from blockreg import (
     BlockModel,
-    LrModel,
     NormalizationStats,
     ParseError,
     SaCoefficients,
@@ -64,16 +65,17 @@ def test_br_round_trip_exact(tmp_path):
 
 
 def test_lr_round_trip(tmp_path):
-    model = LrModel(
+    model = BlockModel(
         theta0=-0.5,
         theta=np.linspace(-1, 1, 72),
         stats=NormalizationStats.identity(72),
+        seasonality_m=0,
         window_w=72,
     )
     path = str(tmp_path / "m.json")
     save_model(model, path)
     back = load_model(path)
-    assert isinstance(back, LrModel)
+    assert isinstance(back, BlockModel) and back.kind == "lr"
     np.testing.assert_array_equal(back.theta, model.theta)
     assert back.n_params == 73
 
@@ -104,7 +106,8 @@ def test_save_is_deterministic(tmp_path):
 
 def test_doc_params_counts():
     assert model_doc(br_model(w=3))["params"] == 4
-    lr = LrModel(0.0, np.zeros(72), NormalizationStats.identity(72), 72)
+    lr = BlockModel(0.0, np.zeros(72), NormalizationStats.identity(72),
+                    seasonality_m=0, window_w=72)
     assert model_doc(lr)["params"] == 73
     assert model_doc(sa_model(n=7))["params"] == 35
 
@@ -144,6 +147,107 @@ def test_load_rejects_bad_files(tmp_path):
         path.write_text(text)
         with pytest.raises(ParseError, match=needle):
             load_model(str(path))
+
+
+def test_br_file_with_m_zero_loads_as_lr(tmp_path):
+    # files written before "kind" followed m carry "br" with m = 0
+    doc = model_doc(br_model(m=0))
+    assert doc["kind"] == "lr"
+    doc["kind"] = "br"
+    path = tmp_path / "m.json"
+    path.write_text(dump_json(doc))
+    assert load_model(str(path)).kind == "lr"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _set_station(key, value):
+    def edit(doc):
+        doc["per_bs"]["bs_0"][key] = value
+    return edit
+
+
+def _drop_station(key):
+    def edit(doc):
+        del doc["per_bs"]["bs_0"][key]
+    return edit
+
+
+def _set_first(key, value):
+    def edit(doc):
+        doc[key][0] = value
+    return edit
+
+
+BAD_LINEAR = {
+    "theta0_nan": (_set("theta0", NAN), "'theta0' must be a finite number"),
+    "theta0_string": (_set("theta0", "0.5"), "'theta0' must be a finite number"),
+    "theta_nan": (_set_first("theta", NAN), "'theta' must be a list of finite"),
+    "theta_inf": (_set_first("theta", -INF), "'theta' must be a list of finite"),
+    "theta_not_list": (_set("theta", "abc"), "'theta' must be a list of finite"),
+    "mu_x_nan": (_set_first("mu_x", NAN), "'mu_x' must be a list of finite"),
+    "sigma_x_nan": (_set_first("sigma_x", NAN), "'sigma_x' must be a list"),
+    "sigma_x_zero": (_set_first("sigma_x", 0.0), "sigmas must be > 0"),
+    "mu_y_inf": (_set("mu_y", INF), "'mu_y' must be a finite number"),
+    "sigma_y_nan": (_set("sigma_y", NAN), "'sigma_y' must be a finite number"),
+    "sigma_y_negative": (_set("sigma_y", -1.0), "sigmas must be > 0"),
+    "m_bool": (_set("m", True), "'m' must be an integer"),
+    "m_negative": (_set("m", -24), "'m' must be an integer >= 0"),
+    "w_float": (_set("w", 3.0), "'w' must be an integer"),
+    "lr_with_m": (_set("kind", "lr"), "an lr model has m = 0, got m=24"),
+}
+
+BAD_SA = {
+    "phi_null": (_set_station("phi", None), "'phi' must be a list"),
+    "entry_is_list": (
+        lambda doc: doc["per_bs"].update(bs_0=[0.1, 0.2]),
+        "coefficients must be an object",
+    ),
+    "missing_phi": (_drop_station("phi"), "missing model field 'phi'"),
+    "missing_psi": (_drop_station("psi"), "missing model field 'psi'"),
+    "missing_intercept": (
+        _drop_station("intercept"), "missing model field 'intercept'"
+    ),
+    "missing_sigma2": (_drop_station("sigma2"), "missing model field 'sigma2'"),
+    "phi_nan": (_set_station("phi", [NAN, 0.1]), "'phi' must be a list of finite"),
+    "psi_inf": (_set_station("psi", [INF]), "'psi' must be a list of finite"),
+    "intercept_nan": (_set_station("intercept", NAN), "'intercept' must be a finite"),
+    "sigma2_nan": (_set_station("sigma2", NAN), "'sigma2' must be a finite"),
+    "sigma2_negative": (_set_station("sigma2", -0.5), "sigma2 must be >= 0"),
+    "ar_string": (_set("ar", "2"), "'ar' must be an integer"),
+    "seasonality_zero": (_set("seasonality", 0), "'seasonality' must be an integer"),
+    "failed_bs_string": (_set("failed_bs", "bs_zz"), "failed_bs must be a list"),
+}
+
+
+def _write_edited(tmp_path, doc, edit):
+    edit(doc)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LINEAR))
+def test_load_rejects_bad_linear_values(tmp_path, case):
+    edit, needle = BAD_LINEAR[case]
+    path = _write_edited(tmp_path, model_doc(br_model()), edit)
+    with pytest.raises(ParseError, match=needle):
+        load_model(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SA))
+def test_load_rejects_bad_sa_values(tmp_path, case):
+    edit, needle = BAD_SA[case]
+    path = _write_edited(tmp_path, model_doc(sa_model()), edit)
+    with pytest.raises(ParseError, match=needle):
+        load_model(path)
 
 
 def test_load_missing_file():
