@@ -23,7 +23,12 @@ from .errors import (
     SingularSystem,
     UnknownBs,
 )
-from .forecaster import MODES, ForecastSeries, train_block_regression
+from .forecaster import (
+    ForecastSeries,
+    horizon_series,
+    train_block_regression,
+    working_matrix,
+)
 from .regressor import BlockModel
 
 
@@ -179,74 +184,59 @@ def train_sa(
 def forecast_sa(
     model: SaModel,
     t: TrafficMatrix,
-    bs: str,
     start: int,
     k: int,
     mode: str = "one_step",
 ) -> ForecastSeries:
-    """Forecast k hours for one station with its fitted ARMA.
+    """Forecast k hours for every fitted station with its ARMA.
 
     The differenced series is predicted one step at a time with running
     residuals; the observed (or, recursively, forecast) traffic one season
-    earlier is added back. With all coefficients and intercept zero this is
-    exactly the seasonal-naive forecast t_{l-s}.
+    earlier is added back. One recursion over hours runs on vectors across
+    stations. Stations whose fit failed get no row. With all coefficients
+    and intercept zero this is exactly the seasonal-naive forecast t_{l-s}.
     """
-    if mode not in MODES:
-        raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
-    if k < 1:
-        raise InvalidConfig(f"horizon k must be >= 1, got {k}")
-    if bs not in model.per_bs:
-        detail = " (training failed)" if bs in model.failed_bs else ""
-        raise UnknownBs(f"no fitted model for {bs!r}{detail}")
-    coef = model.per_bs[bs]
+    failed = set(model.failed_bs)
+    missing = [bs for bs in t.bs_ids if bs not in model.per_bs and bs not in failed]
+    if missing:
+        raise UnknownBs(f"no fitted model for {missing[0]!r}")
+    rows = [i for i, bs in enumerate(t.bs_ids) if bs in model.per_bs]
+    fitted = TrafficMatrix(
+        bs_ids=[t.bs_ids[i] for i in rows],
+        values=t.values[rows],
+        start_hour=t.start_hour,
+    )
+    coefs = [model.per_bs[bs] for bs in fitted.bs_ids]
     s, ar, ma = model.seasonality, model.ar_order, model.ma_order
-    i = t.bs_index(bs)
-    if start < s + ar:
-        raise InsufficientHistory(
-            f"start column {start} leaves less than s + ar = {s + ar} hours"
-        )
-    if mode == "one_step" and start + k > t.n_hours:
-        raise InsufficientHistory(
-            f"one_step horizon [{start}, {start + k}) exceeds corpus length {t.n_hours}"
-        )
+    n = fitted.n_bs
+    phi = np.array([c.phi for c in coefs], dtype=float).reshape(n, ar)
+    psi = np.array([c.psi for c in coefs], dtype=float).reshape(n, ma)
+    intercept = np.array([c.intercept for c in coefs], dtype=float)
 
-    series = t.values[i].astype(float)
+    working = working_matrix(fitted.values, start, k, mode, s + ar)
     base = start - s  # index of the first horizon hour on the differenced scale
     nz = base + k
-    z = np.zeros(nz)
-    e = np.zeros(nz)
-    limit = min(nz, t.n_hours - s) if mode == "one_step" else min(nz, base)
-    z[:limit] = series[s:s + limit] - series[:limit]
+    z = np.zeros((n, nz))
+    e = np.zeros((n, nz))
+    limit = nz if mode == "one_step" else base
+    z[:, :limit] = working[:, s:s + limit] - working[:, :limit]
 
-    working = series[:start].copy()
-    forecast = np.empty(k)
+    forecast = np.empty((n, k))
     for tt in range(ar, nz):
-        zhat = coef.intercept
+        zhat = intercept.copy()
         for j in range(1, ar + 1):
-            zhat += coef.phi[j - 1] * z[tt - j]
+            zhat += phi[:, j - 1] * z[:, tt - j]
         for j in range(1, ma + 1):
             if tt - j >= 0:
-                zhat += coef.psi[j - 1] * e[tt - j]
+                zhat += psi[:, j - 1] * e[:, tt - j]
+        if tt < base or mode == "one_step":
+            e[:, tt] = z[:, tt] - zhat
+        else:  # a forecast hour: its residual stays 0
+            z[:, tt] = zhat
         if tt < base:
-            e[tt] = z[tt] - zhat
             continue
         step = tt - base
-        if mode == "one_step":
-            e[tt] = z[tt] - zhat
-            prior = series[start + step - s]
-        else:
-            z[tt] = zhat
-            e[tt] = 0.0
-            prior = working[start + step - s]
-        value = zhat + float(prior)
-        forecast[step] = value
+        forecast[:, step] = zhat + working[:, start + step - s]
         if mode == "recursive":
-            working = np.append(working, value)
-
-    hours = t.start_hour + start + np.arange(k)
-    actual = None
-    if start + k <= t.n_hours:
-        actual = series[start:start + k].copy()
-    return ForecastSeries(
-        bs_id=bs, hours=hours, forecast=forecast, actual=actual, mode=mode
-    )
+            working[:, start + step] = forecast[:, step]
+    return horizon_series(fitted, start, forecast, mode)

@@ -155,15 +155,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _forecast_csv(series_list) -> str:
+def _forecast_csv(fs) -> str:
     lines = ["bs_id,hour,actual,forecast,mode"]
-    for fs in series_list:
-        for j in range(len(fs.hours)):
-            actual = "" if fs.actual is None else repr(float(fs.actual[j]))
-            lines.append(
-                f"{fs.bs_id},{int(fs.hours[j])},{actual},"
-                f"{float(fs.forecast[j])!r},{fs.mode}"
-            )
+    hours = fs.hours.tolist()
+    forecast = fs.forecast.tolist()
+    if fs.actual is None:
+        actual = [[""] * len(hours)] * len(forecast)
+    else:
+        actual = [[repr(v) for v in row] for row in fs.actual.tolist()]
+    for bs, actual_row, forecast_row in zip(fs.bs_ids, actual, forecast):
+        lines += [
+            f"{bs},{hour},{a},{f!r},{fs.mode}"
+            for hour, a, f in zip(hours, actual_row, forecast_row)
+        ]
     return "\n".join(lines) + "\n"
 
 
@@ -178,10 +182,10 @@ def _cmd_forecast(args) -> int:
     t.require_clean()
     model = load_model(args.model)
     # load_corpus sorts stations by id, so the rows come out sorted too.
-    series_list = forecast_fleet(model, t, train_hours, test_hours, mode)
-    atomic_write_text(args.output, _forecast_csv(series_list))
+    fs = forecast_fleet(model, t, train_hours, test_hours, mode)
+    atomic_write_text(args.output, _forecast_csv(fs))
     print(
-        f"forecast: {len(series_list)} stations x {test_hours} hours "
+        f"forecast: {len(fs.bs_ids)} stations x {test_hours} hours "
         f"({mode}) -> {args.output}"
     )
     return 0

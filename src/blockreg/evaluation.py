@@ -128,17 +128,15 @@ def _model_config(model) -> dict:
 
 def forecast_fleet(
     model, t: TrafficMatrix, start: int, k: int, mode: str = "one_step"
-) -> list[ForecastSeries]:
+) -> ForecastSeries:
     """Forecast k hours from corpus column ``start`` for every station.
 
-    One series per station, in corpus order. Stations whose SA fit failed
-    have no coefficients and are skipped.
+    Rows follow corpus order. Stations whose SA fit failed have no
+    coefficients and get no row.
     """
     if isinstance(model, SaModel):
-        forecast, skip = forecast_sa, set(model.failed_bs)
-    else:
-        forecast, skip = forecast_horizon, set()
-    return [forecast(model, t, bs, start, k, mode) for bs in t.bs_ids if bs not in skip]
+        return forecast_sa(model, t, start, k, mode)
+    return forecast_horizon(model, t, start, k, mode)
 
 
 def evaluate(
@@ -150,10 +148,10 @@ def evaluate(
 ) -> EvalReport:
     """Score a model on the test period of a cleaned corpus.
 
-    One forecast series per station over the test horizon; stations whose
-    test-period mean is zero, and stations whose SA fit failed, are excluded
-    from the scores and counted. ``seed`` is recorded in the report config
-    for provenance only.
+    The fleet is forecast over the test horizon in one call and scored one
+    station (row) at a time; stations whose test-period mean is zero, and
+    stations whose SA fit failed, are excluded from the scores and counted.
+    ``seed`` is recorded in the report config for provenance only.
     """
     t.require_clean()
     if mode not in MODES:
@@ -169,12 +167,12 @@ def evaluate(
         }
     )
 
-    series = forecast_fleet(model, t, split.train_hours, split.test_hours, mode)
+    fs = forecast_fleet(model, t, split.train_hours, split.test_hours, mode)
     per_bs: dict[str, float] = {}
-    excluded = t.n_bs - len(series)
-    for fs in series:
+    excluded = t.n_bs - len(fs.bs_ids)
+    for bs, actual, forecast in zip(fs.bs_ids, fs.actual, fs.forecast):
         try:
-            per_bs[fs.bs_id] = nrmse(fs.actual, fs.forecast)
+            per_bs[bs] = nrmse(actual, forecast)
         except ZeroMeanActual:
             excluded += 1
     if not per_bs:

@@ -32,12 +32,17 @@ MODES = ("one_step", "recursive")
 
 @dataclass
 class ForecastSeries:
-    """Forecasts for one station over a contiguous range of hours."""
+    """Forecasts for a fleet of stations over a contiguous range of hours.
 
-    bs_id: str
-    hours: np.ndarray
-    forecast: np.ndarray
-    actual: np.ndarray | None
+    Row i of ``forecast`` and ``actual`` belongs to ``bs_ids[i]``, so one
+    station's forecast is a row slice. ``actual`` is None when the horizon
+    runs past the end of the corpus.
+    """
+
+    bs_ids: list[str]
+    hours: np.ndarray  # (k,) absolute hour indices
+    forecast: np.ndarray  # (n, k)
+    actual: np.ndarray | None  # (n, k)
     mode: str
 
 
@@ -76,80 +81,108 @@ def _window_features(model: BlockModel, hist: np.ndarray) -> np.ndarray:
     """Differenced lags for the w hours before the forecast target."""
     m, w = model.seasonality_m, model.window_w
     if m > 0:
-        return hist[m:m + w] - hist[:w]
-    return hist[-w:]
+        return hist[..., m:m + w] - hist[..., :w]
+    return hist[..., -w:]
 
 
-def forecast_one(model: BlockModel, history: np.ndarray) -> float:
+def forecast_one(model: BlockModel, history: np.ndarray) -> float | np.ndarray:
     """Forecast the hour immediately after ``history``.
 
-    ``history`` must cover at least the m + w hours preceding the target
-    (w hours for an undifferenced model); only that suffix is used.
+    ``history`` has shape (..., L) and must cover at least the m + w hours
+    preceding the target (w hours for an undifferenced model); only that
+    suffix of the last axis is used. A 1-D history gives one float, a
+    (N, L) history one forecast per row.
     """
     m, w = model.seasonality_m, model.window_w
     need = m + w
     history = np.asarray(history, dtype=float)
-    if history.ndim != 1 or history.shape[0] < need:
-        raise InsufficientHistory(
-            f"need {need} preceding hours, got {history.shape[0]}"
-        )
-    hist = history[-need:]
+    if history.ndim == 0 or history.shape[-1] < need:
+        got = history.shape[-1] if history.ndim else 0
+        raise InsufficientHistory(f"need {need} preceding hours, got {got}")
+    hist = history[..., -need:]
     lags = _window_features(model, hist)
     xhat = (lags - model.stats.mu_x) / model.stats.sigma_x
-    z = model.theta0 + float(model.theta @ xhat)
+    z = model.theta0 + xhat @ model.theta
     value = model.stats.mu_y + z * model.stats.sigma_y
     if m > 0:
-        value += float(hist[w])
-    return float(value)
+        value = value + hist[..., w]
+    return value
 
 
-def forecast_horizon(
-    model: BlockModel,
-    t: TrafficMatrix,
-    bs: str,
-    start: int,
-    k: int,
-    mode: str = "one_step",
-) -> ForecastSeries:
-    """Forecast k hours beginning at corpus column ``start`` for one station.
+def working_matrix(
+    values: np.ndarray, start: int, k: int, mode: str, need: int
+) -> np.ndarray:
+    """Check a k-hour horizon from column ``start``; return its working matrix.
 
-    one_step: every lag and the t_{l-m} term read recorded actuals, so the
-    corpus must cover the whole horizon. recursive: values from ``start``
-    onward are replaced by the forecasts already made, and the horizon may
-    extend past the end of the corpus.
+    The working matrix has one row per row of ``values`` and ``start + k``
+    columns. one_step fills every column with recorded actuals, so the
+    corpus must cover the whole horizon; recursive fills only the columns
+    before ``start`` and leaves the horizon for the caller to write its
+    forecasts into, so the horizon may extend past the end of the corpus,
+    but may not start past it.
     """
     if mode not in MODES:
         raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
     if k < 1:
         raise InvalidConfig(f"horizon k must be >= 1, got {k}")
-    i = t.bs_index(bs)
-    need = model.seasonality_m + model.window_w
+    n_hours = values.shape[1]
     if start < need:
         raise InsufficientHistory(
             f"start column {start} leaves less than {need} hours of history"
         )
-    if mode == "one_step" and start + k > t.n_hours:
+    if start > n_hours:
         raise InsufficientHistory(
-            f"one_step horizon [{start}, {start + k}) exceeds corpus length {t.n_hours}"
+            f"start column {start} is past the corpus end at {n_hours}"
         )
+    if mode == "one_step" and start + k > n_hours:
+        raise InsufficientHistory(
+            f"one_step horizon [{start}, {start + k}) exceeds corpus length {n_hours}"
+        )
+    known = start + k if mode == "one_step" else start
+    working = np.empty((values.shape[0], start + k))
+    working[:, :known] = values[:, :known]
+    return working
 
-    series = t.values[i]
-    forecast = np.empty(k)
-    if mode == "one_step":
-        for j in range(k):
-            l = start + j
-            forecast[j] = forecast_one(model, series[l - need:l])
-    else:
-        working = series[:start].astype(float).copy()
-        for j in range(k):
-            value = forecast_one(model, working[-need:])
-            forecast[j] = value
-            working = np.append(working, value)
 
-    hours = t.start_hour + start + np.arange(k)
+def horizon_series(
+    t: TrafficMatrix, start: int, forecast: np.ndarray, mode: str
+) -> ForecastSeries:
+    """Wrap an (n, k) forecast for the stations of ``t`` with hours and actuals."""
+    k = forecast.shape[1]
     actual = None
     if start + k <= t.n_hours:
-        actual = series[start:start + k].copy()
+        actual = t.values[:, start:start + k].copy()
     return ForecastSeries(
-        bs_id=bs, hours=hours, forecast=forecast, actual=actual, mode=mode
+        bs_ids=list(t.bs_ids),
+        hours=t.start_hour + start + np.arange(k),
+        forecast=forecast,
+        actual=actual,
+        mode=mode,
     )
+
+
+def forecast_horizon(
+    model: BlockModel,
+    t: TrafficMatrix,
+    start: int,
+    k: int,
+    mode: str = "one_step",
+) -> ForecastSeries:
+    """Forecast k hours beginning at corpus column ``start`` for every station.
+
+    One loop over the horizon hours serves the whole fleet: each step reads
+    the m + w hours before it from a working matrix and forecasts one column.
+    one_step: every lag and the t_{l-m} term read recorded actuals, so the
+    corpus must cover the whole horizon. recursive: each step's forecasts
+    are written back into the working matrix and read by later steps, and
+    the horizon may extend past the end of the corpus.
+    """
+    need = model.seasonality_m + model.window_w
+    working = working_matrix(t.values, start, k, mode, need)
+    forecast = np.empty((t.n_bs, k))
+    for j in range(k):
+        l = start + j
+        forecast[:, j] = forecast_one(model, working[:, l - need:l])
+        if mode == "recursive":
+            working[:, l] = forecast[:, j]
+    return horizon_series(t, start, forecast, mode)

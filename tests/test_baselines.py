@@ -94,13 +94,11 @@ def test_lr_on_predifferenced_corpus_equals_br(small_corpus):
 
 def test_lr_forecast_no_seasonal_readdition(small_corpus):
     lr = train_lr(small_corpus, w=6, train_hours=240)
-    bs = small_corpus.bs_ids[0]
-    fs = forecast_horizon(lr, small_corpus, bs, 240, 8)
-    i = small_corpus.bs_index(bs)
-    lags = small_corpus.values[i, 234:240]
+    fs = forecast_horizon(lr, small_corpus, 240, 8)
+    lags = small_corpus.values[0, 234:240]
     xhat = (lags - lr.stats.mu_x) / lr.stats.sigma_x
     z = lr.theta0 + float(lr.theta @ xhat)
-    assert fs.forecast[0] == pytest.approx(lr.stats.mu_y + z * lr.stats.sigma_y)
+    assert fs.forecast[0, 0] == pytest.approx(lr.stats.mu_y + z * lr.stats.sigma_y)
 
 
 # ---------------------------------------------------------------- Hannan-Rissanen
@@ -193,28 +191,24 @@ def test_sa_failed_station_is_excluded(small_corpus, monkeypatch):
     assert model.failed_bs == [bad_bs]
     assert bad_bs not in model.per_bs
     assert model.n_params == 5 * (small_corpus.n_bs - 1)
-    with pytest.raises(UnknownBs, match="training failed"):
-        forecast_sa(model, small_corpus, bad_bs, 240, 4)
+    fs = forecast_sa(model, small_corpus, 240, 4)
+    assert fs.bs_ids == [bs for bs in small_corpus.bs_ids if bs != bad_bs]
+    assert fs.forecast.shape == fs.actual.shape == (small_corpus.n_bs - 1, 4)
 
 
 # ---------------------------------------------------------------- SA forecasting
 
 def test_sa_zero_coefficients_is_seasonal_naive(small_corpus):
     model = zero_sa_model(small_corpus.bs_ids)
-    bs = small_corpus.bs_ids[1]
-    i = small_corpus.bs_index(bs)
-    series = small_corpus.values[i]
-    fs = forecast_sa(model, small_corpus, bs, 240, 96, "one_step")
-    np.testing.assert_array_equal(fs.forecast, series[240 - 24:240 - 24 + 96])
+    fs = forecast_sa(model, small_corpus, 240, 96, "one_step")
+    np.testing.assert_array_equal(fs.forecast,
+                                  small_corpus.values[:, 240 - 24:240 - 24 + 96])
 
 
 def test_sa_zero_coefficients_recursive_repeats_last_season(small_corpus):
     model = zero_sa_model(small_corpus.bs_ids)
-    bs = small_corpus.bs_ids[1]
-    i = small_corpus.bs_index(bs)
-    series = small_corpus.values[i]
-    fs = forecast_sa(model, small_corpus, bs, 240, 96, "recursive")
-    season = series[216:240]
+    fs = forecast_sa(model, small_corpus, 240, 96, "recursive")
+    season = small_corpus.values[:, 216:240]
     np.testing.assert_array_equal(fs.forecast, np.tile(season, 4))
 
 
@@ -232,45 +226,46 @@ def test_sa_one_step_hand_example():
         ar_order=1,
         ma_order=0,
     )
-    fs = forecast_sa(model, t, "a", 5, 1, "one_step")
-    assert fs.forecast[0] == pytest.approx(13.1)
-    assert fs.actual[0] == 16.0
+    fs = forecast_sa(model, t, 5, 1, "one_step")
+    assert fs.forecast[0, 0] == pytest.approx(13.1)
+    assert fs.actual[0, 0] == 16.0
 
 
 def test_sa_periodic_corpus_exact():
     t = periodic_corpus(n_bs=5)
     model = train_sa(t, train_hours=240)
-    for bs in t.bs_ids:
-        fs = forecast_sa(model, t, bs, 240, 96, "one_step")
-        np.testing.assert_allclose(fs.forecast, fs.actual, rtol=0, atol=1e-9)
+    fs = forecast_sa(model, t, 240, 96, "one_step")
+    assert fs.bs_ids == t.bs_ids
+    np.testing.assert_allclose(fs.forecast, fs.actual, rtol=0, atol=1e-9)
 
 
 def test_sa_forecast_validation(small_corpus):
     model = train_sa(small_corpus, train_hours=240)
-    bs = small_corpus.bs_ids[0]
     with pytest.raises(InvalidConfig):
-        forecast_sa(model, small_corpus, bs, 240, 0)
+        forecast_sa(model, small_corpus, 240, 0)
     with pytest.raises(InvalidConfig):
-        forecast_sa(model, small_corpus, bs, 240, 4, "oracle")
+        forecast_sa(model, small_corpus, 240, 4, "oracle")
     with pytest.raises(InsufficientHistory):
-        forecast_sa(model, small_corpus, bs, 10, 4)
+        forecast_sa(model, small_corpus, 10, 4)
     with pytest.raises(InsufficientHistory):
-        forecast_sa(model, small_corpus, bs, 336, 1, "one_step")
+        forecast_sa(model, small_corpus, 336, 1, "one_step")
+    with pytest.raises(InsufficientHistory, match="past the corpus end"):
+        forecast_sa(model, small_corpus, 337, 4, "recursive")
+    # a corpus station the model neither fitted nor lists as failed
+    model.per_bs.pop(small_corpus.bs_ids[0])
     with pytest.raises(UnknownBs):
-        forecast_sa(model, small_corpus, "missing", 240, 4)
+        forecast_sa(model, small_corpus, 240, 4)
 
 
 def test_sa_recursive_past_corpus_end(small_corpus):
     model = train_sa(small_corpus, train_hours=240)
-    fs = forecast_sa(model, small_corpus, small_corpus.bs_ids[0], 336, 30,
-                     "recursive")
+    fs = forecast_sa(model, small_corpus, 336, 30, "recursive")
     assert fs.actual is None
     assert np.all(np.isfinite(fs.forecast))
 
 
 def test_sa_modes_agree_on_first_step(small_corpus):
     model = train_sa(small_corpus, train_hours=240)
-    bs = small_corpus.bs_ids[4]
-    one = forecast_sa(model, small_corpus, bs, 240, 1, "one_step")
-    rec = forecast_sa(model, small_corpus, bs, 240, 1, "recursive")
-    assert one.forecast[0] == pytest.approx(rec.forecast[0], rel=1e-12)
+    one = forecast_sa(model, small_corpus, 240, 1, "one_step")
+    rec = forecast_sa(model, small_corpus, 240, 1, "recursive")
+    np.testing.assert_allclose(one.forecast, rec.forecast, rtol=1e-12, atol=0)

@@ -6,11 +6,18 @@
 function renamed, moved or made private would make the traced benchmark
 run fail; this test catches that in the ordinary suite instead. The two
 files are read with ``ast``, never imported.
+
+A traced function that exists but is no longer called through its module
+attribute would read 0 in the traced run; ``evaluate`` is therefore run
+with counting wrappers rebound the way the tracer rebinds its own.
 """
 
 import ast
+import functools
 import importlib
 import inspect
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,3 +62,50 @@ def test_traced_name_is_public_function(name):
     assert fn.__module__ == module.__name__, (
         f"blockreg.{name} is defined in {fn.__module__}"
     )
+
+
+def _install_counters(monkeypatch, names) -> Counter:
+    """Rebind a counting wrapper over every ``blockreg`` name for each function.
+
+    This is how ``perfbench/tracer.py`` installs its wrappers: a call is
+    counted only if it goes through a module attribute, so a function that
+    is bypassed (inlined, or called through a private alias) counts 0.
+    """
+    counts: Counter = Counter()
+    for name in names:
+        module_name, function = name.split(".")
+        original = getattr(importlib.import_module(f"blockreg.{module_name}"), function)
+
+        @functools.wraps(original)
+        def wrapper(*args, __name=name, __fn=original, **kwargs):
+            counts[__name] += 1
+            return __fn(*args, **kwargs)
+
+        for held_by, module in list(sys.modules.items()):
+            if held_by != "blockreg" and not held_by.startswith("blockreg."):
+                continue
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("mode", ["one_step", "recursive"])
+@pytest.mark.parametrize("kind", ["br", "lr", "sa"])
+def test_evaluate_reaches_traced_functions(small_corpus, monkeypatch, kind, mode):
+    from blockreg import evaluate, train_block_regression, train_sa
+
+    if kind == "sa":
+        model = train_sa(small_corpus)
+        reached = ["baselines.forecast_sa"]
+    else:
+        model, _ = train_block_regression(
+            small_corpus, m=0 if kind == "lr" else 24, w=72 if kind == "lr" else 3,
+            train_hours=240,
+        )
+        reached = ["forecaster.forecast_horizon", "forecaster.forecast_one"]
+    reached.append("evaluation.nrmse")
+    counts = _install_counters(monkeypatch, reached)
+    evaluate(model, small_corpus, mode=mode)
+    for name in reached:
+        assert counts[name] >= 1, f"{name} was not reached through its module attribute"

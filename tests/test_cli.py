@@ -272,3 +272,46 @@ def test_br_with_m_zero_is_lr(workspace, tmp_path):
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("train: lr model with 73 parameters (iterations=")
     assert (tmp_path / "m.json").read_bytes() == (workspace / "lr.json").read_bytes()
+
+
+@pytest.mark.parametrize("setting", [
+    {"n_bs": "abc"},
+    {"n_bs": 3, "n_hours": 48.5},
+    {"n_bs": True},
+    {"seed": None},
+    {"noise_std": "0.1"},
+    {"noise_std": False},
+    {"burst_probability": float("nan")},
+    {"daily_profile_amplitude": float("inf")},
+    {"day_intensity_std": 10 ** 400},
+])
+def test_synth_config_wrong_type_exits_2(tmp_path, setting):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(setting))
+    r = run("synth", "--output", tmp_path / "c.csv", "--config", cfg)
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr)["error"] == "InvalidConfig"
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_synth_config_int_for_float_field(tmp_path):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"n_bs": 3, "n_hours": 48, "noise_std": 0}))
+    r = run("synth", "--output", tmp_path / "a.csv", "--config", cfg)
+    assert r.returncode == 0, r.stderr
+    cfg.write_text(json.dumps({"n_bs": 3, "n_hours": 48, "noise_std": 0.0}))
+    run("synth", "--output", tmp_path / "b.csv", "--config", cfg)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["br", "lr", "sa"])
+def test_forecast_recursive_start_past_corpus_end_exits_3(workspace, tmp_path, kind):
+    out = tmp_path / "fc.csv"
+    r = run("forecast", "--input", workspace / "corpus.csv",
+            "--model", workspace / f"{kind}.json", "--output", out,
+            "--mode", "recursive", "--train-hours", 400, "--test-hours", 2)
+    assert r.returncode == 3, r.stderr
+    err = json.loads(r.stderr)
+    assert err["error"] == "InsufficientHistory"
+    assert "past the corpus end" in err["message"]
+    assert not out.exists()

@@ -1,0 +1,135 @@
+"""Fleet forecasts against the per-station loops in ``forecast_oracle``.
+
+br/lr forecasts may differ from the loop by summation order only, so they
+are compared per station within 1e-12 times the station's largest traffic
+value; the SA recursion keeps the loop's order of operations and must be
+bit-identical.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockreg import (
+    BlockModel,
+    NormalizationStats,
+    SaCoefficients,
+    SaModel,
+    TrafficMatrix,
+    forecast_horizon,
+    forecast_sa,
+    train_block_regression,
+    train_sa,
+)
+
+from forecast_oracle import block_forecast, sa_forecast
+
+MODES = ("one_step", "recursive")
+REL_TOL = 1e-12
+
+
+def assert_block_rows_match(model, t, start, k, mode):
+    fs = forecast_horizon(model, t, start, k, mode)
+    assert fs.bs_ids == t.bs_ids
+    assert fs.forecast.shape == (t.n_bs, k)
+    for i, bs in enumerate(t.bs_ids):
+        expect = block_forecast(model, t, bs, start, k, mode)
+        bound = REL_TOL * np.max(np.abs(t.values[i]))
+        assert np.max(np.abs(fs.forecast[i] - expect)) <= bound, bs
+
+
+def assert_sa_rows_identical(model, t, start, k, mode):
+    fs = forecast_sa(model, t, start, k, mode)
+    assert fs.bs_ids == [bs for bs in t.bs_ids if bs in model.per_bs]
+    assert fs.forecast.shape == (len(fs.bs_ids), k)
+    for row, bs in zip(fs.forecast, fs.bs_ids):
+        np.testing.assert_array_equal(row, sa_forecast(model, t, bs, start, k, mode))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("m,w", [(24, 3), (0, 72)], ids=["br", "lr"])
+def test_block_fleet_matches_oracle(small_corpus, m, w, mode):
+    model, _ = train_block_regression(small_corpus, m=m, w=w, train_hours=240)
+    assert_block_rows_match(model, small_corpus, 240, 96, mode)
+
+
+@pytest.mark.parametrize("m,w", [(24, 3), (0, 72)], ids=["br", "lr"])
+def test_block_recursive_past_corpus_end_matches_oracle(small_corpus, m, w):
+    model, _ = train_block_regression(small_corpus, m=m, w=w, train_hours=240)
+    assert_block_rows_match(model, small_corpus, 300, 80, "recursive")
+    assert_block_rows_match(model, small_corpus, 336, 30, "recursive")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sa_fleet_matches_oracle_with_failed_station(small_corpus, mode):
+    model = train_sa(small_corpus, train_hours=240)
+    failed = small_corpus.bs_ids[3]
+    model.per_bs.pop(failed)
+    model.failed_bs.append(failed)
+    assert_sa_rows_identical(model, small_corpus, 240, 96, mode)
+
+
+def test_sa_recursive_past_corpus_end_matches_oracle(small_corpus):
+    model = train_sa(small_corpus, train_hours=240)
+    assert_sa_rows_identical(model, small_corpus, 300, 80, "recursive")
+    assert_sa_rows_identical(model, small_corpus, 336, 30, "recursive")
+
+
+@st.composite
+def fleet_cases(draw):
+    """A random corpus, horizon, mode and seed for random model coefficients."""
+    n = draw(st.integers(1, 5))
+    length = draw(st.integers(40, 120))
+    mode = draw(st.sampled_from(MODES))
+    # every model below needs at most 30 hours of history before ``start``
+    start = draw(st.integers(30, length if mode == "recursive" else length - 1))
+    k_max = 2 * length if mode == "recursive" else length - start
+    k = draw(st.integers(1, k_max))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, length, start, k, mode, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(fleet_cases())
+def test_fleet_matches_oracle_property(case):
+    n, length, start, k, mode, seed = case
+    rng = np.random.default_rng(seed)
+    t = TrafficMatrix(
+        bs_ids=[f"bs_{i}" for i in range(n)],
+        values=rng.uniform(0.5, 2.0, size=(n, length)) * rng.uniform(1, 100, (n, 1)),
+        start_hour=int(rng.integers(0, 1000)),
+    )
+    m = int(rng.choice([0, 1, 12, 24]))
+    w = int(rng.integers(1, 7))
+    stats = NormalizationStats(
+        rng.normal(size=w), rng.uniform(0.5, 2.0, w),
+        float(rng.normal()), float(rng.uniform(0.5, 2.0)),
+    )
+    # small weights keep the recursive forecasts from growing without bound
+    block = BlockModel(float(rng.normal()), rng.normal(scale=0.2 / w, size=w),
+                       stats, m, w)
+    assert_block_rows_match(block, t, start, k, mode)
+
+    ar, ma = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+    sa = SaModel(
+        per_bs={
+            bs: SaCoefficients(rng.uniform(-0.4, 0.4, ar), rng.uniform(-0.4, 0.4, ma),
+                               float(rng.normal()), 1.0)
+            for bs in t.bs_ids
+        },
+        seasonality=int(rng.integers(1, 25)),
+        ar_order=ar,
+        ma_order=ma,
+    )
+    if n > 1:
+        dropped = t.bs_ids[int(rng.integers(0, n))]
+        sa.per_bs.pop(dropped)
+        sa.failed_bs.append(dropped)
+    assert_sa_rows_identical(sa, t, start, k, mode)
+    fs = forecast_horizon(block, t, start, k, mode)
+    np.testing.assert_array_equal(fs.hours, t.start_hour + start + np.arange(k))
+    if start + k <= length:
+        np.testing.assert_array_equal(fs.actual, t.values[:, start:start + k])
+    else:
+        assert fs.actual is None

@@ -12,7 +12,7 @@ from blockreg import (
     train_block_regression,
 )
 from blockreg.corpus import TrafficMatrix
-from blockreg.errors import InsufficientHistory, InvalidConfig, UnknownBs
+from blockreg.errors import InsufficientHistory, InvalidConfig
 
 from conftest import make_corpus, periodic_corpus
 
@@ -65,9 +65,10 @@ def test_train_train_hours_bounds(small_corpus):
 def test_periodic_corpus_forecast_exact():
     t = periodic_corpus(n_bs=8)
     model, _ = train_block_regression(t, m=24, w=3, train_hours=240)
-    for bs in t.bs_ids:
-        fs = forecast_horizon(model, t, bs, 240, 96, "one_step")
-        np.testing.assert_allclose(fs.forecast, fs.actual, rtol=0, atol=1e-9)
+    fs = forecast_horizon(model, t, 240, 96, "one_step")
+    assert fs.bs_ids == t.bs_ids
+    assert fs.forecast.shape == fs.actual.shape == (t.n_bs, 96)
+    np.testing.assert_allclose(fs.forecast, fs.actual, rtol=0, atol=1e-9)
 
 
 def test_forecast_one_seasonal_naive_identity():
@@ -104,62 +105,57 @@ def test_forecast_horizon_shift_equivariance(small_corpus):
         values=t.values[:, cut:],
         start_hour=t.start_hour + cut,
     )
-    a = forecast_horizon(model, t, t.bs_ids[0], 240, 48, "one_step")
-    b = forecast_horizon(model, shifted, t.bs_ids[0], 240 - cut, 48, "one_step")
+    a = forecast_horizon(model, t, 240, 48, "one_step")
+    b = forecast_horizon(model, shifted, 240 - cut, 48, "one_step")
     np.testing.assert_allclose(a.forecast, b.forecast, rtol=0, atol=1e-10)
     np.testing.assert_array_equal(a.hours, b.hours)
 
 
 def test_forecast_modes_agree_on_first_step(small_corpus):
     model, _ = train_block_regression(small_corpus, m=24, w=3, train_hours=240)
-    bs = small_corpus.bs_ids[3]
-    one = forecast_horizon(model, small_corpus, bs, 240, 1, "one_step")
-    rec = forecast_horizon(model, small_corpus, bs, 240, 1, "recursive")
-    assert one.forecast[0] == rec.forecast[0]
+    one = forecast_horizon(model, small_corpus, 240, 1, "one_step")
+    rec = forecast_horizon(model, small_corpus, 240, 1, "recursive")
+    np.testing.assert_array_equal(one.forecast, rec.forecast)
 
 
 def test_forecast_recursive_feeds_back(small_corpus):
     # after the first step the two modes read different histories
     model, _ = train_block_regression(small_corpus, m=24, w=3, train_hours=240)
-    bs = small_corpus.bs_ids[0]
-    one = forecast_horizon(model, small_corpus, bs, 240, 96, "one_step")
-    rec = forecast_horizon(model, small_corpus, bs, 240, 96, "recursive")
-    assert not np.array_equal(one.forecast, rec.forecast)
-    np.testing.assert_array_equal(one.actual, rec.actual)
+    one = forecast_horizon(model, small_corpus, 240, 96, "one_step")
+    rec = forecast_horizon(model, small_corpus, 240, 96, "recursive")
+    assert not np.array_equal(one.forecast[0], rec.forecast[0])
+    np.testing.assert_array_equal(one.actual[0], rec.actual[0])
 
 
 def test_forecast_recursive_past_corpus_end(small_corpus):
     model, _ = train_block_regression(small_corpus, m=24, w=3, train_hours=240)
-    bs = small_corpus.bs_ids[0]
-    fs = forecast_horizon(model, small_corpus, bs, 336, 48, "recursive")
+    fs = forecast_horizon(model, small_corpus, 336, 48, "recursive")
     assert fs.actual is None
-    assert fs.forecast.shape == (48,)
-    assert np.all(np.isfinite(fs.forecast))
+    assert fs.forecast[0].shape == (48,)
+    assert np.all(np.isfinite(fs.forecast[0]))
 
 
 def test_forecast_one_step_needs_actuals(small_corpus):
     model, _ = train_block_regression(small_corpus, m=24, w=3, train_hours=240)
     with pytest.raises(InsufficientHistory):
-        forecast_horizon(model, small_corpus, small_corpus.bs_ids[0], 336, 1,
-                         "one_step")
+        forecast_horizon(model, small_corpus, 336, 1, "one_step")
 
 
 def test_forecast_horizon_validation(small_corpus):
     model, _ = train_block_regression(small_corpus, m=24, w=3, train_hours=240)
-    bs = small_corpus.bs_ids[0]
     with pytest.raises(InvalidConfig):
-        forecast_horizon(model, small_corpus, bs, 240, 0)
+        forecast_horizon(model, small_corpus, 240, 0)
     with pytest.raises(InvalidConfig):
-        forecast_horizon(model, small_corpus, bs, 240, 4, "psychic")
+        forecast_horizon(model, small_corpus, 240, 4, "psychic")
     with pytest.raises(InsufficientHistory):
-        forecast_horizon(model, small_corpus, bs, 12, 4)
-    with pytest.raises(UnknownBs):
-        forecast_horizon(model, small_corpus, "missing", 240, 4)
+        forecast_horizon(model, small_corpus, 12, 4)
+    with pytest.raises(InsufficientHistory, match="past the corpus end"):
+        forecast_horizon(model, small_corpus, 337, 4, "recursive")
 
 
 def test_forecast_hours_are_absolute(small_corpus):
     model, _ = train_block_regression(small_corpus, m=24, w=3, train_hours=240)
-    fs = forecast_horizon(model, small_corpus, small_corpus.bs_ids[0], 250, 5)
+    fs = forecast_horizon(model, small_corpus, 250, 5)
     np.testing.assert_array_equal(fs.hours, [250, 251, 252, 253, 254])
 
 
