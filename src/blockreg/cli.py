@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import repeat
 
 from .baselines import train_sa
 from .corpus import SynthConfig, clean, load_corpus, save_corpus, synthesize
@@ -156,19 +157,14 @@ def _cmd_train(args) -> int:
 
 
 def _forecast_csv(fs) -> str:
-    lines = ["bs_id,hour,actual,forecast,mode"]
-    hours = fs.hours.tolist()
-    forecast = fs.forecast.tolist()
-    if fs.actual is None:
-        actual = [[""] * len(hours)] * len(forecast)
-    else:
-        actual = [[repr(v) for v in row] for row in fs.actual.tolist()]
-    for bs, actual_row, forecast_row in zip(fs.bs_ids, actual, forecast):
-        lines += [
-            f"{bs},{hour},{a},{f!r},{fs.mode}"
-            for hour, a, f in zip(hours, actual_row, forecast_row)
-        ]
-    return "\n".join(lines) + "\n"
+    blocks = ["bs_id,hour,actual,forecast,mode"]
+    hours = list(map(str, fs.hours.tolist()))
+    for i, bs in enumerate(fs.bs_ids):  # forecast_fleet guarantees k >= 1
+        actual = repeat("") if fs.actual is None else map(repr, fs.actual[i].tolist())
+        forecast = map(repr, fs.forecast[i].tolist())
+        rows = zip(repeat(bs), hours, actual, forecast, repeat(fs.mode))
+        blocks.append("\n".join(map(",".join, rows)))
+    return "\n".join(blocks) + "\n"
 
 
 def _cmd_forecast(args) -> int:

@@ -7,15 +7,17 @@ every other stage requires a cleaned matrix.
 
 from __future__ import annotations
 
-import csv
 import math
+import re
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
 from .errors import (
     EmptyCorpus,
     InconsistentHours,
+    InvalidBsId,
     InvalidConfig,
     ParseError,
     UncleanCorpus,
@@ -23,6 +25,15 @@ from .errors import (
 )
 
 CSV_HEADER = ["bs_id", "hour", "volume"]
+
+# load_corpus reads and parses this many characters of whole lines at a
+# time. A chunk's strings take several times the memory of its parsed
+# columns, so chunks stay small and each is dropped before the next is read.
+CHUNK_BYTES = 64 * 1024
+
+_INT64_MAX = 2**63 - 1
+# Characters that would break a bs_id field of the unquoted CSV.
+_UNWRITABLE_ID = re.compile('[,"\r\n]')
 
 # Spread of the per-station lognormal volume scale. Internal constant, not a
 # SynthConfig field: it controls how unevenly traffic is distributed over the
@@ -222,79 +233,223 @@ def load_corpus(path: str) -> TrafficMatrix:
 
     Returns an uncleaned matrix: absent (bs, hour) records become NaN and
     negative volumes are kept. Rows come out sorted by bs_id; columns span
-    the minimum to maximum hour present in the file.
+    the minimum to maximum hour present in the file, and some station must
+    have a record for every hour of that span.
+
+    The file is read in chunks of whole lines; each chunk is parsed into
+    numpy columns (station code, hour, volume, line number) and its strings
+    are dropped before the next chunk is read. A defect raises ParseError (InconsistentHours for a duplicate
+    record or an unfilled span) naming the first bad line in file order.
     """
-    records: dict[tuple[str, int], float] = {}
+    # "\n" + bs_id -> code, in order of first appearance (see _parse_rows)
+    ids: dict[str, int] = {}
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ParseError(
-                f"{path}: line 1: expected header {','.join(CSV_HEADER)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}: line {lineno}: expected 3 fields")
-            bs_id, hour_s, vol_s = row
-            if not bs_id:
-                raise ParseError(f"{path}: line {lineno}: empty bs_id")
-            try:
-                hour = int(hour_s)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}: bad hour {hour_s!r}"
-                ) from None
-            if hour < 0:
-                raise ParseError(f"{path}: line {lineno}: negative hour {hour}")
-            if vol_s == "NA":
-                volume = math.nan
-            else:
-                try:
-                    volume = float(vol_s)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {lineno}: bad volume {vol_s!r}"
-                    ) from None
-                if not math.isfinite(volume):
-                    raise ParseError(
-                        f"{path}: line {lineno}: non-finite volume {vol_s!r}"
-                    )
-            key = (bs_id, hour)
-            if key in records:
-                raise InconsistentHours(
-                    f"{path}: line {lineno}: duplicate record for {bs_id} hour {hour}"
-                )
-            records[key] = volume
-    if not records:
-        raise ParseError(f"{path}: no data rows")
+        try:
+            chunks, problem = _read_chunks(fh, path, ids)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    if not chunks:
+        raise ParseError(problem or f"{path}: no data rows")
 
-    bs_ids = sorted({bs for bs, _ in records})
-    hours = [h for _, h in records]
-    start, stop = min(hours), max(hours)
-    values = np.full((len(bs_ids), stop - start + 1), np.nan)
-    index = {bs: i for i, bs in enumerate(bs_ids)}
-    for (bs, hour), volume in records.items():
-        values[index[bs], hour - start] = volume
-    return TrafficMatrix(bs_ids=bs_ids, values=values, start_hour=start)
+    codes, hours, volumes, linenos = map(np.concatenate, zip(*chunks))
+    del chunks  # free the per-chunk columns before the matrix is allocated
+    names = [key[1:] for key in ids]
+    _check_duplicates(path, names, codes, hours, linenos)
+    if problem:
+        raise ParseError(problem)
+    start, stop = int(hours.min()), int(hours.max())
+    span = stop - start + 1
+    most = int(np.bincount(codes).max())
+    if most < span:
+        raise InconsistentHours(
+            f"{path}: no station has a record for every hour {start}..{stop} "
+            f"({span} hours; the most any station has is {most})"
+        )
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    values = np.full((len(order), span), np.nan)
+    values[rank[codes], hours - start] = volumes
+    return TrafficMatrix(
+        bs_ids=[names[i] for i in order], values=values, start_hour=start
+    )
+
+
+def _read_chunks(fh, path: str, ids: dict[str, int]):
+    """Check the header, then parse the rows chunk by chunk.
+
+    Returns the per-chunk ``(codes, hours, volumes, line numbers)`` columns
+    and the message for the first bad row, or None if there is none. After
+    a bad row the columns hold only the rows before it: a duplicate among
+    them comes earlier in the file, so it is reported first.
+    """
+    header = ",".join(CSV_HEADER)
+    if fh.readline().rstrip("\r\n") != header:
+        raise ParseError(f"{path}: line 1: expected header {header!r}")
+    chunks = []
+    lineno = 2
+    while lines := fh.readlines(CHUNK_BYTES):
+        rows, linenos = _data_rows(lines, lineno)
+        lineno += len(lines)
+        if not rows:
+            continue
+        columns = _parse_rows(rows, ids)
+        if columns is None:
+            problems = enumerate(map(_row_problem, rows))
+            bad, why = next((i, why) for i, why in problems if why)
+            if bad:
+                chunks.append((*_parse_rows(rows[:bad], ids), linenos[:bad]))
+            return chunks, f"{path}: line {linenos[bad]}: {why}"
+        chunks.append((*columns, linenos))
+    return chunks, None
+
+
+def _data_rows(lines: list[str], first: int) -> tuple[list[str], np.ndarray]:
+    """Strip the line ends of a chunk and drop blank lines.
+
+    Returns the remaining rows and their 1-based line numbers; ``first`` is
+    the line number of ``lines[0]``.
+    """
+    text = "".join(lines)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # A final line end would leave one more, empty, string.
+    rows = text.split("\n")[: len(lines)]
+    linenos = np.arange(first, first + len(rows))
+    if "" in rows:
+        keep = [i for i, row in enumerate(rows) if row]
+        rows, linenos = [rows[i] for i in keep], linenos[keep]
+    return rows, linenos
+
+
+def _parse_rows(rows: list[str], ids: dict[str, int]):
+    """Parse rows into ``(codes, hours, volumes)`` columns, or return None.
+
+    None means some row is bad; `_row_problem` then says which and why.
+    The checks run on whole columns; new bs_ids are added to ``ids`` only
+    when every row is good. ``ids`` is keyed by ``"\\n" + bs_id``.
+    """
+    n = len(rows)
+    # Each row's first field keeps a "\n" marker. The hour and volume
+    # checks below reject a "\n", so with 3n fields the n markers all sit in
+    # the bs_id column: every row then has exactly three fields.
+    text = "\n" + ",\n".join(rows)
+    if '"' in text:
+        return None
+    fields = text.split(",")
+    if len(fields) != 3 * n:
+        return None
+    bs, hours_s, volumes_s = fields[0::3], fields[1::3], fields[2::3]
+    if "\n" in bs or not _is_digits("".join(hours_s)):
+        return None
+    if not _is_plain("".join(volumes_s)):
+        return None
+    na = None
+    if "NA" in volumes_s:
+        na = np.fromiter(map("NA".__eq__, volumes_s), dtype=bool, count=n)
+        volumes_s = ["nan" if v == "NA" else v for v in volumes_s]
+    try:
+        hours = np.fromiter(map(int, hours_s), dtype=np.int64, count=n)
+        volumes = np.fromiter(map(float, volumes_s), dtype=np.float64, count=n)
+    except (ValueError, OverflowError):
+        return None
+    finite = np.isfinite(volumes)
+    if na is not None:
+        finite |= na
+    if not finite.all():
+        return None
+    for key in dict.fromkeys(bs):
+        ids.setdefault(key, len(ids))
+    codes = np.fromiter(map(ids.__getitem__, bs), dtype=np.int64, count=n)
+    return codes, hours, volumes
+
+
+def _is_digits(s: str) -> bool:
+    return s.isascii() and s.isdigit()
+
+
+def _is_plain(s: str) -> bool:
+    """True if ``s`` is printable ASCII without spaces or underscores.
+
+    float() would skip surrounding whitespace and digit-group underscores,
+    so a volume field may hold neither.
+    """
+    return s.isascii() and s.isprintable() and " " not in s and "_" not in s
+
+
+def _row_problem(row: str) -> str | None:
+    """Why one non-blank row is invalid, or None if it is valid."""
+    if '"' in row:
+        return "a field contains '\"'; quoting is not supported"
+    fields = row.split(",")
+    if len(fields) != 3:
+        return "expected 3 fields"
+    bs_id, hour_s, vol_s = fields
+    if not bs_id:
+        return "empty bs_id"
+    try:
+        hour = int(hour_s) if _is_digits(hour_s.removeprefix("-")) else None
+    except ValueError:  # more digits than int() converts
+        hour = None
+    if hour is not None and hour < 0:
+        return f"negative hour {hour}"
+    if hour is None or hour > _INT64_MAX or hour_s.startswith("-"):
+        return f"bad hour {hour_s!r}"
+    if vol_s == "NA":
+        return None
+    if not _is_plain(vol_s):
+        return f"bad volume {vol_s!r}"
+    try:
+        volume = float(vol_s)
+    except ValueError:
+        return f"bad volume {vol_s!r}"
+    if not math.isfinite(volume):
+        return f"non-finite volume {vol_s!r}"
+    return None
+
+
+def _check_duplicates(path, names, codes, hours, linenos) -> None:
+    """Raise InconsistentHours at the first line repeating a (bs_id, hour).
+
+    ``names[code]`` is the bs_id of a code. The sort is stable, so within a
+    run of equal keys the rows stay in file order.
+    """
+    order = np.lexsort((hours, codes))
+    c, h = codes[order], hours[order]
+    repeats = order[1:][(c[1:] == c[:-1]) & (h[1:] == h[:-1])]
+    if repeats.size:
+        first = repeats[np.argmin(linenos[repeats])]
+        raise InconsistentHours(
+            f"{path}: line {linenos[first]}: duplicate record for "
+            f"{names[codes[first]]} hour {hours[first]}"
+        )
 
 
 def corpus_to_csv(t: TrafficMatrix) -> str:
-    """Render a corpus in the load_corpus schema, rows sorted by (bs_id, hour)."""
-    lines = [",".join(CSV_HEADER)]
-    order = sorted(range(t.n_bs), key=lambda i: t.bs_ids[i])
-    for i in order:
-        row = t.values[i]
-        for j in range(t.n_hours):
-            v = row[j]
-            vol = "NA" if math.isnan(v) else repr(float(v))
-            lines.append(f"{t.bs_ids[i]},{t.start_hour + j},{vol}")
-    return "\n".join(lines) + "\n"
+    """Render a corpus in the load_corpus schema, rows sorted by (bs_id, hour).
+
+    Raises InvalidBsId for a bs_id the schema cannot hold: an empty one, or
+    one with a comma, a quote or a line break.
+    """
+    for bs_id in t.bs_ids:
+        if not bs_id or _UNWRITABLE_ID.search(bs_id):
+            raise InvalidBsId(f"bs_id {bs_id!r} cannot be written to a corpus CSV")
+    values = np.asarray(t.values, dtype=float)  # repr "1.0", never "1"
+    hours = list(map(str, range(t.start_hour, t.start_hour + t.n_hours)))
+    blocks = [",".join(CSV_HEADER)]
+    # One block of rows per station; with no hours there are no rows.
+    for i in sorted(range(t.n_bs), key=t.bs_ids.__getitem__) if hours else ():
+        row = values[i]
+        volumes = list(map(repr, row.tolist()))
+        for j in np.flatnonzero(np.isnan(row)).tolist():
+            volumes[j] = "NA"
+        rows = zip(repeat(t.bs_ids[i]), hours, volumes)
+        blocks.append("\n".join(map(",".join, rows)))
+    return "\n".join(blocks) + "\n"
 
 
 def save_corpus(t: TrafficMatrix, path: str) -> None:

@@ -61,7 +61,13 @@ class ParseError(DataError):
 
 
 class InconsistentHours(DataError):
-    """Duplicate (bs_id, hour) record in an input file."""
+    """Duplicate (bs_id, hour) record in an input file, or an hour span
+    that no station has a record for every hour of."""
+
+
+class InvalidBsId(DataError):
+    """A station id the corpus CSV cannot hold (empty, or with a comma,
+    a quote or a line break)."""
 
 
 class EmptyCorpus(DataError):

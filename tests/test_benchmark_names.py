@@ -9,7 +9,9 @@ files are read with ``ast``, never imported.
 
 A traced function that exists but is no longer called through its module
 attribute would read 0 in the traced run; ``evaluate`` is therefore run
-with counting wrappers rebound the way the tracer rebinds its own.
+with counting wrappers rebound the way the tracer rebinds its own. The
+tracer's counters also read some arguments of a traced call by name, so
+each such name must stay a parameter of its function.
 """
 
 import ast
@@ -26,15 +28,19 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPAN_KEYS = ("s", "self_s", "calls")
 
 
-def _constant(filename: str, name: str):
+def _assigned(filename: str, name: str) -> ast.expr:
     tree = ast.parse((PERFBENCH / filename).read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == name
             for target in node.targets
         ):
-            return ast.literal_eval(node.value)
+            return node.value
     raise AssertionError(f"{filename} assigns no {name}")
+
+
+def _constant(filename: str, name: str):
+    return ast.literal_eval(_assigned(filename, name))
 
 
 def _traced_functions() -> list[str]:
@@ -61,6 +67,42 @@ def test_traced_name_is_public_function(name):
     assert inspect.isfunction(fn), f"blockreg.{name} is not a function"
     assert fn.__module__ == module.__name__, (
         f"blockreg.{name} is defined in {fn.__module__}"
+    )
+
+
+def _observed_arguments() -> list[tuple[str, str]]:
+    """``(function, argument)`` for each ``a["..."]`` an OBSERVERS entry reads.
+
+    Each entry is ``lambda a, r: ...`` over the bound arguments ``a`` of the
+    traced call, so every key it reads must be a parameter name.
+    """
+    observers = _assigned("tracer.py", "OBSERVERS")
+    pairs = set()
+    for key, observer in zip(observers.keys, observers.values):
+        arguments = observer.args.args[0].arg
+        for node in ast.walk(observer.body):
+            if (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == arguments
+            ):
+                pairs.add((ast.literal_eval(key), ast.literal_eval(node.slice)))
+    return sorted(pairs)
+
+
+def test_observed_arguments_were_found():
+    pairs = _observed_arguments()
+    assert ("corpus.save_corpus", "path") in pairs
+    assert ("corpus.clean", "raw") in pairs
+
+
+@pytest.mark.parametrize("name,argument", _observed_arguments())
+def test_observed_argument_is_a_parameter(name, argument):
+    module_name, function = name.split(".")
+    fn = getattr(importlib.import_module(f"blockreg.{module_name}"), function)
+    assert argument in inspect.signature(fn).parameters, (
+        f"perfbench/tracer.py reads a[{argument!r}] but blockreg.{name} "
+        "has no such parameter"
     )
 
 

@@ -206,6 +206,23 @@ def test_unclean_corpus_exits_3(workspace, tmp_path):
     assert json.loads(r.stderr)["error"] == "UncleanCorpus"
 
 
+@pytest.mark.parametrize("rows,error", [
+    ("a, 1 ,1_0.5", "ParseError"),
+    ("a,1,1_0.5", "ParseError"),
+    ("a,99999999999999999999,1.0", "ParseError"),
+    ('"b,c",0,2.0', "ParseError"),
+    ("a,0,1.0\na,1000000000000,1.0", "InconsistentHours"),
+])
+def test_corpus_defect_exits_3(tmp_path, rows, error):
+    corpus = tmp_path / "c.csv"
+    corpus.write_text(f"bs_id,hour,volume\n{rows}\n")
+    r = run("clean", "--input", corpus, "--output", tmp_path / "out.csv")
+    assert r.returncode == 3, r.stderr
+    assert json.loads(r.stderr)["error"] == error
+    assert "line 2" in r.stderr or error == "InconsistentHours"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_argparse_errors_exit_2(workspace):
     assert run("train", "--input", workspace / "corpus.csv").returncode == 2
     assert run("frobnicate").returncode == 2

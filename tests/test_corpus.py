@@ -1,6 +1,7 @@
 """Corpus generation, cleaning, and CSV round-trip behavior."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from blockreg import (
     save_corpus,
     synthesize,
 )
-from blockreg.errors import EmptyCorpus, InconsistentHours, UnknownBs
+from blockreg.errors import EmptyCorpus, InconsistentHours, InvalidBsId, UnknownBs
 
 from conftest import make_corpus, periodic_corpus
 
@@ -139,12 +140,84 @@ def test_load_rejects_bad_rows(tmp_path):
         ("bs_id,hour,volume\n,0,1.0\n", "empty bs_id"),
         ("bs_id,hour,volume\na,0,inf\n", "non-finite"),
         ("bs_id,hour,volume\n", "no data"),
+        ('bs_id,hour,volume\n"b,c",0,2.0\n', "line 2: a field contains"),
+        ('bs_id,hour,volume\na,0,1.0\n"a",1,2.0\n', "line 3: a field contains"),
+        ("bs_id,hour,volume\na,0,1.0\na,1,\"2\"\n", "line 3: a field contains"),
+        ("bs_id,hour,volume\na, 1 ,1.0\n", "line 2: bad hour ' 1 '"),
+        ("bs_id,hour,volume\na,+1,1.0\n", "bad hour '\\+1'"),
+        ("bs_id,hour,volume\na,-0,1.0\n", "bad hour '-0'"),
+        ("bs_id,hour,volume\na,\u0661,1.0\n", "bad hour"),
+        ("bs_id,hour,volume\na,99999999999999999999,1.0\n", "bad hour"),
+        ("bs_id,hour,volume\na,9223372036854775808,1.0\n", "bad hour"),
+        ("bs_id,hour,volume\na,1,1_0.5\n", "line 2: bad volume '1_0.5'"),
+        ("bs_id,hour,volume\na,1, 2.0\n", "bad volume"),
+        ("bs_id,hour,volume\na,1,2.0\t\n", "bad volume"),
     ]
     path = tmp_path / "c.csv"
     for text, needle in cases:
         path.write_text(text)
         with pytest.raises(ParseError, match=needle):
             load_corpus(str(path))
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"bs_id,hour,volume\na,0,1.0\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_corpus(str(path))
+
+
+def test_load_accepts_crlf_line_endings(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(
+        b"bs_id,hour,volume\r\nb,0,1.5\r\na,0,NA\r\nb,1,2.5\r\na,1,3.0\r\n"
+    )
+    t = load_corpus(str(path))
+    assert t.bs_ids == ["a", "b"]
+    np.testing.assert_array_equal(t.values, [[np.nan, 3.0], [1.5, 2.5]])
+
+
+def test_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("bs_id,hour,volume\n\na,0,1.0\n\n\na,1,2.0\n\na,2,x\n")
+    with pytest.raises(ParseError, match="line 8: bad volume"):
+        load_corpus(str(path))
+    path.write_text("bs_id,hour,volume\n\na,0,1.0\n\n\na,1,2.0\n\n")
+    t = load_corpus(str(path))
+    np.testing.assert_array_equal(t.values, [[1.0, 2.0]])
+
+
+def test_load_accepts_hours_up_to_int64_max(tmp_path):
+    top = 2**63 - 1
+    path = tmp_path / "c.csv"
+    path.write_text(f"bs_id,hour,volume\na,{top - 1},1.0\na,{top},2.0\n")
+    t = load_corpus(str(path))
+    assert t.start_hour == top - 1
+    np.testing.assert_array_equal(t.values, [[1.0, 2.0]])
+
+
+def test_load_rejects_span_no_station_fills(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("bs_id,hour,volume\na,0,1.0\na,1000000000000,2.0\n")
+    with pytest.raises(InconsistentHours, match="no station has a record"):
+        load_corpus(str(path))
+    # Every station has a gap, so clean could keep nothing.
+    path.write_text("bs_id,hour,volume\na,0,1.0\na,1,1.0\nb,1,1.0\nb,2,1.0\n")
+    with pytest.raises(InconsistentHours, match="0..2"):
+        load_corpus(str(path))
+    # A duplicate record is reported before the span.
+    path.write_text("bs_id,hour,volume\na,0,1.0\na,9,1.0\na,0,2.0\n")
+    with pytest.raises(InconsistentHours, match="line 4: duplicate"):
+        load_corpus(str(path))
+
+
+@pytest.mark.parametrize("bs_id", ["", "b,c", 'a"b', "a\rb", "a\nb"])
+def test_save_corpus_refuses_unwritable_bs_id(tmp_path, bs_id):
+    t = TrafficMatrix(bs_ids=["ok", bs_id], values=np.ones((2, 3)), start_hour=0)
+    path = tmp_path / "c.csv"
+    with pytest.raises(InvalidBsId, match=re.escape(repr(bs_id))):
+        save_corpus(t, str(path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_rejects_duplicate_record(tmp_path):
