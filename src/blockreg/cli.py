@@ -150,8 +150,8 @@ def _cmd_train(args) -> int:
     save_model(model, args.model)
     print(
         f"train: {model.kind} model with {model.n_params} parameters "
-        f"(iterations={diag.iterations} converged={str(diag.converged).lower()}) "
-        f"-> {args.model}"
+        f"(iterations={diag.iterations} converged={str(diag.converged).lower()} "
+        f"samples={diag.n_samples}) -> {args.model}"
     )
     return 0
 

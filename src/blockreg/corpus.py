@@ -17,8 +17,10 @@ import numpy as np
 from .errors import (
     EmptyCorpus,
     InconsistentHours,
+    InfiniteVolume,
     InvalidBsId,
     InvalidConfig,
+    Overflow,
     ParseError,
     UncleanCorpus,
     UnknownBs,
@@ -153,6 +155,9 @@ class SynthConfig:
         return cfg
 
 
+# Settings near the float range overflow to inf or nan; synthesize checks
+# its result and raises Overflow instead of letting numpy warn.
+@np.errstate(over="ignore", invalid="ignore")
 def synthesize(cfg: SynthConfig) -> TrafficMatrix:
     """Generate a deterministic synthetic traffic corpus.
 
@@ -163,7 +168,8 @@ def synthesize(cfg: SynthConfig) -> TrafficMatrix:
     larger stations lean toward the midday peak.
 
     With ``noise_std = day_intensity_std = burst_probability = 0`` every row
-    is exactly 24-periodic.
+    is exactly 24-periodic. Raises Overflow when settings near the float
+    range make a volume infinite or undefined.
     """
     cfg.validate()
     n_bs, n_hours = cfg.n_bs, cfg.n_hours
@@ -203,6 +209,11 @@ def synthesize(cfg: SynthConfig) -> TrafficMatrix:
             dur = int(rng.integers(12, 37))
             factor = float(rng.uniform(2.0, 5.0))
             values[i, start:start + dur] *= factor
+    if not np.isfinite(values).all():
+        raise Overflow(
+            "synthetic volumes overflow the float range; lower "
+            "daily_profile_amplitude, day_intensity_std or noise_std"
+        )
 
     width = max(4, len(str(n_bs - 1)))
     bs_ids = [f"bs_{i:0{width}d}" for i in range(n_bs)]
@@ -433,12 +444,21 @@ def corpus_to_csv(t: TrafficMatrix) -> str:
     """Render a corpus in the load_corpus schema, rows sorted by (bs_id, hour).
 
     Raises InvalidBsId for a bs_id the schema cannot hold: an empty one, or
-    one with a comma, a quote or a line break.
+    one with a comma, a quote or a line break; and InfiniteVolume for an
+    infinite volume, which load_corpus would reject. NaN is written as NA.
     """
     for bs_id in t.bs_ids:
         if not bs_id or _UNWRITABLE_ID.search(bs_id):
             raise InvalidBsId(f"bs_id {bs_id!r} cannot be written to a corpus CSV")
     values = np.asarray(t.values, dtype=float)  # repr "1.0", never "1"
+    infinite = np.argwhere(np.isinf(values))
+    if infinite.size:
+        i, j = infinite[0].tolist()
+        volume = float(values[i, j])
+        raise InfiniteVolume(
+            f"{t.bs_ids[i]} hour {t.start_hour + j}: volume {volume!r} "
+            "cannot be written to a corpus CSV"
+        )
     hours = list(map(str, range(t.start_hour, t.start_hour + t.n_hours)))
     blocks = [",".join(CSV_HEADER)]
     # One block of rows per station; with no hours there are no rows.

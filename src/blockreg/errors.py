@@ -70,6 +70,10 @@ class InvalidBsId(DataError):
     a quote or a line break)."""
 
 
+class InfiniteVolume(DataError):
+    """An infinite traffic volume, which the corpus CSV cannot hold."""
+
+
 class EmptyCorpus(DataError):
     """No usable rows remain."""
 
@@ -96,3 +100,7 @@ class ZeroMeanActual(DataError):
 
 class SingularSystem(NumericalError):
     """A linear system is singular or numerically rank deficient."""
+
+
+class Overflow(NumericalError):
+    """A computation produced values beyond the floating-point range."""

@@ -19,15 +19,23 @@ import numpy as np
 from .corpus import TrafficMatrix
 from .errors import InsufficientHistory, InvalidConfig
 from .pipeline import (
+    DifferencedMatrix,
+    NormalizationStats,
     apply_normalization,
     fit_normalization,
     identity_difference,
     seasonal_difference,
     slide_windows,
 )
-from .regressor import BlockModel, TrainingDiagnostics, train_cg
+from .regressor import BlockModel, NormalSystem, TrainingDiagnostics, train_cg
 
 MODES = ("one_step", "recursive")
+
+# Training windows and normalizes the stations a chunk at a time; a chunk
+# holds as many stations as fit their samples (w features and the target,
+# as float64) into this many bytes, and at least one. Training then holds a
+# few chunks of samples at once, never the whole N (L - m - w) x w design.
+CHUNK_BYTES = 1024 * 1024
 
 
 @dataclass
@@ -56,11 +64,14 @@ def train_block_regression(
 ) -> tuple[BlockModel, TrainingDiagnostics]:
     """Full training pipeline over the first ``train_hours`` columns.
 
-    Differences at lag m (m = 0 skips differencing), slides windows of
-    width w, fits normalization on the training samples only, and trains by
-    conjugate gradient.
+    Differences at lag m (m = 0 skips differencing), fits normalization on
+    the training samples only, slides windows of width w over chunks of
+    stations, normalizes each chunk and adds it into one `NormalSystem`, and
+    trains by conjugate gradient on that system.
     """
     t.require_clean()
+    if m < 0:
+        raise InvalidConfig(f"seasonality m must be >= 0, got {m}")
     if not 0 < train_hours <= t.n_hours:
         raise InvalidConfig(
             f"train_hours={train_hours} outside corpus length {t.n_hours}"
@@ -71,10 +82,25 @@ def train_block_regression(
         start_hour=t.start_hour,
     )
     d = seasonal_difference(train, m) if m > 0 else identity_difference(train)
-    f = slide_windows(d, w)
-    stats = fit_normalization(f)
-    f_hat = apply_normalization(f, stats)
-    return train_cg(f_hat, tol=tol, max_iter=max_iter, stats=stats, seasonality_m=m)
+    stats = fit_normalization(d, w)
+    system = _accumulate(d, w, stats)
+    return train_cg(system, tol=tol, max_iter=max_iter, stats=stats, seasonality_m=m)
+
+
+def _accumulate(
+    d: DifferencedMatrix, w: int, stats: NormalizationStats
+) -> NormalSystem:
+    """Window, normalize and add every station of ``d``, one chunk at a time.
+
+    Each sample is windowed exactly once.
+    """
+    station_bytes = (d.n_cols - w) * (w + 1) * 8
+    step = max(1, CHUNK_BYTES // station_bytes)
+    system = NormalSystem.empty(w)
+    for lo in range(0, d.n_bs, step):
+        f = slide_windows(d.rows(lo, lo + step), w)
+        system.add(apply_normalization(f, stats))
+    return system
 
 
 def _window_features(model: BlockModel, hist: np.ndarray) -> np.ndarray:

@@ -43,6 +43,14 @@ class DifferencedMatrix:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
+    def rows(self, lo: int, hi: int) -> "DifferencedMatrix":
+        """Stations ``lo`` to ``hi - 1``, as views of this matrix and its origin."""
+        o = self.origin
+        origin = TrafficMatrix(
+            bs_ids=o.bs_ids[lo:hi], values=o.values[lo:hi], start_hour=o.start_hour
+        )
+        return DifferencedMatrix(self.seasonality_m, self.values[lo:hi], origin)
+
 
 @dataclass
 class FeatureSet:
@@ -101,6 +109,18 @@ def identity_difference(t: TrafficMatrix) -> DifferencedMatrix:
     return DifferencedMatrix(seasonality_m=0, values=t.values, origin=t)
 
 
+def _positions(d: DifferencedMatrix, w: int) -> int:
+    """Window positions per station for width w: L - m - w, at least 1."""
+    n_cols = d.n_cols
+    if w < 1:
+        raise InvalidConfig(f"window w must be >= 1, got {w}")
+    if w >= n_cols:
+        raise WindowTooLarge(
+            f"w={w} leaves no window positions for {n_cols} differenced columns"
+        )
+    return n_cols - w
+
+
 def slide_windows(d: DifferencedMatrix, w: int) -> FeatureSet:
     """Enumerate every maximal window position over every station.
 
@@ -109,39 +129,44 @@ def slide_windows(d: DifferencedMatrix, w: int) -> FeatureSet:
     is the value at p. Exactly (L - m - w) * N rows, ordered by
     (bs_index, target position).
     """
-    n_cols = d.n_cols
-    if w < 1:
-        raise InvalidConfig(f"window w must be >= 1, got {w}")
-    if w >= n_cols:
-        raise WindowTooLarge(
-            f"w={w} leaves no window positions for {n_cols} differenced columns"
-        )
+    per_bs = _positions(d, w)
     n_bs = d.n_bs
-    per_bs = n_cols - w
     windows = np.lib.stride_tricks.sliding_window_view(d.values, w + 1, axis=1)
     x = windows[:, :, :w].reshape(n_bs * per_bs, w).copy()
     y = windows[:, :, w].reshape(n_bs * per_bs).copy()
     bs_idx = np.repeat(np.arange(n_bs), per_bs)
-    target_col = np.tile(np.arange(w, n_cols) + d.seasonality_m, n_bs)
+    target_col = np.tile(np.arange(w, d.n_cols) + d.seasonality_m, n_bs)
     provenance = np.column_stack([bs_idx, target_col])
     return FeatureSet(x=x, y=y, provenance=provenance, window_w=w)
 
 
-def fit_normalization(f: FeatureSet) -> NormalizationStats:
-    """Column means and sample standard deviations of a feature set."""
-    n = f.n_samples
+def fit_normalization(
+    src: FeatureSet | DifferencedMatrix, w: int | None = None
+) -> NormalizationStats:
+    """Column means and sample standard deviations of the samples.
+
+    ``src`` is a feature set, or a differenced matrix together with the
+    window width ``w`` that `slide_windows` would use on it. For a matrix
+    no window is built: with P positions per station, feature column j of
+    every window is the view ``d.values[:, j:j + P]`` and the target column
+    is the view at ``j = w``, so the stats cost one column of temporaries.
+    """
+    if isinstance(src, FeatureSet):
+        columns = [src.x[:, j] for j in range(src.window_w)] + [src.y]
+    else:
+        per_bs = _positions(src, w)
+        columns = [src.values[:, j:j + per_bs] for j in range(w + 1)]
+    n = columns[0].size
     if n < 2:
         raise InsufficientSamples(
             f"normalization needs at least 2 samples, got {n}"
         )
-    mu_x = f.x.mean(axis=0)
-    sigma_x = f.x.std(axis=0, ddof=1)
-    sigma_x[sigma_x == 0.0] = 1.0
-    mu_y = float(f.y.mean())
-    sigma_y = float(f.y.std(ddof=1))
-    if sigma_y == 0.0:
-        sigma_y = 1.0
-    return NormalizationStats(mu_x=mu_x, sigma_x=sigma_x, mu_y=mu_y, sigma_y=sigma_y)
+    mu = np.array([c.mean() for c in columns])
+    sigma = np.array([c.std(ddof=1) for c in columns])
+    sigma[sigma == 0.0] = 1.0
+    return NormalizationStats(
+        mu_x=mu[:-1], sigma_x=sigma[:-1], mu_y=float(mu[-1]), sigma_y=float(sigma[-1])
+    )
 
 
 def apply_normalization(f: FeatureSet, s: NormalizationStats) -> FeatureSet:

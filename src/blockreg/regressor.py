@@ -6,7 +6,9 @@ The cost over N_s normalized samples is
 
 a convex quadratic, so linear conjugate gradient on its normal-equations
 system is exact in at most W + 1 steps of exact arithmetic. A direct dense
-solve of the same system serves as an independent oracle.
+solve of the same system serves as an independent oracle. Both solve from
+a `NormalSystem`: the (W+1)^2 sums the cost depends on. Samples are added
+to it a group at a time, so they need never be held all at once.
 """
 
 from __future__ import annotations
@@ -48,12 +50,67 @@ class BlockModel:
 
 @dataclass
 class TrainingDiagnostics:
-    """What training did: final cost, iterations, residuals, convergence."""
+    """What training did: final cost, iterations, convergence, sample count.
+
+    ``residuals`` (y - theta0 - x theta, one per sample) is filled only when
+    `train_cg` was given the samples themselves; it is None when training
+    ran from a `NormalSystem`.
+    """
 
     final_cost: float
     iterations: int
-    residuals: np.ndarray
+    residuals: np.ndarray | None
     converged: bool
+    n_samples: int
+
+
+@dataclass
+class NormalSystem:
+    """Sums over samples that determine the least-squares cost.
+
+    For the design A = [1 | x]: ``gram`` is A^T A, ``aty`` is A^T y and
+    ``yty`` is y^T y, over the ``n_samples`` samples added so far. Adding
+    the samples in any grouping gives the same sums, up to rounding.
+    """
+
+    window_w: int
+    gram: np.ndarray
+    aty: np.ndarray
+    yty: float = 0.0
+    n_samples: int = 0
+
+    @classmethod
+    def empty(cls, w: int) -> "NormalSystem":
+        return cls(w, np.zeros((w + 1, w + 1)), np.zeros(w + 1))
+
+    @classmethod
+    def from_features(cls, f: FeatureSet) -> "NormalSystem":
+        system = cls.empty(f.window_w)
+        system.add(f)
+        return system
+
+    def add(self, f: FeatureSet) -> None:
+        """Add the samples of ``f``."""
+        if f.x.shape[1] != self.window_w:
+            raise DimensionMismatch(
+                f"system has {self.window_w} weights, "
+                f"features have {f.x.shape[1]} columns"
+            )
+        x, y = f.x, f.y
+        col_sums = x.sum(axis=0)
+        self.gram[0, 0] += f.n_samples
+        self.gram[0, 1:] += col_sums
+        self.gram[1:, 0] += col_sums
+        self.gram[1:, 1:] += x.T @ x
+        self.aty[0] += y.sum()
+        self.aty[1:] += y @ x
+        self.yty += float(y @ y)
+        self.n_samples += f.n_samples
+
+    def cost(self, theta_full: np.ndarray) -> float:
+        """J at [theta0, theta...], from the sums (clipped at 0 against rounding)."""
+        sse = self.yty - 2 * theta_full @ self.aty + theta_full @ self.gram @ theta_full
+        return max(float(sse), 0.0) / (2 * self.n_samples)
 
 
 def _check_dims(theta: np.ndarray, f: FeatureSet) -> None:
@@ -84,33 +141,33 @@ def cost_gradient(model: BlockModel, f: FeatureSet) -> np.ndarray:
     return g
 
 
-def _normal_system(f: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
-    """Return (A^T A, A^T y) for the design A = [1 | X]."""
-    a = np.empty((f.n_samples, f.window_w + 1))
-    a[:, 0] = 1.0
-    a[:, 1:] = f.x
-    return a.T @ a, a.T @ f.y
+def _as_system(f: FeatureSet | NormalSystem) -> NormalSystem:
+    system = f if isinstance(f, NormalSystem) else NormalSystem.from_features(f)
+    n, w = system.n_samples, system.window_w
+    if n < w + 1:
+        raise Underdetermined(f"{n} samples cannot fit {w + 1} parameters")
+    return system
 
 
 def _make_model(
     theta_full: np.ndarray,
-    f: FeatureSet,
+    w: int,
     stats: NormalizationStats | None,
     seasonality_m: int,
 ) -> BlockModel:
     if stats is None:
-        stats = NormalizationStats.identity(f.window_w)
+        stats = NormalizationStats.identity(w)
     return BlockModel(
         theta0=float(theta_full[0]),
         theta=theta_full[1:].copy(),
         stats=stats,
         seasonality_m=seasonality_m,
-        window_w=f.window_w,
+        window_w=w,
     )
 
 
 def train_cg(
-    f: FeatureSet,
+    f: FeatureSet | NormalSystem,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
     stats: NormalizationStats | None = None,
@@ -122,17 +179,16 @@ def train_cg(
     ``max_iter`` iterations (default 10 * (W + 1)); exhausting the budget
     returns the best iterate with ``converged=False`` rather than raising.
 
-    ``stats`` and ``seasonality_m`` are recorded on the returned model for
-    forecasting; they do not affect training.
+    ``f`` is the samples or their `NormalSystem`. ``stats`` and
+    ``seasonality_m`` are recorded on the returned model for forecasting;
+    they do not affect training.
     """
-    n, w = f.n_samples, f.window_w
-    if n < w + 1:
-        raise Underdetermined(f"{n} samples cannot fit {w + 1} parameters")
+    system = _as_system(f)
+    n, w = system.n_samples, system.window_w
     if max_iter is None:
         max_iter = 10 * (w + 1)
-    gram, aty = _normal_system(f)
-    h = gram / n
-    b = aty / n
+    h = system.gram / n
+    b = system.aty / n
 
     theta = np.zeros(w + 1)
     r = b - h @ theta
@@ -158,19 +214,25 @@ def train_cg(
             p = r + (rs_new / rs) * p
         rs = rs_new
 
-    model = _make_model(theta, f, stats, seasonality_m)
-    resid = _residuals(model.theta0, model.theta, f)
+    model = _make_model(theta, w, stats, seasonality_m)
+    if isinstance(f, NormalSystem):
+        resid = None
+        final_cost = system.cost(theta)
+    else:
+        resid = _residuals(model.theta0, model.theta, f)
+        final_cost = float(resid @ resid) / (2 * n)
     diag = TrainingDiagnostics(
-        final_cost=float(resid @ resid) / (2 * n),
+        final_cost=final_cost,
         iterations=iterations,
         residuals=resid,
         converged=bool(converged),
+        n_samples=n,
     )
     return model, diag
 
 
 def train_normal_equations(
-    f: FeatureSet,
+    f: FeatureSet | NormalSystem,
     stats: NormalizationStats | None = None,
     seasonality_m: int = 0,
 ) -> BlockModel:
@@ -179,17 +241,15 @@ def train_normal_equations(
     Raises SingularSystem when the augmented design is rank deficient,
     reporting the condition estimate.
     """
-    n, w = f.n_samples, f.window_w
-    if n < w + 1:
-        raise Underdetermined(f"{n} samples cannot fit {w + 1} parameters")
-    gram, aty = _normal_system(f)
+    system = _as_system(f)
+    gram = system.gram
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystem(
             f"normal equations rank deficient (condition estimate {cond:.3e})"
         )
     try:
-        theta = np.linalg.solve(gram, aty)
+        theta = np.linalg.solve(gram, system.aty)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"normal equations solve failed: {exc}") from exc
-    return _make_model(theta, f, stats, seasonality_m)
+    return _make_model(theta, system.window_w, stats, seasonality_m)

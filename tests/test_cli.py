@@ -283,6 +283,44 @@ def test_eval_nan_theta_model_exits_3(workspace, tmp_path):
     assert json.loads(r.stderr)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("kind, samples", [("br", 12 * (240 - 24 - 3)),
+                                           ("lr", 12 * (240 - 72))])
+def test_train_reports_samples(workspace, tmp_path, kind, samples):
+    r = run("train", "--input", workspace / "corpus.csv",
+            "--model", tmp_path / "m.json", "--kind", kind)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.rstrip().endswith(f"converged=true samples={samples}) -> "
+                                      f"{tmp_path / 'm.json'}")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_negative_m_exits_2(workspace, tmp_path, source):
+    args = ["train", "--input", workspace / "corpus.csv",
+            "--model", tmp_path / "m.json", "--kind", "br"]
+    if source == "flag":
+        args += ["--m", -1]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"m": -1}))
+        args += ["--config", tmp_path / "cfg.json"]
+    r = run(*args)
+    assert r.returncode == 2, r.stderr
+    err = json.loads(r.stderr)
+    assert err["error"] == "InvalidConfig"
+    assert "m must be >= 0" in err["message"]
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_synth_overflow_exits_4(tmp_path):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(
+        {"n_bs": 3, "n_hours": 24, "daily_profile_amplitude": 1e308}))
+    r = run("synth", "--output", tmp_path / "c.csv", "--config", cfg)
+    assert r.returncode == 4, r.stderr
+    assert len(r.stderr.splitlines()) == 1  # the JSON line, no numpy warning
+    assert json.loads(r.stderr)["error"] == "Overflow"
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_br_with_m_zero_is_lr(workspace, tmp_path):
     r = run("train", "--input", workspace / "corpus.csv",
             "--model", tmp_path / "m.json", "--kind", "br", "--m", 0, "--w", 72)

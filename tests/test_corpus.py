@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from blockreg import (
     save_corpus,
     synthesize,
 )
-from blockreg.errors import EmptyCorpus, InconsistentHours, InvalidBsId, UnknownBs
+from blockreg.errors import (
+    EmptyCorpus,
+    InconsistentHours,
+    InfiniteVolume,
+    InvalidBsId,
+    Overflow,
+    UnknownBs,
+)
 
 from conftest import make_corpus, periodic_corpus
 
@@ -56,6 +64,19 @@ def test_synthesize_scale_spread():
     t = make_corpus(n_bs=100)
     means = t.values.mean(axis=1)
     assert means.max() / means.min() > 20
+
+
+@pytest.mark.parametrize("setting", [
+    {"daily_profile_amplitude": 1e308},
+    {"noise_std": 1e308},
+    {"day_intensity_std": 1e300},
+])
+def test_synthesize_overflow_raises(setting):
+    cfg = SynthConfig(n_bs=3, n_hours=48, **setting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="overflow"):
+            synthesize(cfg)
 
 
 def test_synth_config_validation():
@@ -216,6 +237,18 @@ def test_save_corpus_refuses_unwritable_bs_id(tmp_path, bs_id):
     t = TrafficMatrix(bs_ids=["ok", bs_id], values=np.ones((2, 3)), start_hour=0)
     path = tmp_path / "c.csv"
     with pytest.raises(InvalidBsId, match=re.escape(repr(bs_id))):
+        save_corpus(t, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("volume", [math.inf, -math.inf])
+def test_save_corpus_refuses_infinite_volume(tmp_path, volume):
+    values = np.ones((2, 3))
+    values[1, 2] = volume
+    values[0, 1] = np.nan  # NA is writable
+    t = TrafficMatrix(bs_ids=["a", "b"], values=values, start_hour=5)
+    path = tmp_path / "c.csv"
+    with pytest.raises(InfiniteVolume, match=re.escape(f"b hour 7: volume {volume!r}")):
         save_corpus(t, str(path))
     assert list(tmp_path.iterdir()) == []
 

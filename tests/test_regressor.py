@@ -12,6 +12,7 @@ from blockreg import (
     BlockModel,
     FeatureSet,
     NormalizationStats,
+    NormalSystem,
     cost,
     cost_gradient,
     train_cg,
@@ -171,6 +172,35 @@ def test_diagnostics_residuals(rng):
     expect = f.y - model.theta0 - f.x @ model.theta
     np.testing.assert_allclose(diag.residuals, expect)
     assert diag.final_cost == pytest.approx(float(expect @ expect) / 160)
+
+
+def test_train_from_normal_system(rng):
+    f = problem(rng, 80, 4)
+    from_samples, diag_f = train_cg(f)
+    from_system, diag_s = train_cg(NormalSystem.from_features(f))
+    assert from_system.theta0 == from_samples.theta0
+    np.testing.assert_array_equal(from_system.theta, from_samples.theta)
+    assert diag_s.residuals is None and diag_f.residuals is not None
+    assert diag_s.n_samples == diag_f.n_samples == 80
+    assert diag_s.final_cost == pytest.approx(diag_f.final_cost, rel=1e-9)
+    assert diag_s.final_cost == pytest.approx(cost(from_system, f), rel=1e-9)
+
+
+def test_normal_system_sums_over_groups(rng):
+    f = problem(rng, 90, 3)
+    system = NormalSystem.empty(3)
+    for rows in (slice(0, 10), slice(10, 11), slice(11, 90)):
+        system.add(FeatureSet(x=f.x[rows], y=f.y[rows],
+                              provenance=f.provenance[rows], window_w=3))
+    whole = NormalSystem.from_features(f)
+    assert system.n_samples == whole.n_samples == 90
+    np.testing.assert_allclose(system.gram, whole.gram, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(system.aty, whole.aty, rtol=1e-12, atol=1e-12)
+    a = np.column_stack([np.ones(90), f.x])
+    np.testing.assert_allclose(whole.gram, a.T @ a, rtol=1e-12, atol=1e-12)
+    assert whole.yty == pytest.approx(float(f.y @ f.y), rel=1e-12)
+    with pytest.raises(DimensionMismatch):
+        system.add(problem(rng, 10, 2))
 
 
 def test_cost_dimension_check(rng):

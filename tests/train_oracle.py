@@ -1,0 +1,66 @@
+"""Reference training path that materializes the whole design matrix.
+
+This is the training pipeline as it was before training accumulated a
+normal system per station chunk: one windowed copy of every sample, one
+normalized copy, and the ``[1 | X]`` design whose Gram matrix CG solves.
+Tests compare the chunked path in ``blockreg.forecaster`` against it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from blockreg import FeatureSet, NormalizationStats, TrafficMatrix, train_cg
+from blockreg.pipeline import (
+    DifferencedMatrix,
+    identity_difference,
+    seasonal_difference,
+    slide_windows,
+)
+
+
+def fit_normalization(f: FeatureSet) -> NormalizationStats:
+    mu_x = f.x.mean(axis=0)
+    sigma_x = f.x.std(axis=0, ddof=1)
+    sigma_x[sigma_x == 0.0] = 1.0
+    mu_y = float(f.y.mean())
+    sigma_y = float(f.y.std(ddof=1))
+    if sigma_y == 0.0:
+        sigma_y = 1.0
+    return NormalizationStats(mu_x=mu_x, sigma_x=sigma_x, mu_y=mu_y, sigma_y=sigma_y)
+
+
+def apply_normalization(f: FeatureSet, s: NormalizationStats) -> FeatureSet:
+    x = (f.x - s.mu_x) / s.sigma_x
+    y = (f.y - s.mu_y) / s.sigma_y
+    return FeatureSet(x=x, y=y, provenance=f.provenance, window_w=f.window_w)
+
+
+def normal_system(f: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
+    """(A^T A, A^T y) for the design A = [1 | X]."""
+    a = np.empty((f.n_samples, f.window_w + 1))
+    a[:, 0] = 1.0
+    a[:, 1:] = f.x
+    return a.T @ a, a.T @ f.y
+
+
+def differenced(t: TrafficMatrix, m: int, train_hours: int) -> DifferencedMatrix:
+    """The first ``train_hours`` columns, differenced at lag m (none for 0)."""
+    train = TrafficMatrix(
+        bs_ids=t.bs_ids, values=t.values[:, :train_hours], start_hour=t.start_hour
+    )
+    return seasonal_difference(train, m) if m > 0 else identity_difference(train)
+
+
+def normalized_samples(
+    t: TrafficMatrix, m: int, w: int, train_hours: int
+) -> tuple[FeatureSet, NormalizationStats]:
+    """Every normalized training sample at once, and the stats used."""
+    f = slide_windows(differenced(t, m, train_hours), w)
+    stats = fit_normalization(f)
+    return apply_normalization(f, stats), stats
+
+
+def train_block_regression(t, m, w, train_hours, tol=1e-8, max_iter=None):
+    f_hat, stats = normalized_samples(t, m, w, train_hours)
+    return train_cg(f_hat, tol=tol, max_iter=max_iter, stats=stats, seasonality_m=m)
