@@ -1,9 +1,10 @@
 """Command-line interface wiring corpus, pipeline, training, and evaluation.
 
-Subcommands: synth, clean, train, forecast, eval, sweep. Configuration
-precedence is command-line flags over a JSON config file over built-in
-defaults; the defaults reproduce the reference experiment configuration
-(m=24, w=3 for br, w=72 for lr, ar=2, ma=1, split 240/96, one_step).
+Subcommands: synth, clean, train, forecast, eval, sweep. One table,
+`SETTINGS`, defines every setting with its type, default, help text and
+the commands that take it; the flags, the config-file keys and the type
+checks are all built from it. Precedence is command-line flag over JSON
+config file over the table's default.
 
 Every output file is written atomically (temp file + rename) and every
 command is a pure function of its inputs and flags, so repeated runs
@@ -17,11 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from itertools import repeat
 
 from .baselines import train_sa
 from .corpus import SynthConfig, clean, load_corpus, save_corpus, synthesize
-from .errors import BlockregError, InvalidConfig, ParseError
+from .errors import BlockregError, InvalidConfig, typed_value
 from .evaluation import (
     Split,
     evaluate,
@@ -32,88 +34,84 @@ from .evaluation import (
     sweep_doc,
     sweep_seasonality,
 )
-from .forecaster import train_block_regression
+from .forecaster import MODES, train_block_regression
 from .modelio import atomic_write_text, dump_json, load_model, save_model
 
-DEFAULT_SWEEP_GRID = [24, 48, 72, 96, 120, 144, 168]
-
-# Config-file keys each command accepts (synth takes SynthConfig fields).
-COMMAND_KEYS = {
-    "synth": {f for f in SynthConfig.__dataclass_fields__},
-    "clean": set(),
-    "train": {"kind", "m", "w", "ar", "ma", "train_hours", "threads"},
-    "forecast": {"train_hours", "test_hours", "mode", "threads"},
-    "eval": {"train_hours", "test_hours", "mode", "seed", "threads"},
-    "sweep": {"w", "train_hours", "test_hours", "mode", "threads", "seasonalities"},
-}
-
-
-def _load_config_file(path: str | None, command: str) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot open config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
-    unknown = set(doc) - COMMAND_KEYS[command]
-    if unknown:
-        raise InvalidConfig(
-            f"{path}: unknown config keys for {command}: {sorted(unknown)}"
-        )
-    return doc
+RUNS = ("forecast", "eval", "sweep")
+# (key, type or choices, default, help, commands). The flag of a key is
+# --key with "_" as "-"; a row without help is a config-file key only.
+# Types are those `typed_value` checks; range checks stay in the library.
+SETTINGS = [
+    *((f.name, type(f.default), f.default, {"seed": "RNG seed"}.get(f.name),
+       ("synth",)) for f in fields(SynthConfig)),
+    ("kind", ("br", "lr", "sa"), "br", "model kind", ("train",)),
+    ("m", int, 24, "differencing lag, or seasonal lag for sa", ("train",)),
+    ("w", int, None, "window width; 3 (72 for lr) if none", ("train", "sweep")),
+    ("ar", int, 2, "sa AR order", ("train",)),
+    ("ma", int, 1, "sa MA order", ("train",)),
+    ("train_hours", int, 240, "hours to train on; the horizon follows",
+     ("train", *RUNS)),
+    ("test_hours", int, 96, "test or forecast horizon in hours", RUNS),
+    ("mode", MODES, "one_step", "forecast mode", RUNS),
+    ("seed", int | None, None, "recorded in the report config", ("eval",)),
+    ("seasonalities", list, [24, 48, 72, 96, 120, 144, 168], None, ("sweep",)),
+    ("threads", int, 1, "parallelism cap; never changes results", ("train", *RUNS)),
+]
 
 
-def _setting(args, config: dict, key: str, default):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+def resolve_settings(args) -> dict:
+    """Every setting of ``args.command``: flag, else config file, else default.
 
-
-def _int_setting(args, config: dict, key: str, default: int) -> int:
-    """Integer setting from a flag, the config file, or the default.
-
-    Only a real int is accepted: a bool, float, string or null from the
-    config file is an error, never coerced.
+    A flag is typed by argparse; a config-file value is checked by
+    `typed_value`, and an unknown key is an error.
     """
-    return _as_int(key, _setting(args, config, key, default))
+    rows = [row for row in SETTINGS if args.command in row[4]]
+    path = getattr(args, "config", None)
+    doc = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+            raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise InvalidConfig(f"{path}: config must be a JSON object")
+        unknown = set(doc) - {row[0] for row in rows}
+        if unknown:
+            raise InvalidConfig(
+                f"{path}: unknown config keys for {args.command}: {sorted(unknown)}"
+            )
+    opts = {}
+    for key, kind, default, _, _ in rows:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            opts[key] = flag
+        elif key in doc:
+            opts[key] = typed_value(key, doc[key], kind)
+        else:
+            opts[key] = default
+    # Execution is sequential, so the cap never changes results; it has no
+    # library function to check it.
+    if "threads" in opts and opts["threads"] < 1:
+        raise InvalidConfig(f"--threads must be >= 1, got {opts['threads']}")
+    return opts
 
 
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfig(f"{key} must be an integer, got {value!r}")
-    return value
+def _width(opts: dict) -> int:
+    """The window width setting, or its default: 3, or 72 for lr."""
+    if opts["w"] is not None:
+        return opts["w"]
+    return 72 if opts.get("kind") == "lr" else 3
 
 
-def _check_threads(args, config: dict) -> int:
-    threads = _int_setting(args, config, "threads", 1)
-    if threads < 1:
-        raise InvalidConfig(f"--threads must be >= 1, got {threads}")
-    # Execution is sequential; the flag caps parallelism and never changes
-    # results, so accepting any positive value keeps outputs identical.
-    return threads
-
-
-def _cmd_synth(args) -> int:
-    config = _load_config_file(args.config, "synth")
-    if args.seed is not None:
-        config = dict(config, seed=args.seed)
-    cfg = SynthConfig.from_dict(config)
-    t = synthesize(cfg)
+def _cmd_synth(args, opts: dict) -> int:
+    t = synthesize(SynthConfig.from_dict(opts))
     save_corpus(t, args.output)
     print(f"synth: wrote {args.output} ({t.n_bs} stations x {t.n_hours} hours)")
     return 0
 
 
-def _cmd_clean(args) -> int:
+def _cmd_clean(args, opts: dict) -> int:
     raw = load_corpus(args.input)
     cleaned = clean(raw)
     save_corpus(cleaned, args.output)
@@ -121,22 +119,12 @@ def _cmd_clean(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    config = _load_config_file(args.config, "train")
-    kind = _setting(args, config, "kind", "br")
-    if kind not in ("br", "lr", "sa"):
-        raise InvalidConfig(f"--kind must be br, lr, or sa, got {kind!r}")
-    m = _int_setting(args, config, "m", 24)
-    w = _int_setting(args, config, "w", 72 if kind == "lr" else 3)
-    ar = _int_setting(args, config, "ar", 2)
-    ma = _int_setting(args, config, "ma", 1)
-    train_hours = _int_setting(args, config, "train_hours", 240)
-    _check_threads(args, config)
-
+def _cmd_train(args, opts: dict) -> int:
     t = load_corpus(args.input)
     t.require_clean()
+    kind, m, train_hours = opts["kind"], opts["m"], opts["train_hours"]
     if kind == "sa":
-        model = train_sa(t, ar=ar, ma=ma, s=m, train_hours=train_hours)
+        model = train_sa(t, ar=opts["ar"], ma=opts["ma"], s=m, train_hours=train_hours)
         save_model(model, args.model)
         print(
             f"train: sa model with {model.n_params} parameters "
@@ -145,7 +133,7 @@ def _cmd_train(args) -> int:
         return 0
     # lr is the br pipeline without differencing.
     model, diag = train_block_regression(
-        t, m=0 if kind == "lr" else m, w=w, train_hours=train_hours
+        t, m=0 if kind == "lr" else m, w=_width(opts), train_hours=train_hours
     )
     save_model(model, args.model)
     print(
@@ -167,41 +155,25 @@ def _forecast_csv(fs) -> str:
     return "\n".join(blocks) + "\n"
 
 
-def _cmd_forecast(args) -> int:
-    config = _load_config_file(args.config, "forecast")
-    train_hours = _int_setting(args, config, "train_hours", 240)
-    test_hours = _int_setting(args, config, "test_hours", 96)
-    mode = _setting(args, config, "mode", "one_step")
-    _check_threads(args, config)
-
+def _cmd_forecast(args, opts: dict) -> int:
     t = load_corpus(args.input)
     t.require_clean()
     model = load_model(args.model)
     # load_corpus sorts stations by id, so the rows come out sorted too.
-    fs = forecast_fleet(model, t, train_hours, test_hours, mode)
+    fs = forecast_fleet(model, t, opts["train_hours"], opts["test_hours"], opts["mode"])
     atomic_write_text(args.output, _forecast_csv(fs))
     print(
-        f"forecast: {len(fs.bs_ids)} stations x {test_hours} hours "
-        f"({mode}) -> {args.output}"
+        f"forecast: {len(fs.bs_ids)} stations x {opts['test_hours']} hours "
+        f"({opts['mode']}) -> {args.output}"
     )
     return 0
 
 
-def _cmd_eval(args) -> int:
-    config = _load_config_file(args.config, "eval")
-    split = Split(
-        train_hours=_int_setting(args, config, "train_hours", 240),
-        test_hours=_int_setting(args, config, "test_hours", 96),
-    )
-    mode = _setting(args, config, "mode", "one_step")
-    seed = _setting(args, config, "seed", None)
-    if seed is not None:
-        seed = _as_int("seed", seed)
-    _check_threads(args, config)
-
+def _cmd_eval(args, opts: dict) -> int:
     t = load_corpus(args.input)
     model = load_model(args.model)
-    report = evaluate(model, t, split=split, mode=mode, seed=seed)
+    split = Split(opts["train_hours"], opts["test_hours"])
+    report = evaluate(model, t, split, opts["mode"], opts["seed"])
     if args.output.endswith(".csv"):
         atomic_write_text(args.output, report_csv(report))
     else:
@@ -214,22 +186,11 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config_file(args.config, "sweep")
-    split = Split(
-        train_hours=_int_setting(args, config, "train_hours", 240),
-        test_hours=_int_setting(args, config, "test_hours", 96),
-    )
-    w = _int_setting(args, config, "w", 3)
-    mode = _setting(args, config, "mode", "one_step")
-    grid = config.get("seasonalities", DEFAULT_SWEEP_GRID)
-    if not isinstance(grid, list):
-        raise InvalidConfig(f"seasonalities must be a list, got {grid!r}")
-    grid = [_as_int("seasonalities", m) for m in grid]
-    _check_threads(args, config)
-
+def _cmd_sweep(args, opts: dict) -> int:
     t = load_corpus(args.input)
-    result = sweep_seasonality(t, grid, w=w, split=split, mode=mode)
+    split = Split(opts["train_hours"], opts["test_hours"])
+    grid = opts["seasonalities"]
+    result = sweep_seasonality(t, grid, _width(opts), split, opts["mode"])
     if args.output.endswith(".csv"):
         atomic_write_text(args.output, sweep_csv(result))
     else:
@@ -242,6 +203,22 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+COMMANDS = {  # command: (help, function, required file flags)
+    "synth": ("generate a synthetic corpus", _cmd_synth, "output"),
+    "clean": ("drop stations with missing or negative hours", _cmd_clean,
+              "input output"),
+    "train": ("train a model on the first train-hours", _cmd_train, "input model"),
+    "forecast": ("write per-station forecasts as CSV", _cmd_forecast,
+                 "input model output"),
+    "eval": ("score a model; writes a report (JSON or .csv)", _cmd_eval,
+             "input model output"),
+    "sweep": ("train and score one br model per seasonality", _cmd_sweep,
+              "input output"),
+}
+FILES = {"input": "input corpus CSV", "model": "model JSON path",
+         "output": "output file path"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockreg",
@@ -252,76 +229,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, model=False, output=True, input_=True):
-        if input_:
-            p.add_argument("--input", required=True, help="input corpus CSV")
-        if model:
-            p.add_argument("--model", required=True, help="model JSON path")
-        if output:
-            p.add_argument("--output", required=True, help="output file path")
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallelism cap; results are independent of it (default 1)")
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--output", required=True, help="corpus CSV to write")
-    p.add_argument("--config", default=None,
-                   help="SynthConfig JSON (defaults: 200 stations, 336 hours)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 1)")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("clean", help="drop stations with missing or negative hours")
-    add_common(p, input_=True, output=True)
-    p.set_defaults(func=_cmd_clean)
-
-    p = sub.add_parser("train", help="train a model on the first train-hours")
-    add_common(p, model=True, output=False)
-    p.add_argument("--kind", default=None, choices=["br", "lr", "sa"],
-                   help="model kind (default br)")
-    p.add_argument("--m", type=int, default=None,
-                   help="differencing lag, or seasonal lag for sa (default 24)")
-    p.add_argument("--w", type=int, default=None,
-                   help="window width (default 3 for br, 72 for lr)")
-    p.add_argument("--ar", type=int, default=None, help="sa AR order (default 2)")
-    p.add_argument("--ma", type=int, default=None, help="sa MA order (default 1)")
-    p.add_argument("--train-hours", dest="train_hours", type=int, default=None,
-                   help="training range in hours (default 240)")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("forecast", help="write per-station forecasts as CSV")
-    add_common(p, model=True)
-    p.add_argument("--train-hours", dest="train_hours", type=int, default=None,
-                   help="horizon starts after this many hours (default 240)")
-    p.add_argument("--test-hours", dest="test_hours", type=int, default=None,
-                   help="horizon length in hours (default 96)")
-    p.add_argument("--mode", default=None, choices=["one_step", "recursive"],
-                   help="forecast mode (default one_step)")
-    p.set_defaults(func=_cmd_forecast)
-
-    p = sub.add_parser("eval", help="score a model; writes a report (JSON or .csv)")
-    add_common(p, model=True)
-    p.add_argument("--train-hours", dest="train_hours", type=int, default=None,
-                   help="training range in hours (default 240)")
-    p.add_argument("--test-hours", dest="test_hours", type=int, default=None,
-                   help="scored horizon in hours (default 96)")
-    p.add_argument("--mode", default=None, choices=["one_step", "recursive"],
-                   help="forecast mode (default one_step)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="recorded in the report config (default none)")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("sweep", help="train and score one br model per seasonality")
-    add_common(p)
-    p.add_argument("--w", type=int, default=None, help="window width (default 3)")
-    p.add_argument("--train-hours", dest="train_hours", type=int, default=None,
-                   help="training range in hours (default 240)")
-    p.add_argument("--test-hours", dest="test_hours", type=int, default=None,
-                   help="scored horizon in hours (default 96)")
-    p.add_argument("--mode", default=None, choices=["one_step", "recursive"],
-                   help="forecast mode (default one_step)")
-    p.set_defaults(func=_cmd_sweep)
-
+    for command, (summary, func, files) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(func=func)
+        for name in files.split():
+            p.add_argument(f"--{name}", required=True, help=FILES[name])
+        rows = [row for row in SETTINGS if command in row[4]]
+        if not rows:
+            continue
+        only = [f"{key} (default {default})" for key, _, default, help_, _ in rows
+                if help_ is None]
+        p.add_argument("--config", help="JSON config file" + (
+            f"; also sets {', '.join(only)}" if only else ""))
+        for key, kind, default, help_, _ in rows:
+            if help_ is None:
+                continue
+            typing = ({"choices": kind} if isinstance(kind, tuple)
+                      else {"type": float if kind is float else int})
+            shown = "none" if default is None else default
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, **typing,
+                           help=f"{help_} (default {shown})")
     return parser
 
 
@@ -329,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, resolve_settings(args))
     except BlockregError as exc:
         line = {
             "error": type(exc).__name__,

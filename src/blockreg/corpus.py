@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     UncleanCorpus,
     UnknownBs,
+    typed_value,
 )
 
 CSV_HEADER = ["bs_id", "hour", "volume"]
@@ -126,31 +127,14 @@ class SynthConfig:
     def from_dict(cls, doc: dict) -> "SynthConfig":
         """Build from a JSON document; unknown keys are rejected.
 
-        Integer fields take a real int only (never a bool); float fields
-        take a finite int or float, stored as a float. Anything else
-        raises InvalidConfig.
+        Each value must have the type of its field's default, as checked
+        by `typed_value`; a float field also takes an int.
         """
-        # Every field's default has the field's type.
         types = {f.name: type(f.default) for f in fields(cls)}
         unknown = set(doc) - set(types)
         if unknown:
             raise InvalidConfig(f"unknown SynthConfig fields: {sorted(unknown)}")
-        values = {}
-        for key, value in doc.items():
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if types[key] is int:
-                ok = ok and isinstance(value, int)
-            elif ok:
-                try:
-                    value = float(value)
-                except OverflowError:  # an int beyond the float range
-                    value = math.inf
-                ok = math.isfinite(value)
-            if not ok:
-                kind = "an integer" if types[key] is int else "a finite number"
-                raise InvalidConfig(f"{key} must be {kind}, got {doc[key]!r}")
-            values[key] = value
-        cfg = cls(**values)
+        cfg = cls(**{k: typed_value(k, v, types[k]) for k, v in doc.items()})
         cfg.validate()
         return cfg
 

@@ -2,10 +2,13 @@
 
 Three families map to CLI exit codes: configuration problems (2), data
 problems (3), and numerical failures (4). Every concrete error subclasses
-one family so callers can branch on the family alone.
+one family so callers can branch on the family alone. `typed_value` is the
+one type check of config values.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class BlockregError(Exception):
@@ -104,3 +107,37 @@ class SingularSystem(NumericalError):
 
 class Overflow(NumericalError):
     """A computation produced values beyond the floating-point range."""
+
+
+def typed_value(key: str, value, kind):
+    """Return the config value ``value`` of ``key`` if it has type ``kind``.
+
+    ``kind`` is ``int`` (a real int, never a bool), ``int | None`` (that or
+    null), ``float`` (a finite int or float, returned as a float), ``list``
+    (a list of ints) or a tuple of the allowed strings. Nothing is coerced
+    across types; anything else raises InvalidConfig.
+    """
+    if isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        expected = "one of " + ", ".join(kind)
+    elif kind is list:
+        if isinstance(value, list):
+            return [typed_value(key, v, int) for v in value]
+        expected = "a list"
+    elif kind is float:
+        expected = "a finite number"
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:  # an int beyond the float range
+                number = math.inf
+            if math.isfinite(number):
+                return number
+    else:
+        expected = "an integer"
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if value is None and kind == int | None:
+            return None
+    raise InvalidConfig(f"{key} must be {expected}, got {value!r}")

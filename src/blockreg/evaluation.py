@@ -139,6 +139,14 @@ def forecast_fleet(
     return forecast_horizon(model, t, start, k, mode)
 
 
+def _check_run(t: TrafficMatrix, split: Split, mode: str) -> None:
+    """Checks every scoring run makes before any model work."""
+    t.require_clean()
+    if mode not in MODES:
+        raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
+    split.validate(t.n_hours)
+
+
 def evaluate(
     model,
     t: TrafficMatrix,
@@ -153,10 +161,7 @@ def evaluate(
     stations whose SA fit failed, are excluded from the scores and counted.
     ``seed`` is recorded in the report config for provenance only.
     """
-    t.require_clean()
-    if mode not in MODES:
-        raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
-    split.validate(t.n_hours)
+    _check_run(t, split, mode)
     config = _model_config(model)
     config.update(
         {
@@ -197,8 +202,12 @@ def sweep_seasonality(
     """Train and score one differenced block model per candidate lag.
 
     A lag that cannot be trained or scored is recorded as a failed point with
-    its error message; the other points are still computed.
+    its error message; the other points are still computed. Settings that
+    fail at every lag (corpus, ``w``, split, mode) raise before the first.
     """
+    _check_run(t, split, mode)
+    if w < 1:
+        raise InvalidConfig(f"window w must be >= 1, got {w}")
     if not seasonalities:
         raise InvalidConfig("seasonality grid is empty")
     if any(m < 1 for m in seasonalities):

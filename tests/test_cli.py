@@ -370,3 +370,52 @@ def test_forecast_recursive_start_past_corpus_end_exits_3(workspace, tmp_path, k
     assert err["error"] == "InsufficientHistory"
     assert "past the corpus end" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"test_hours": 0},
+    {"train_hours": 400},
+    {"w": 0},
+])
+def test_sweep_config_error_exits_2(workspace, tmp_path, setting):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(setting))
+    out = tmp_path / "s.json"
+    r = run("sweep", "--input", workspace / "corpus.csv", "--output", out,
+            "--config", cfg)
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr)["error"] == "InvalidConfig"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b"[1, 2]", b'{"w": "\xff"}',
+                                     b"[" * 100_000],
+                         ids=["missing", "invalid-json", "not-object", "not-utf8",
+                              "too-deep"])
+@pytest.mark.parametrize("command", ["synth", "eval"])
+def test_bad_config_file_exits_2(workspace, tmp_path, command, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    out = tmp_path / "out"
+    files = {"synth": (), "eval": ("--input", workspace / "corpus.csv",
+                                   "--model", workspace / "br.json")}[command]
+    r = run(command, *files, "--output", out, "--config", cfg)
+    assert r.returncode == 2, r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    err = json.loads(r.stderr)
+    assert err["error"] == "InvalidConfig" and err["family"] == "ConfigError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--config"])
+def test_clean_rejects_settings_flags(workspace, tmp_path, flag):
+    # clean has no settings: --threads 0 and a config {"wat": 1} were
+    # once accepted and ignored.
+    (tmp_path / "cfg.json").write_text(json.dumps({"wat": 1}))
+    value = {"--threads": 0, "--config": tmp_path / "cfg.json"}[flag]
+    r = run("clean", "--input", workspace / "corpus.csv",
+            "--output", tmp_path / "out.csv", flag, value)
+    assert r.returncode == 2
+    assert "unrecognized arguments" in r.stderr
+    assert not (tmp_path / "out.csv").exists()

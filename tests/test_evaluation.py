@@ -156,6 +156,18 @@ def test_sweep_grid_validation(small_corpus):
         sweep_seasonality(small_corpus, [0, 24])
 
 
+@pytest.mark.parametrize("kw", [
+    {"w": 0},
+    {"mode": "bogus"},
+    {"split": Split(240, 0)},
+    {"split": Split(400, 96)},
+])
+def test_sweep_checks_settings_before_any_lag(small_corpus, kw):
+    # These fail at every lag, so they are the caller's error, not points.
+    with pytest.raises(InvalidConfig):
+        sweep_seasonality(small_corpus, [24, 48], **kw)
+
+
 def test_sweep_scores_each_lag():
     t = make_corpus(n_bs=8)
     result = sweep_seasonality(t, [12, 24, 48])
