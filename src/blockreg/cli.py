@@ -35,7 +35,7 @@ from .evaluation import (
     sweep_seasonality,
 )
 from .forecaster import MODES, train_block_regression
-from .modelio import atomic_write_text, dump_json, load_model, save_model
+from .modelio import atomic_write_text, dump_json, load_json, load_model, save_model
 
 RUNS = ("forecast", "eval", "sweep")
 # (key, type or choices, default, help, commands). The flag of a key is
@@ -69,13 +69,7 @@ def resolve_settings(args) -> dict:
     path = getattr(args, "config", None)
     doc = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
-            raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise InvalidConfig(f"{path}: config must be a JSON object")
+        doc = load_json(path, InvalidConfig, "config")
         unknown = set(doc) - {row[0] for row in rows}
         if unknown:
             raise InvalidConfig(
@@ -121,7 +115,6 @@ def _cmd_clean(args, opts: dict) -> int:
 
 def _cmd_train(args, opts: dict) -> int:
     t = load_corpus(args.input)
-    t.require_clean()
     kind, m, train_hours = opts["kind"], opts["m"], opts["train_hours"]
     if kind == "sa":
         model = train_sa(t, ar=opts["ar"], ma=opts["ma"], s=m, train_hours=train_hours)

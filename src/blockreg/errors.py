@@ -3,12 +3,13 @@
 Three families map to CLI exit codes: configuration problems (2), data
 problems (3), and numerical failures (4). Every concrete error subclasses
 one family so callers can branch on the family alone. `typed_value` is the
-one type check of config values.
+one type check of JSON values, for config settings and model fields alike.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 
 
 class BlockregError(Exception):
@@ -110,21 +111,26 @@ class Overflow(NumericalError):
 
 
 def typed_value(key: str, value, kind):
-    """Return the config value ``value`` of ``key`` if it has type ``kind``.
+    """Return the JSON value ``value`` of ``key`` if it has type ``kind``.
 
     ``kind`` is ``int`` (a real int, never a bool), ``int | None`` (that or
     null), ``float`` (a finite int or float, returned as a float), ``list``
-    (a list of ints) or a tuple of the allowed strings. Nothing is coerced
-    across types; anything else raises InvalidConfig.
+    (a list of ints), ``list[float]`` (a list of finite numbers, returned as
+    floats) or a tuple of the allowed strings. Nothing is coerced across
+    types; anything else raises InvalidConfig.
     """
     if isinstance(kind, tuple):
         if isinstance(value, str) and value in kind:
             return value
         expected = "one of " + ", ".join(kind)
-    elif kind is list:
+    elif kind in (list, list[float]):
+        item = int if kind is list else float
+        expected = "a list of " + ("integers" if item is int else "finite numbers")
         if isinstance(value, list):
-            return [typed_value(key, v, int) for v in value]
-        expected = "a list"
+            try:
+                return [typed_value(key, v, item) for v in value]
+            except InvalidConfig:
+                pass
     elif kind is float:
         expected = "a finite number"
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -140,4 +146,4 @@ def typed_value(key: str, value, kind):
             return value
         if value is None and kind == int | None:
             return None
-    raise InvalidConfig(f"{key} must be {expected}, got {value!r}")
+    raise InvalidConfig(f"{key!r} must be {expected}, got {reprlib.repr(value)}")

@@ -59,8 +59,6 @@ def train_block_regression(
     m: int,
     w: int,
     train_hours: int,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
 ) -> tuple[BlockModel, TrainingDiagnostics]:
     """Full training pipeline over the first ``train_hours`` columns.
 
@@ -84,7 +82,7 @@ def train_block_regression(
     d = seasonal_difference(train, m) if m > 0 else identity_difference(train)
     stats = fit_normalization(d, w)
     system = _accumulate(d, w, stats)
-    return train_cg(system, tol=tol, max_iter=max_iter, stats=stats, seasonality_m=m)
+    return train_cg(system, stats=stats, seasonality_m=m)
 
 
 def _accumulate(

@@ -9,14 +9,13 @@ identical models produce byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 
 import numpy as np
 
 from .baselines import SaCoefficients, SaModel
-from .errors import InvalidConfig, ParseError
+from .errors import BlockregError, InvalidConfig, ParseError, typed_value
 from .pipeline import NormalizationStats
 from .regressor import BlockModel
 
@@ -24,17 +23,40 @@ FORMAT_VERSION = 1
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.
+
+    A path that cannot be written raises InvalidConfig and leaves no temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write {path}: {exc}") from exc
+
+
+def load_json(path: str, error: type[BlockregError], what: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``; any failure raises ``error``.
+
+    ``what`` names the file when it holds something other than an object.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot open {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deep
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return doc
 
 
 def dump_json(doc) -> str:
@@ -88,59 +110,39 @@ def save_model(model, path: str) -> None:
     atomic_write_text(path, dump_json(model_doc(model)))
 
 
-def _require(doc: dict, key: str, path: str):
+def _field(doc: dict, key: str, kind, where: str, low: int | None = None):
+    """Field ``key`` of ``doc`` checked by `typed_value`, and >= ``low`` if given."""
     if key not in doc:
-        raise ParseError(f"{path}: missing model field {key!r}")
-    return doc[key]
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _int(doc: dict, key: str, path: str, low: int) -> int:
-    value = _require(doc, key, path)
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ParseError(f"{path}: model field {key!r} must be an integer >= {low}")
-    return value
-
-
-def _finite(doc: dict, key: str, path: str) -> float:
-    value = _require(doc, key, path)
-    if not _is_number(value) or not math.isfinite(value):
-        raise ParseError(f"{path}: model field {key!r} must be a finite number")
-    return float(value)
-
-
-def _finite_list(doc: dict, key: str, path: str) -> np.ndarray:
-    value = _require(doc, key, path)
-    if not isinstance(value, list) or not all(
-        _is_number(v) and math.isfinite(v) for v in value
-    ):
+        raise ParseError(f"{where}: missing model field {key!r}")
+    try:
+        value = typed_value(key, doc[key], kind)
+    except InvalidConfig as exc:
+        raise ParseError(f"{where}: model field {exc}") from exc
+    if low is not None and value < low:
         raise ParseError(
-            f"{path}: model field {key!r} must be a list of finite numbers"
+            f"{where}: model field {key!r} must be an integer >= {low}, got {value}"
         )
-    return np.asarray(value, dtype=float)
+    return np.asarray(value) if kind == list[float] else value
 
 
 def _block_model(doc: dict, kind: str, path: str) -> BlockModel:
-    m = _int(doc, "m", path, 0)
+    m = _field(doc, "m", int, path, low=0)
     if kind == "lr" and m != 0:
         raise ParseError(f"{path}: an lr model has m = 0, got m={m}")
-    w = _int(doc, "w", path, 1)
-    theta = _finite_list(doc, "theta", path)
+    w = _field(doc, "w", int, path, low=1)
+    theta = _field(doc, "theta", list[float], path)
     stats = NormalizationStats(
-        mu_x=_finite_list(doc, "mu_x", path),
-        sigma_x=_finite_list(doc, "sigma_x", path),
-        mu_y=_finite(doc, "mu_y", path),
-        sigma_y=_finite(doc, "sigma_y", path),
+        mu_x=_field(doc, "mu_x", list[float], path),
+        sigma_x=_field(doc, "sigma_x", list[float], path),
+        mu_y=_field(doc, "mu_y", float, path),
+        sigma_y=_field(doc, "sigma_y", float, path),
     )
     if theta.shape != (w,) or stats.mu_x.shape != (w,) or stats.sigma_x.shape != (w,):
         raise ParseError(f"{path}: model arrays inconsistent with w={w}")
     if np.any(stats.sigma_x <= 0) or stats.sigma_y <= 0:
         raise ParseError(f"{path}: normalization sigmas must be > 0")
     return BlockModel(
-        theta0=_finite(doc, "theta0", path),
+        theta0=_field(doc, "theta0", float, path),
         theta=theta,
         stats=stats,
         seasonality_m=m,
@@ -149,28 +151,28 @@ def _block_model(doc: dict, kind: str, path: str) -> BlockModel:
 
 
 def _sa_model(doc: dict, path: str) -> SaModel:
-    per_bs_doc = _require(doc, "per_bs", path)
+    per_bs_doc = doc.get("per_bs")
     if not isinstance(per_bs_doc, dict):
         raise ParseError(f"{path}: per_bs must be an object")
-    ar = _int(doc, "ar", path, 0)
-    ma = _int(doc, "ma", path, 0)
+    ar = _field(doc, "ar", int, path, low=0)
+    ma = _field(doc, "ma", int, path, low=0)
     per_bs = {}
     for bs, c in per_bs_doc.items():
         where = f"{path}: station {bs}"
         if not isinstance(c, dict):
             raise ParseError(f"{where}: coefficients must be an object")
-        phi = _finite_list(c, "phi", where)
-        psi = _finite_list(c, "psi", where)
+        phi = _field(c, "phi", list[float], where)
+        psi = _field(c, "psi", list[float], where)
         if phi.shape != (ar,) or psi.shape != (ma,):
             raise ParseError(f"{where}: coefficient lengths "
                              f"inconsistent with ar={ar}, ma={ma}")
-        sigma2 = _finite(c, "sigma2", where)
+        sigma2 = _field(c, "sigma2", float, where)
         if sigma2 < 0:
             raise ParseError(f"{where}: sigma2 must be >= 0")
         per_bs[bs] = SaCoefficients(
             phi=phi,
             psi=psi,
-            intercept=_finite(c, "intercept", where),
+            intercept=_field(c, "intercept", float, where),
             sigma2=sigma2,
         )
     failed_bs = doc.get("failed_bs", [])
@@ -180,7 +182,7 @@ def _sa_model(doc: dict, path: str) -> SaModel:
         raise ParseError(f"{path}: failed_bs must be a list of station ids")
     return SaModel(
         per_bs=per_bs,
-        seasonality=_int(doc, "seasonality", path, 1),
+        seasonality=_field(doc, "seasonality", int, path, low=1),
         ar_order=ar,
         ma_order=ma,
         failed_bs=failed_bs,
@@ -193,15 +195,7 @@ def load_model(path: str):
     Every field is checked: a missing, mistyped or non-finite value, or a
     non-positive normalization sigma, raises ParseError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: model file must be a JSON object")
+    doc = load_json(path, ParseError, "model file")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ParseError(

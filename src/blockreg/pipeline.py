@@ -25,15 +25,14 @@ from .errors import (
 class DifferencedMatrix:
     """Seasonally differenced traffic.
 
-    ``values[i, k] = origin.values[i, k + m] - origin.values[i, k]`` for a
+    ``values[i, k] = t[i, k + m] - t[i, k]`` for traffic ``t`` and a
     differencing lag ``m = seasonality_m``. ``seasonality_m == 0`` denotes the
-    identity transform (values equal the origin), used by the undifferenced
+    identity transform (values equal the traffic), used by the undifferenced
     baseline.
     """
 
     seasonality_m: int
     values: np.ndarray
-    origin: TrafficMatrix
 
     @property
     def n_bs(self) -> int:
@@ -44,12 +43,8 @@ class DifferencedMatrix:
         return self.values.shape[1]
 
     def rows(self, lo: int, hi: int) -> "DifferencedMatrix":
-        """Stations ``lo`` to ``hi - 1``, as views of this matrix and its origin."""
-        o = self.origin
-        origin = TrafficMatrix(
-            bs_ids=o.bs_ids[lo:hi], values=o.values[lo:hi], start_hour=o.start_hour
-        )
-        return DifferencedMatrix(self.seasonality_m, self.values[lo:hi], origin)
+        """Stations ``lo`` to ``hi - 1``, as a view of this matrix."""
+        return DifferencedMatrix(self.seasonality_m, self.values[lo:hi])
 
 
 @dataclass
@@ -58,8 +53,8 @@ class FeatureSet:
 
     Row r of ``x`` holds ``window_w`` consecutive differenced values, oldest
     first; ``y[r]`` is the value immediately after them. ``provenance[r]`` is
-    ``(bs_index, target_col)`` where target_col indexes the *origin* matrix
-    column of the target hour.
+    ``(bs_index, target_col)`` where target_col indexes the *undifferenced*
+    traffic column of the target hour.
     """
 
     x: np.ndarray
@@ -101,12 +96,12 @@ def seasonal_difference(t: TrafficMatrix, m: int) -> DifferencedMatrix:
     if m >= L:
         raise SeasonalityTooLarge(f"m={m} leaves no columns for L={L}")
     values = t.values[:, m:] - t.values[:, :-m]
-    return DifferencedMatrix(seasonality_m=m, values=values, origin=t)
+    return DifferencedMatrix(seasonality_m=m, values=values)
 
 
 def identity_difference(t: TrafficMatrix) -> DifferencedMatrix:
     """Wrap a matrix unchanged (m = 0), for the undifferenced baseline."""
-    return DifferencedMatrix(seasonality_m=0, values=t.values, origin=t)
+    return DifferencedMatrix(seasonality_m=0, values=t.values)
 
 
 def _positions(d: DifferencedMatrix, w: int) -> int:
@@ -140,22 +135,17 @@ def slide_windows(d: DifferencedMatrix, w: int) -> FeatureSet:
     return FeatureSet(x=x, y=y, provenance=provenance, window_w=w)
 
 
-def fit_normalization(
-    src: FeatureSet | DifferencedMatrix, w: int | None = None
-) -> NormalizationStats:
-    """Column means and sample standard deviations of the samples.
+def fit_normalization(d: DifferencedMatrix, w: int) -> NormalizationStats:
+    """Column means and sample standard deviations of the window samples.
 
-    ``src`` is a feature set, or a differenced matrix together with the
-    window width ``w`` that `slide_windows` would use on it. For a matrix
-    no window is built: with P positions per station, feature column j of
-    every window is the view ``d.values[:, j:j + P]`` and the target column
-    is the view at ``j = w``, so the stats cost one column of temporaries.
+    The samples are those `slide_windows` makes from ``d`` at width ``w``,
+    but no window is built: with P positions per station, feature column j
+    of every window is the view ``d.values[:, j:j + P]`` and the target
+    column is the view at ``j = w``, so the stats cost one column of
+    temporaries.
     """
-    if isinstance(src, FeatureSet):
-        columns = [src.x[:, j] for j in range(src.window_w)] + [src.y]
-    else:
-        per_bs = _positions(src, w)
-        columns = [src.values[:, j:j + per_bs] for j in range(w + 1)]
+    per_bs = _positions(d, w)
+    columns = [d.values[:, j:j + per_bs] for j in range(w + 1)]
     n = columns[0].size
     if n < 2:
         raise InsufficientSamples(

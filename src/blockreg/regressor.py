@@ -50,16 +50,10 @@ class BlockModel:
 
 @dataclass
 class TrainingDiagnostics:
-    """What training did: final cost, iterations, convergence, sample count.
-
-    ``residuals`` (y - theta0 - x theta, one per sample) is filled only when
-    `train_cg` was given the samples themselves; it is None when training
-    ran from a `NormalSystem`.
-    """
+    """What training did: final cost, iterations, convergence, sample count."""
 
     final_cost: float
     iterations: int
-    residuals: np.ndarray | None
     converged: bool
     n_samples: int
 
@@ -214,21 +208,13 @@ def train_cg(
             p = r + (rs_new / rs) * p
         rs = rs_new
 
-    model = _make_model(theta, w, stats, seasonality_m)
-    if isinstance(f, NormalSystem):
-        resid = None
-        final_cost = system.cost(theta)
-    else:
-        resid = _residuals(model.theta0, model.theta, f)
-        final_cost = float(resid @ resid) / (2 * n)
     diag = TrainingDiagnostics(
-        final_cost=final_cost,
+        final_cost=system.cost(theta),
         iterations=iterations,
-        residuals=resid,
         converged=bool(converged),
         n_samples=n,
     )
-    return model, diag
+    return _make_model(theta, w, stats, seasonality_m), diag
 
 
 def train_normal_equations(

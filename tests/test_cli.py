@@ -283,6 +283,47 @@ def test_eval_nan_theta_model_exits_3(workspace, tmp_path):
     assert json.loads(r.stderr)["error"] == "ParseError"
 
 
+def _huge_sa_sigma2(doc):
+    doc["per_bs"][min(doc["per_bs"])]["sigma2"] = 10 ** 400
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("kind,defect", [
+    ("br", lambda doc: b"[" * 200_000),
+    ("br", lambda doc: b"\xff" + json.dumps(doc).encode()),
+    ("br", lambda doc: json.dumps({**doc, "theta0": 10 ** 400}).encode()),
+    ("lr", lambda doc: json.dumps({**doc, "theta": [10 ** 400] * 72}).encode()),
+    ("sa", _huge_sa_sigma2),
+], ids=["too-deep", "leading-xff", "theta0-huge", "theta-huge", "sa-sigma2-huge"])
+@pytest.mark.parametrize("command", ["eval", "forecast"])
+def test_unreadable_model_file_exits_3(workspace, tmp_path, command, kind, defect):
+    model = tmp_path / "m.json"
+    model.write_bytes(defect(json.loads((workspace / f"{kind}.json").read_text())))
+    r = run(command, "--input", workspace / "corpus.csv", "--model", model,
+            "--output", tmp_path / "out")
+    assert r.returncode == 3, r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    err = json.loads(r.stderr)
+    assert err["error"] == "ParseError" and str(model) in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "synth", "forecast"])
+def test_unwritable_output_exits_2(workspace, tmp_path, command):
+    (tmp_path / "dir").mkdir()
+    out = {"eval": tmp_path / "missing" / "r.json",
+           "synth": tmp_path / "missing" / "c.csv",
+           "forecast": tmp_path / "dir"}[command]
+    files = () if command == "synth" else (
+        "--input", workspace / "corpus.csv", "--model", workspace / "br.json")
+    r = run(command, *files, "--output", out)
+    assert r.returncode == 2, r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    err = json.loads(r.stderr)
+    assert err["error"] == "InvalidConfig" and "cannot write" in err["message"]
+    assert list(tmp_path.rglob("*")) == [tmp_path / "dir"]
+
+
 @pytest.mark.parametrize("kind, samples", [("br", 12 * (240 - 24 - 3)),
                                            ("lr", 12 * (240 - 72))])
 def test_train_reports_samples(workspace, tmp_path, kind, samples):
@@ -339,6 +380,7 @@ def test_br_with_m_zero_is_lr(workspace, tmp_path):
     {"burst_probability": float("nan")},
     {"daily_profile_amplitude": float("inf")},
     {"day_intensity_std": 10 ** 400},
+    {"noise_std": -(10 ** 400)},
 ])
 def test_synth_config_wrong_type_exits_2(tmp_path, setting):
     cfg = tmp_path / "synth.json"
@@ -389,9 +431,9 @@ def test_sweep_config_error_exits_2(workspace, tmp_path, setting):
 
 
 @pytest.mark.parametrize("content", [None, b"{not json", b"[1, 2]", b'{"w": "\xff"}',
-                                     b"[" * 100_000],
+                                     b"\xff{}", b"[" * 100_000, b"[" * 200_000],
                          ids=["missing", "invalid-json", "not-object", "not-utf8",
-                              "too-deep"])
+                              "leading-xff", "too-deep", "deeper"])
 @pytest.mark.parametrize("command", ["synth", "eval"])
 def test_bad_config_file_exits_2(workspace, tmp_path, command, content):
     cfg = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ import pytest
 
 from blockreg import (
     BlockModel,
+    InvalidConfig,
     NormalizationStats,
     ParseError,
     SaCoefficients,
@@ -160,6 +161,7 @@ def test_br_file_with_m_zero_loads_as_lr(tmp_path):
 
 
 NAN, INF = float("nan"), float("inf")
+HUGE = 10 ** 400  # json writes it as an integer literal beyond the float range
 
 
 def _set(key, value):
@@ -189,6 +191,8 @@ def _set_first(key, value):
 BAD_LINEAR = {
     "theta0_nan": (_set("theta0", NAN), "'theta0' must be a finite number"),
     "theta0_string": (_set("theta0", "0.5"), "'theta0' must be a finite number"),
+    "theta0_huge": (_set("theta0", HUGE), "'theta0' must be a finite number"),
+    "theta_huge": (_set_first("theta", -HUGE), "'theta' must be a list of finite"),
     "theta_nan": (_set_first("theta", NAN), "'theta' must be a list of finite"),
     "theta_inf": (_set_first("theta", -INF), "'theta' must be a list of finite"),
     "theta_not_list": (_set("theta", "abc"), "'theta' must be a list of finite"),
@@ -221,6 +225,7 @@ BAD_SA = {
     "intercept_nan": (_set_station("intercept", NAN), "'intercept' must be a finite"),
     "sigma2_nan": (_set_station("sigma2", NAN), "'sigma2' must be a finite"),
     "sigma2_negative": (_set_station("sigma2", -0.5), "sigma2 must be >= 0"),
+    "sigma2_huge": (_set_station("sigma2", HUGE), "'sigma2' must be a finite"),
     "ar_string": (_set("ar", "2"), "'ar' must be an integer"),
     "seasonality_zero": (_set("seasonality", 0), "'seasonality' must be an integer"),
     "failed_bs_string": (_set("failed_bs", "bs_zz"), "failed_bs must be a list"),
@@ -250,6 +255,17 @@ def test_load_rejects_bad_sa_values(tmp_path, case):
         load_model(path)
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 200_000,
+    b"\xff" + dump_json(model_doc(br_model())).encode(),
+], ids=["too-deep", "not-utf8"])
+def test_load_rejects_unreadable_json(tmp_path, content):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_model(str(path))
+
+
 def test_load_missing_file():
     with pytest.raises(ParseError, match="cannot open"):
         load_model("/nonexistent/model.json")
@@ -275,3 +291,12 @@ def test_atomic_write_overwrites_and_leaves_no_temps(tmp_path):
     atomic_write_text(str(path), "two")
     assert path.read_text() == "two"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_atomic_write_unwritable_path_leaves_no_temps(tmp_path, where):
+    (tmp_path / "dir").mkdir()
+    target = tmp_path / ("missing/out.txt" if where == "missing-dir" else "dir")
+    with pytest.raises(InvalidConfig, match="cannot write"):
+        atomic_write_text(str(target), "text")
+    assert list(tmp_path.rglob("*")) == [tmp_path / "dir"]

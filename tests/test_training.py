@@ -81,7 +81,6 @@ def test_model_matches_oracle(small_corpus, chunk_bytes, kind):
     assert model.kind == expect.kind == kind
     assert diag.converged and expect_diag.converged
     assert diag.n_samples == expect_diag.n_samples == 20 * (240 - m - w)
-    assert diag.residuals is None
     assert diag.final_cost == pytest.approx(expect_diag.final_cost, rel=1e-9)
     # CG stops at a gradient norm of 1e-8; lr's system is ill-conditioned,
     # so its weights agree only to that tolerance over the smallest curvature.
