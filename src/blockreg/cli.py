@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import fields
 from itertools import repeat
 
@@ -137,15 +138,15 @@ def _cmd_train(args, opts: dict) -> int:
     return 0
 
 
-def _forecast_csv(fs) -> str:
-    blocks = ["bs_id,hour,actual,forecast,mode"]
+def _forecast_csv(fs) -> Iterator[str]:
+    """The forecast CSV: the header line, then one block of lines per station."""
+    yield "bs_id,hour,actual,forecast,mode\n"
     hours = list(map(str, fs.hours.tolist()))
     for i, bs in enumerate(fs.bs_ids):  # forecast_fleet guarantees k >= 1
         actual = repeat("") if fs.actual is None else map(repr, fs.actual[i].tolist())
         forecast = map(repr, fs.forecast[i].tolist())
         rows = zip(repeat(bs), hours, actual, forecast, repeat(fs.mode))
-        blocks.append("\n".join(map(",".join, rows)))
-    return "\n".join(blocks) + "\n"
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def _cmd_forecast(args, opts: dict) -> int:

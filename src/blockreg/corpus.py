@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -231,9 +233,13 @@ def load_corpus(path: str) -> TrafficMatrix:
     the minimum to maximum hour present in the file, and some station must
     have a record for every hour of that span.
 
-    The file is read in chunks of whole lines; each chunk is parsed into
-    numpy columns (station code, hour, volume, line number) and its strings
-    are dropped before the next chunk is read. A defect raises ParseError (InconsistentHours for a duplicate
+    The file is read in chunks of whole lines, and a chunk's strings are
+    dropped before the next chunk is read. While the file keeps the layout
+    that `save_corpus` writes (see `_Layout`), a chunk keeps only its
+    volumes, and the matrix is a reshape of them. From the first chunk that
+    breaks the layout on, each chunk is parsed into numpy columns (station
+    code, hour, volume, line number), after the columns of the rows read
+    so far. A defect raises ParseError (InconsistentHours for a duplicate
     record or an unfilled span) naming the first bad line in file order.
     """
     # "\n" + bs_id -> code, in order of first appearance (see _parse_rows)
@@ -244,9 +250,11 @@ def load_corpus(path: str) -> TrafficMatrix:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     with fh:
         try:
-            chunks, problem = _read_chunks(fh, path, ids)
+            matrix, chunks, problem = _read_chunks(fh, path, ids)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    if matrix is not None:
+        return matrix
     if not chunks:
         raise ParseError(problem or f"{path}: no data rows")
 
@@ -277,19 +285,30 @@ def load_corpus(path: str) -> TrafficMatrix:
 def _read_chunks(fh, path: str, ids: dict[str, int]):
     """Check the header, then parse the rows chunk by chunk.
 
-    Returns the per-chunk ``(codes, hours, volumes, line numbers)`` columns
-    and the message for the first bad row, or None if there is none. After
-    a bad row the columns hold only the rows before it: a duplicate among
+    Returns ``(matrix, chunks, problem)``. ``matrix`` is the corpus if the
+    whole file keeps the `_Layout`; otherwise it is None, ``chunks`` holds
+    the ``(codes, hours, volumes, line numbers)`` columns and ``problem``
+    the message for the first bad row, or None if there is none. After a
+    bad row the columns hold only the rows before it: a duplicate among
     them comes earlier in the file, so it is reported first.
     """
     header = ",".join(CSV_HEADER)
     if fh.readline().rstrip("\r\n") != header:
         raise ParseError(f"{path}: line 1: expected header {header!r}")
+    layout = _Layout()
     chunks = []
     lineno = 2
     while lines := fh.readlines(CHUNK_BYTES):
         rows, linenos = _data_rows(lines, lineno)
         lineno += len(lines)
+        blank = len(rows) < len(lines)
+        del lines  # the rows are a copy
+        if layout is not None:
+            if not blank and layout.take(rows):
+                continue
+            if layout.rows:
+                chunks.append(layout.columns(ids))
+            layout = None
         if not rows:
             continue
         columns = _parse_rows(rows, ids)
@@ -298,9 +317,116 @@ def _read_chunks(fh, path: str, ids: dict[str, int]):
             bad, why = next((i, why) for i, why in problems if why)
             if bad:
                 chunks.append((*_parse_rows(rows[:bad], ids), linenos[:bad]))
-            return chunks, f"{path}: line {linenos[bad]}: {why}"
+            return None, chunks, f"{path}: line {linenos[bad]}: {why}"
         chunks.append((*columns, linenos))
-    return chunks, None
+    if layout is not None and layout.complete():
+        return layout.matrix(), [], None
+    if layout is not None and layout.rows:
+        chunks.append(layout.columns(ids))
+    return None, chunks, None
+
+
+class _Layout:
+    """The rows read so far of a file in the layout `save_corpus` writes.
+
+    That layout has one block of rows per station, bs_ids strictly
+    increasing, and no blank lines. Each block holds the hours ``start ..
+    start + span - 1`` in order, spelled as ``str(hour)``; the first block
+    sets ``start`` and ``span``. Such rows hold no duplicate record, so
+    only their volumes are kept.
+    """
+
+    def __init__(self):
+        self.names: list[str] = []  # "\n" + bs_id, as in _parse_rows
+        self.start = 0
+        self.span: int | None = None  # until a second station starts
+        self.hours: list[str] = []  # the hours of a block, once span is known
+        self.rows = 0
+        self.volumes = array("d")
+
+    def take(self, rows: list[str]) -> bool:
+        """Keep the rows of a chunk without blank lines if they continue the
+        layout, and return True; else return False and change nothing."""
+        fields = _split_fields(rows)
+        if fields is None:
+            return False
+        bs, hours_s, volumes_s = fields
+        n, done = len(bs), self.rows
+        start, span = self.start, self.span
+        if not done:
+            first_hour = hours_s[0]
+            if not (
+                _is_digits(first_hour)
+                and len(first_hour) <= len(str(_INT64_MAX))  # int() takes it
+                and first_hour == str(int(first_hour))
+            ):
+                return False
+            start = int(first_hour)
+        current = self.names[-1] if done else bs[0]
+        if span is None and bs.count(current) < n:
+            span = done + bs.count(current)  # the second station starts here
+        if span is None:  # the whole chunk continues the first block
+            hours = _hour_strings(start, done, done + n)
+            first, new, later = n, [] if done else [current], []
+        else:
+            block = hours = self.hours or _hour_strings(start, 0, span)
+            offset = done % span
+            if block is not None:
+                hours = (block * ((offset + n) // span + 1))[offset : offset + n]
+            first = min(-done % span, n)  # rows before it finish the current block
+            new = bs[first::span]
+            later = list(chain.from_iterable(repeat(name, span) for name in new))
+        stations = self.names[-1:] + new
+        if (
+            hours is None
+            or hours_s != hours
+            or "\n" in new  # an empty bs_id
+            or not all(map(str.__lt__, stations, stations[1:]))
+            or bs != [current] * first + later[: n - first]
+        ):
+            return False
+        volumes = _parse_volumes(volumes_s)
+        if volumes is None:
+            return False
+        self.volumes.frombytes(volumes.tobytes())
+        self.names += new
+        self.start, self.span, self.rows = start, span, done + n
+        if span is not None:
+            self.hours = block
+        return True
+
+    def complete(self) -> bool:
+        """True if the rows end with a whole block."""
+        return self.rows > 0 and self.rows % (self.span or self.rows) == 0
+
+    def matrix(self) -> TrafficMatrix:
+        values = np.frombuffer(self.volumes, dtype=np.float64)
+        return TrafficMatrix(
+            bs_ids=[key[1:] for key in self.names],
+            values=values.reshape(len(self.names), -1),
+            start_hour=self.start,
+        )
+
+    def columns(self, ids: dict[str, int]):
+        """The rows as the general reader's first ``(codes, hours, volumes,
+        line numbers)`` columns; fills the empty ``ids``."""
+        ids.update(zip(self.names, range(len(self.names))))
+        span = self.span or self.rows
+        full, part = divmod(self.rows, span)
+        hours = np.arange(span, dtype=np.int64) + self.start
+        return (
+            np.repeat(np.arange(len(self.names)), [span] * full + [part] * (part > 0)),
+            np.concatenate([np.tile(hours, full), hours[:part]]),
+            np.frombuffer(self.volumes, dtype=np.float64),
+            np.arange(2, 2 + self.rows),
+        )
+
+
+def _hour_strings(start: int, lo: int, hi: int) -> list[str] | None:
+    """``str(start + i)`` for ``lo <= i < hi``, or None past int64."""
+    if start + hi - 1 > _INT64_MAX:
+        return None
+    return list(map(str, range(start + lo, start + hi)))
 
 
 def _data_rows(lines: list[str], first: int) -> tuple[list[str], np.ndarray]:
@@ -328,39 +454,61 @@ def _parse_rows(rows: list[str], ids: dict[str, int]):
     The checks run on whole columns; new bs_ids are added to ``ids`` only
     when every row is good. ``ids`` is keyed by ``"\\n" + bs_id``.
     """
-    n = len(rows)
-    # Each row's first field keeps a "\n" marker. The hour and volume
-    # checks below reject a "\n", so with 3n fields the n markers all sit in
-    # the bs_id column: every row then has exactly three fields.
+    fields = _split_fields(rows)
+    if fields is None:
+        return None
+    bs, hours_s, volumes_s = fields
+    if "\n" in bs or not _is_digits("".join(hours_s)):
+        return None
+    volumes = _parse_volumes(volumes_s)
+    if volumes is None:
+        return None
+    try:
+        hours = np.fromiter(map(int, hours_s), dtype=np.int64, count=len(bs))
+    except (ValueError, OverflowError):
+        return None
+    for key in dict.fromkeys(bs):
+        ids.setdefault(key, len(ids))
+    codes = np.fromiter(map(ids.__getitem__, bs), dtype=np.int64, count=len(bs))
+    return codes, hours, volumes
+
+
+def _split_fields(rows: list[str]):
+    """The ``(bs_id, hour, volume)`` field columns of rows, or None.
+
+    None means some row has a quote or a field count other than three.
+    Each bs_id keeps a leading "\\n" marker. With 3n fields, a check that
+    rejects a "\\n" in every hour and volume puts the n markers all in the
+    bs_id column, so every row has exactly three fields.
+    """
     text = "\n" + ",\n".join(rows)
     if '"' in text:
         return None
     fields = text.split(",")
-    if len(fields) != 3 * n:
+    if len(fields) != 3 * len(rows):
         return None
-    bs, hours_s, volumes_s = fields[0::3], fields[1::3], fields[2::3]
-    if "\n" in bs or not _is_digits("".join(hours_s)):
-        return None
+    return fields[0::3], fields[1::3], fields[2::3]
+
+
+def _parse_volumes(volumes_s: list[str]) -> np.ndarray | None:
+    """Volume fields as floats, NA as NaN; None if any is bad or not finite."""
     if not _is_plain("".join(volumes_s)):
         return None
+    n = len(volumes_s)
     na = None
     if "NA" in volumes_s:
         na = np.fromiter(map("NA".__eq__, volumes_s), dtype=bool, count=n)
         volumes_s = ["nan" if v == "NA" else v for v in volumes_s]
     try:
-        hours = np.fromiter(map(int, hours_s), dtype=np.int64, count=n)
         volumes = np.fromiter(map(float, volumes_s), dtype=np.float64, count=n)
-    except (ValueError, OverflowError):
+    except ValueError:
         return None
     finite = np.isfinite(volumes)
     if na is not None:
         finite |= na
     if not finite.all():
         return None
-    for key in dict.fromkeys(bs):
-        ids.setdefault(key, len(ids))
-    codes = np.fromiter(map(ids.__getitem__, bs), dtype=np.int64, count=n)
-    return codes, hours, volumes
+    return volumes
 
 
 def _is_digits(s: str) -> bool:
@@ -431,6 +579,12 @@ def corpus_to_csv(t: TrafficMatrix) -> str:
     one with a comma, a quote or a line break; and InfiniteVolume for an
     infinite volume, which load_corpus would reject. NaN is written as NA.
     """
+    return "".join(_csv_blocks(t))
+
+
+def _csv_blocks(t: TrafficMatrix) -> Iterator[str]:
+    """The text of `corpus_to_csv`: the header line, then one block of lines
+    per station. The checks run on the whole corpus before this returns."""
     for bs_id in t.bs_ids:
         if not bs_id or _UNWRITABLE_ID.search(bs_id):
             raise InvalidBsId(f"bs_id {bs_id!r} cannot be written to a corpus CSV")
@@ -444,20 +598,22 @@ def corpus_to_csv(t: TrafficMatrix) -> str:
             "cannot be written to a corpus CSV"
         )
     hours = list(map(str, range(t.start_hour, t.start_hour + t.n_hours)))
-    blocks = [",".join(CSV_HEADER)]
-    # One block of rows per station; with no hours there are no rows.
-    for i in sorted(range(t.n_bs), key=t.bs_ids.__getitem__) if hours else ():
-        row = values[i]
-        volumes = list(map(repr, row.tolist()))
-        for j in np.flatnonzero(np.isnan(row)).tolist():
-            volumes[j] = "NA"
-        rows = zip(repeat(t.bs_ids[i]), hours, volumes)
-        blocks.append("\n".join(map(",".join, rows)))
-    return "\n".join(blocks) + "\n"
+    # With no hours there are no rows.
+    order = sorted(range(t.n_bs), key=t.bs_ids.__getitem__) if hours else []
+    blocks = (_csv_block(t.bs_ids[i], hours, values[i]) for i in order)
+    return chain([",".join(CSV_HEADER) + "\n"], blocks)
+
+
+def _csv_block(bs_id: str, hours: list[str], row: np.ndarray) -> str:
+    volumes = list(map(repr, row.tolist()))
+    for j in np.flatnonzero(np.isnan(row)).tolist():
+        volumes[j] = "NA"
+    return "\n".join(map(",".join, zip(repeat(bs_id), hours, volumes))) + "\n"
 
 
 def save_corpus(t: TrafficMatrix, path: str) -> None:
-    """Write a corpus CSV atomically; round-trips exactly through load_corpus."""
+    """Write a corpus CSV atomically, one station block at a time; it
+    round-trips exactly through load_corpus."""
     from .modelio import atomic_write_text
 
-    atomic_write_text(path, corpus_to_csv(t))
+    atomic_write_text(path, _csv_blocks(t))

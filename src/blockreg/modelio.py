@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -22,17 +23,20 @@ from .regressor import BlockModel
 FORMAT_VERSION = 1
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename.
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, or its pieces in turn, to a temp file in the target
+    directory, then rename it to ``path``.
 
-    A path that cannot be written raises InvalidConfig and leaves no temp file.
+    A path that cannot be written raises InvalidConfig; that or any error
+    raised by the pieces leaves no temp file and the target as it was.
     """
+    pieces = [text] if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -196,7 +200,7 @@ def load_model(path: str):
     non-positive normalization sigma, raises ParseError.
     """
     doc = load_json(path, ParseError, "model file")
-    version = doc.get("format_version")
+    version = _field(doc, "format_version", int, path)
     if version != FORMAT_VERSION:
         raise ParseError(
             f"{path}: unsupported format_version {version!r} "

@@ -308,6 +308,21 @@ def test_unreadable_model_file_exits_3(workspace, tmp_path, command, kind, defec
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "1.0", "str-1"])
+def test_mistyped_format_version_exits_3(workspace, tmp_path, version):
+    doc = json.loads((workspace / "br.json").read_text())
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({**doc, "format_version": version}))
+    r = run("eval", "--input", workspace / "corpus.csv", "--model", model,
+            "--output", tmp_path / "out.json")
+    assert r.returncode == 3, r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    err = json.loads(r.stderr)
+    assert err["error"] == "ParseError"
+    assert "'format_version' must be an integer" in err["message"]
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "synth", "forecast"])
 def test_unwritable_output_exits_2(workspace, tmp_path, command):
     (tmp_path / "dir").mkdir()

@@ -1,0 +1,66 @@
+"""Corpus and forecast CSV I/O hold about the matrix, not the whole text.
+
+Each bound is the matrix bytes plus a fixed number of ``CHUNK_BYTES``,
+measured with ``tracemalloc`` as the peak above what was allocated before
+the call. The writers hold one station block at a time. The reader holds
+one chunk at a time, as lines, rows and fields, and each short Python
+string takes several times its characters, hence its larger slack. The
+CSV text of these matrices is over three times the matrix, so building it
+whole breaks every bound.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from blockreg import SynthConfig, load_corpus, save_corpus, synthesize
+from blockreg.cli import _forecast_csv
+from blockreg.corpus import CHUNK_BYTES
+from blockreg.forecaster import ForecastSeries
+from blockreg.modelio import atomic_write_text
+
+READ_SLACK = 16 * CHUNK_BYTES
+WRITE_SLACK = 4 * CHUNK_BYTES
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated above those before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_save_and_load_corpus_bounded(tmp_path):
+    t = synthesize(SynthConfig(n_bs=300, n_hours=336, seed=3))
+    path = tmp_path / "c.csv"
+    _, peak = traced_peak(save_corpus, t, str(path))
+    assert path.stat().st_size > 3 * t.values.nbytes
+    assert peak < t.values.nbytes + WRITE_SLACK
+    back, peak = traced_peak(load_corpus, str(path))
+    assert np.array_equal(back.values, t.values)
+    assert peak < t.values.nbytes + READ_SLACK
+
+
+def test_forecast_csv_write_bounded(tmp_path):
+    rng = np.random.default_rng(0)
+    n, k = 300, 168
+    fs = ForecastSeries(
+        bs_ids=[f"bs_{i:04d}" for i in range(n)],
+        hours=np.arange(240, 240 + k),
+        forecast=rng.lognormal(size=(n, k)),
+        actual=rng.lognormal(size=(n, k)),
+        mode="recursive",
+    )
+    path = tmp_path / "fc.csv"
+    _, peak = traced_peak(atomic_write_text, str(path), _forecast_csv(fs))
+    assert path.stat().st_size > 4 * fs.forecast.nbytes
+    assert peak < fs.forecast.nbytes + WRITE_SLACK
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + n * k
+    last = f"{float(fs.actual[-1, -1])!r},{float(fs.forecast[-1, -1])!r}"
+    assert lines[-1] == f"bs_0299,407,{last},recursive"

@@ -300,3 +300,23 @@ def test_atomic_write_unwritable_path_leaves_no_temps(tmp_path, where):
     with pytest.raises(InvalidConfig, match="cannot write"):
         atomic_write_text(str(target), "text")
     assert list(tmp_path.rglob("*")) == [tmp_path / "dir"]
+
+
+def test_atomic_write_joins_pieces(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write_text(str(path), iter(["a,1\n", "", "b,2\n"]))
+    assert path.read_text() == "a,1\nb,2\n"
+
+
+def test_atomic_write_failing_pieces_keep_old_target(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+
+    def pieces():
+        yield "new first piece\n"
+        raise ParseError("no second piece")
+
+    with pytest.raises(ParseError, match="no second piece"):
+        atomic_write_text(str(path), pieces())
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
