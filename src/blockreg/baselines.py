@@ -11,7 +11,8 @@ standard one-step recursion plus the traffic observed one season earlier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,8 +28,10 @@ from .forecaster import (
     ForecastSeries,
     horizon_series,
     train_block_regression,
+    training_slice,
     working_matrix,
 )
+from .pipeline import seasonal_difference
 from .regressor import BlockModel
 
 
@@ -151,23 +154,16 @@ def train_sa(
     Stations whose estimation fails numerically are recorded in
     ``failed_bs`` and excluded, not fatal to the run.
     """
-    t.require_clean()
-    if s < 1:
-        raise InvalidConfig(f"seasonality s must be >= 1, got {s}")
-    if not 0 < train_hours <= t.n_hours:
-        raise InvalidConfig(
-            f"train_hours={train_hours} outside corpus length {t.n_hours}"
-        )
+    train = training_slice(t, train_hours)
     if train_hours < s + ar + ma + 20:
         raise InsufficientHistory(
             f"training range {train_hours} shorter than s + ar + ma + 20 = "
             f"{s + ar + ma + 20}"
         )
+    d = seasonal_difference(train, s)
     per_bs: dict[str, SaCoefficients] = {}
     failed: list[str] = []
-    train = t.values[:, :train_hours]
-    for i, bs_id in enumerate(t.bs_ids):
-        z = train[i, s:] - train[i, :-s]
+    for bs_id, z in zip(t.bs_ids, d.values):
         try:
             per_bs[bs_id] = hannan_rissanen(z, ar, ma)
         except NumericalError:
@@ -200,12 +196,10 @@ def forecast_sa(
     missing = [bs for bs in t.bs_ids if bs not in model.per_bs and bs not in failed]
     if missing:
         raise UnknownBs(f"no fitted model for {missing[0]!r}")
-    rows = [i for i, bs in enumerate(t.bs_ids) if bs in model.per_bs]
-    fitted = TrafficMatrix(
-        bs_ids=[t.bs_ids[i] for i in rows],
-        values=t.values[rows],
-        start_hour=t.start_hour,
-    )
+    fitted = t
+    if any(bs in failed for bs in t.bs_ids):
+        rows = [i for i, bs in enumerate(t.bs_ids) if bs in model.per_bs]
+        fitted = replace(t, bs_ids=[t.bs_ids[i] for i in rows], values=t.values[rows])
     coefs = [model.per_bs[bs] for bs in fitted.bs_ids]
     s, ar, ma = model.seasonality, model.ar_order, model.ma_order
     n = fitted.n_bs
@@ -215,24 +209,26 @@ def forecast_sa(
 
     working = working_matrix(fitted.values, start, k, mode, s + ar)
     base = start - s  # index of the first horizon hour on the differenced scale
-    nz = base + k
-    z = np.zeros((n, nz))
-    e = np.zeros((n, nz))
-    limit = nz if mode == "one_step" else base
-    z[:, :limit] = working[:, s:s + limit] - working[:, :limit]
-
+    # The last ar differences z and the last ma residuals e, oldest first.
+    # Residuals before hour ar, and those of recursive forecast hours, are 0.
+    zero = np.zeros(n)
+    z = deque((working[:, s + tt] - working[:, tt] for tt in range(ar)), maxlen=ar)
+    e = deque([zero] * ma, maxlen=ma)
     forecast = np.empty((n, k))
-    for tt in range(ar, nz):
+    for tt in range(ar, base + k):
         zhat = intercept.copy()
         for j in range(1, ar + 1):
-            zhat += phi[:, j - 1] * z[:, tt - j]
+            zhat += phi[:, j - 1] * z[-j]
         for j in range(1, ma + 1):
             if tt - j >= 0:
-                zhat += psi[:, j - 1] * e[:, tt - j]
+                zhat += psi[:, j - 1] * e[-j]
         if tt < base or mode == "one_step":
-            e[:, tt] = z[:, tt] - zhat
-        else:  # a forecast hour: its residual stays 0
-            z[:, tt] = zhat
+            diff = working[:, s + tt] - working[:, tt]
+            z.append(diff)
+            e.append(diff - zhat)
+        else:  # a forecast hour
+            z.append(zhat)
+            e.append(zero)
         if tt < base:
             continue
         step = tt - base

@@ -22,6 +22,8 @@ from collections.abc import Iterator
 from dataclasses import fields
 from itertools import repeat
 
+import numpy as np
+
 from .baselines import train_sa
 from .corpus import SynthConfig, clean, load_corpus, save_corpus, synthesize
 from .errors import BlockregError, InvalidConfig, typed_value
@@ -250,7 +252,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, resolve_settings(args))
+        # Outputs are checked for non-finite numbers, which raise Overflow,
+        # so numpy's floating-point warnings would only repeat that on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args, resolve_settings(args))
     except BlockregError as exc:
         line = {
             "error": type(exc).__name__,

@@ -160,7 +160,6 @@ def synthesize(cfg: SynthConfig) -> TrafficMatrix:
     cfg.validate()
     n_bs, n_hours = cfg.n_bs, cfg.n_hours
     rng = np.random.default_rng(cfg.seed)
-    hod = np.arange(n_hours) % 24
     n_days = -(-n_hours // 24)
 
     scales = np.exp(rng.normal(0.0, SCALE_SIGMA, n_bs))
@@ -172,18 +171,25 @@ def synthesize(cfg: SynthConfig) -> TrafficMatrix:
     s1 = rng.uniform(2.0, 4.0, n_bs)
     s2 = rng.uniform(2.0, 4.0, n_bs)
 
+    # Each station's profile at each hour of day, then spread over the hours.
+    hours = np.arange(24)
+    bump1 = np.exp(-0.5 * ((hours - c1[:, None]) / s1[:, None]) ** 2)
+    bump2 = np.exp(-0.5 * ((hours - c2[:, None]) / s2[:, None]) ** 2)
+    mix = wmix[:, None]
     amp = cfg.daily_profile_amplitude
-    profile = np.empty((n_bs, n_hours))
-    for i in range(n_bs):
-        bump1 = np.exp(-0.5 * ((hod - c1[i]) / s1[i]) ** 2)
-        bump2 = np.exp(-0.5 * ((hod - c2[i]) / s2[i]) ** 2)
-        profile[i] = 0.22 + amp * (wmix[i] * bump1 + (1.0 - wmix[i]) * bump2)
+    profile = 0.22 + amp * (mix * bump1 + (1.0 - mix) * bump2)
+    values = profile[:, np.arange(n_hours) % 24]
 
+    # values = scale x profile x day factor x noise, multiplied in place in
+    # that order; the day factor one day of columns at a time.
     steps = rng.normal(0.0, 1.0, (n_bs, n_days)) * cfg.day_intensity_std
     fday = np.exp(np.cumsum(steps, axis=1))
-    fhour = np.repeat(fday, 24, axis=1)[:, :n_hours]
-    noise = np.exp(rng.normal(0.0, 1.0, (n_bs, n_hours)) * cfg.noise_std)
-    values = scales[:, None] * profile * fhour * noise
+    values *= scales[:, None]
+    for d in range(n_days):
+        values[:, 24 * d:24 * (d + 1)] *= fday[:, d:d + 1]
+    noise = rng.normal(0.0, 1.0, (n_bs, n_hours))
+    noise *= cfg.noise_std
+    values *= np.exp(noise, out=noise)
 
     # Bursts only in the last quarter so they fall inside a standard
     # train/test split's test period.
@@ -220,7 +226,7 @@ def clean(raw: TrafficMatrix) -> TrafficMatrix:
     keep = np.flatnonzero(ok)
     return TrafficMatrix(
         bs_ids=[raw.bs_ids[i] for i in keep],
-        values=v[keep].copy(),
+        values=v[keep],
         start_hour=raw.start_hour,
     )
 

@@ -7,6 +7,7 @@ sweep trains and scores one differenced block model per candidate lag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import (
     EmptyCorpus,
     InvalidConfig,
     LengthMismatch,
+    Overflow,
     ZeroMeanActual,
 )
 from .forecaster import MODES, ForecastSeries, forecast_horizon, train_block_regression
@@ -83,7 +85,10 @@ class SweepResult:
 
 
 def nrmse(actual: np.ndarray, forecast: np.ndarray) -> float:
-    """sqrt(mean squared error) divided by mean(actual)."""
+    """sqrt(mean squared error) divided by mean(actual).
+
+    A score that overflows the float range raises Overflow.
+    """
     actual = np.asarray(actual, dtype=float)
     forecast = np.asarray(forecast, dtype=float)
     if actual.shape != forecast.shape or actual.ndim != 1 or actual.size == 0:
@@ -94,7 +99,10 @@ def nrmse(actual: np.ndarray, forecast: np.ndarray) -> float:
     if mean == 0.0:
         raise ZeroMeanActual("mean of actual series is zero")
     rmse = float(np.sqrt(np.mean((actual - forecast) ** 2)))
-    return rmse / mean
+    score = rmse / mean
+    if not math.isfinite(score):
+        raise Overflow(f"NRMSE is {score}: the forecast errors overflow the float range")
+    return score
 
 
 def histogram(values: list[float]) -> list[HistogramBin]:
@@ -132,11 +140,16 @@ def forecast_fleet(
     """Forecast k hours from corpus column ``start`` for every station.
 
     Rows follow corpus order. Stations whose SA fit failed have no
-    coefficients and get no row.
+    coefficients and get no row. Raises Overflow if a forecast is not
+    finite.
     """
     if isinstance(model, SaModel):
-        return forecast_sa(model, t, start, k, mode)
-    return forecast_horizon(model, t, start, k, mode)
+        fs = forecast_sa(model, t, start, k, mode)
+    else:
+        fs = forecast_horizon(model, t, start, k, mode)
+    if not np.isfinite(fs.forecast).all():
+        raise Overflow("forecasts overflow the float range")
+    return fs
 
 
 def _check_run(t: TrafficMatrix, split: Split, mode: str) -> None:

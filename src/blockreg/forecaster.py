@@ -12,7 +12,7 @@ mode substitutes earlier forecasts once a lag falls inside the horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +54,16 @@ class ForecastSeries:
     mode: str
 
 
+def training_slice(t: TrafficMatrix, train_hours: int) -> TrafficMatrix:
+    """The first ``train_hours`` columns of the clean corpus ``t``, as a view."""
+    t.require_clean()
+    if not 0 < train_hours <= t.n_hours:
+        raise InvalidConfig(
+            f"train_hours={train_hours} outside corpus length {t.n_hours}"
+        )
+    return replace(t, values=t.values[:, :train_hours])
+
+
 def train_block_regression(
     t: TrafficMatrix,
     m: int,
@@ -67,18 +77,9 @@ def train_block_regression(
     stations, normalizes each chunk and adds it into one `NormalSystem`, and
     trains by conjugate gradient on that system.
     """
-    t.require_clean()
+    train = training_slice(t, train_hours)
     if m < 0:
         raise InvalidConfig(f"seasonality m must be >= 0, got {m}")
-    if not 0 < train_hours <= t.n_hours:
-        raise InvalidConfig(
-            f"train_hours={train_hours} outside corpus length {t.n_hours}"
-        )
-    train = TrafficMatrix(
-        bs_ids=t.bs_ids,
-        values=t.values[:, :train_hours],
-        start_hour=t.start_hour,
-    )
     d = seasonal_difference(train, m) if m > 0 else identity_difference(train)
     stats = fit_normalization(d, w)
     system = _accumulate(d, w, stats)

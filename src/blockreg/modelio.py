@@ -16,7 +16,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .baselines import SaCoefficients, SaModel
-from .errors import BlockregError, InvalidConfig, ParseError, typed_value
+from .errors import BlockregError, InvalidConfig, Overflow, ParseError, typed_value
 from .pipeline import NormalizationStats
 from .regressor import BlockModel
 
@@ -64,8 +64,14 @@ def load_json(path: str, error: type[BlockregError], what: str) -> dict:
 
 
 def dump_json(doc) -> str:
-    """Deterministic JSON rendering used for every file this package writes."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON rendering used for every file this package writes.
+
+    A non-finite number, which JSON cannot hold, raises Overflow.
+    """
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # "Out of range float values are not JSON compliant"
+        raise Overflow(f"a number overflows the float range: {exc}") from exc
 
 
 def _floats(a: np.ndarray) -> list[float]:

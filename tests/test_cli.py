@@ -377,6 +377,66 @@ def test_synth_overflow_exits_4(tmp_path):
     assert not (tmp_path / "c.csv").exists()
 
 
+def assert_overflow(r, output):
+    """Exit 4 with one Overflow JSON line, no numpy warning and no output."""
+    assert r.returncode == 4, r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert json.loads(r.stderr)["error"] == "Overflow"
+    assert not output.exists()
+
+
+def huge_model(workspace, tmp_path, kind):
+    """The workspace model of ``kind`` with its intercepts set to 1e308."""
+    doc = json.loads((workspace / f"{kind}.json").read_text())
+    if kind == "br":
+        doc["theta0"] = 1e308
+    else:
+        for coefs in doc["per_bs"].values():
+            coefs["intercept"] = 1e308
+    path = tmp_path / f"{kind}_huge.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("output", ["report.json", "report.csv"])
+@pytest.mark.parametrize("mode", ["one_step", "recursive"])
+@pytest.mark.parametrize("kind", ["br", "sa"])
+def test_eval_overflow_exits_4(workspace, tmp_path, kind, mode, output):
+    r = run("eval", "--input", workspace / "corpus.csv", "--mode", mode,
+            "--model", huge_model(workspace, tmp_path, kind),
+            "--output", tmp_path / output)
+    assert_overflow(r, tmp_path / output)
+
+
+@pytest.mark.parametrize("kind, mode", [
+    ("br", "recursive"), ("sa", "one_step"), ("sa", "recursive"),
+])
+def test_forecast_overflow_exits_4(workspace, tmp_path, kind, mode):
+    r = run("forecast", "--input", workspace / "corpus.csv", "--mode", mode,
+            "--model", huge_model(workspace, tmp_path, kind),
+            "--output", tmp_path / "fc.csv")
+    assert_overflow(r, tmp_path / "fc.csv")
+
+
+@pytest.mark.parametrize("kind", ["br", "lr", "sa"])
+def test_train_overflow_exits_4(workspace, tmp_path, kind):
+    lines = (workspace / "corpus.csv").read_text().splitlines()
+    rows = [line.rsplit(",", 1) for line in lines[1:]]
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(
+        [lines[0]] + [f"{key},{float(v) * 1e300!r}" for key, v in rows]) + "\n")
+    r = run("train", "--input", huge, "--kind", kind,
+            "--model", tmp_path / "m.json")
+    assert_overflow(r, tmp_path / "m.json")
+
+
+def test_sa_seasonality_below_one_exits_2(workspace, tmp_path):
+    r = run("train", "--input", workspace / "corpus.csv", "--kind", "sa",
+            "--m", 0, "--model", tmp_path / "m.json")
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr)["message"] == "seasonality m must be >= 1, got 0"
+
+
 def test_br_with_m_zero_is_lr(workspace, tmp_path):
     r = run("train", "--input", workspace / "corpus.csv",
             "--model", tmp_path / "m.json", "--kind", "br", "--m", 0, "--w", 72)

@@ -28,6 +28,7 @@ from blockreg.errors import (
     UnknownBs,
 )
 
+import synth_oracle
 from conftest import make_corpus, periodic_corpus
 
 
@@ -77,6 +78,32 @@ def test_synthesize_overflow_raises(setting):
         warnings.simplefilter("error")
         with pytest.raises(Overflow, match="overflow"):
             synthesize(cfg)
+
+
+@pytest.mark.parametrize("setting", [
+    {}, {"burst_probability": 0.0}, {"noise_std": 0.0},
+])
+@pytest.mark.parametrize("n_bs", [1, 2000])
+@pytest.mark.parametrize("n_hours", [24, 50, 336, 2160])
+def test_synthesize_matches_oracle(n_hours, n_bs, setting):
+    cfg = SynthConfig(n_bs=n_bs, n_hours=n_hours, seed=7, **setting)
+    got, want = synthesize(cfg), synth_oracle.synthesize(cfg)
+    assert got.bs_ids == want.bs_ids
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("setting", [
+    {"daily_profile_amplitude": 1e308},
+    {"noise_std": 1e308},
+    {"day_intensity_std": 1e300},
+])
+def test_synthesize_overflow_matches_oracle(setting):
+    cfg = SynthConfig(n_bs=3, n_hours=48, **setting)
+    with pytest.raises(Overflow) as got:
+        synthesize(cfg)
+    with pytest.raises(Overflow) as want:
+        synth_oracle.synthesize(cfg)
+    assert str(got.value) == str(want.value)
 
 
 def test_synth_config_validation():

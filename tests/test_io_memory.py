@@ -1,21 +1,23 @@
-"""Corpus and forecast CSV I/O hold about the matrix, not the whole text.
+"""Corpus I/O, generation, cleaning and SA forecasts hold about the matrix.
 
-Each bound is the matrix bytes plus a fixed number of ``CHUNK_BYTES``,
+Each I/O bound is the matrix bytes plus a fixed number of ``CHUNK_BYTES``,
 measured with ``tracemalloc`` as the peak above what was allocated before
 the call. The writers hold one station block at a time. The reader holds
 one chunk at a time, as lines, rows and fields, and each short Python
 string takes several times its characters, hence its larger slack. The
 CSV text of these matrices is over three times the matrix, so building it
-whole breaks every bound.
+whole breaks every bound. The other bounds are multiples of the matrix.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from blockreg import SynthConfig, load_corpus, save_corpus, synthesize
+from blockreg import SynthConfig, clean, load_corpus, save_corpus, synthesize
+from blockreg.baselines import forecast_sa, train_sa
 from blockreg.cli import _forecast_csv
-from blockreg.corpus import CHUNK_BYTES
+from blockreg.corpus import CHUNK_BYTES, TrafficMatrix
 from blockreg.forecaster import ForecastSeries
 from blockreg.modelio import atomic_write_text
 
@@ -64,3 +66,30 @@ def test_forecast_csv_write_bounded(tmp_path):
     assert len(lines) == 1 + n * k
     last = f"{float(fs.actual[-1, -1])!r},{float(fs.forecast[-1, -1])!r}"
     assert lines[-1] == f"bs_0299,407,{last},recursive"
+
+
+@pytest.mark.parametrize("mode", ["one_step", "recursive"])
+def test_forecast_sa_bounded(mode):
+    # One working matrix plus the (n, k) forecasts and actuals: no copy of
+    # the corpus when every station is fitted, and no whole-history buffers.
+    t = synthesize(SynthConfig(n_bs=300, n_hours=336, seed=3))
+    model = train_sa(t)
+    assert not model.failed_bs
+    fs, peak = traced_peak(forecast_sa, model, t, 240, 96, mode)
+    assert fs.forecast.shape == (300, 96)
+    assert peak < 2 * t.values.nbytes
+
+
+def test_synthesize_bounded():
+    cfg = SynthConfig(n_bs=2000, n_hours=336)
+    t, peak = traced_peak(synthesize, cfg)
+    assert peak < 3 * t.values.nbytes
+
+
+def test_clean_bounded():
+    t = synthesize(SynthConfig(n_bs=2000, n_hours=336))
+    values = t.values.copy()
+    values[::3, 5] = np.nan
+    kept, peak = traced_peak(clean, TrafficMatrix(t.bs_ids, values))
+    assert kept.n_bs == 1333
+    assert peak < 1.2 * kept.values.nbytes

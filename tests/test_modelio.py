@@ -15,6 +15,7 @@ from blockreg import (
     load_model,
     save_model,
 )
+from blockreg.errors import Overflow
 from blockreg.modelio import atomic_write_text, dump_json, model_doc
 
 
@@ -281,7 +282,7 @@ def test_sa_load_checks_coefficient_shapes(tmp_path):
 
 
 def test_dump_json_rejects_nan():
-    with pytest.raises(ValueError):
+    with pytest.raises(Overflow):
         dump_json({"x": float("nan")})
 
 
