@@ -506,7 +506,7 @@ def _parse_volumes(volumes_s: list[str]) -> np.ndarray | None:
         na = np.fromiter(map("NA".__eq__, volumes_s), dtype=bool, count=n)
         volumes_s = ["nan" if v == "NA" else v for v in volumes_s]
     try:
-        volumes = np.fromiter(map(float, volumes_s), dtype=np.float64, count=n)
+        volumes = np.array(volumes_s, dtype=np.float64)
     except ValueError:
         return None
     finite = np.isfinite(volumes)

@@ -126,7 +126,9 @@ def forecast_one(model: BlockModel, history: np.ndarray) -> float | np.ndarray:
         raise InsufficientHistory(f"need {need} preceding hours, got {got}")
     hist = history[..., -need:]
     lags = _window_features(model, hist)
-    xhat = (lags - model.stats.mu_x) / model.stats.sigma_x
+    # In C order whatever the layout of ``history``, so that the product
+    # with theta sums in one order for a view of the corpus and for a copy.
+    xhat = np.subtract(lags, model.stats.mu_x, order="C") / model.stats.sigma_x
     z = model.theta0 + xhat @ model.theta
     value = model.stats.mu_y + z * model.stats.sigma_y
     if m > 0:
@@ -140,11 +142,12 @@ def working_matrix(
     """Check a k-hour horizon from column ``start``; return its working matrix.
 
     The working matrix has one row per row of ``values`` and ``start + k``
-    columns. one_step fills every column with recorded actuals, so the
-    corpus must cover the whole horizon; recursive fills only the columns
-    before ``start`` and leaves the horizon for the caller to write its
-    forecasts into, so the horizon may extend past the end of the corpus,
-    but may not start past it.
+    columns. one_step reads recorded actuals in every column, so the corpus
+    must cover the whole horizon, and the working matrix is a read-only view
+    of ``values``; recursive copies only the columns before ``start`` and
+    leaves the horizon for the caller to write its forecasts into, so the
+    horizon may extend past the end of the corpus, but may not start past
+    it.
     """
     if mode not in MODES:
         raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
@@ -163,9 +166,12 @@ def working_matrix(
         raise InsufficientHistory(
             f"one_step horizon [{start}, {start + k}) exceeds corpus length {n_hours}"
         )
-    known = start + k if mode == "one_step" else start
+    if mode == "one_step":
+        working = values[:, :start + k]
+        working.flags.writeable = False
+        return working
     working = np.empty((values.shape[0], start + k))
-    working[:, :known] = values[:, :known]
+    working[:, :start] = values[:, :start]
     return working
 
 

@@ -23,6 +23,7 @@ from blockreg.errors import (
     UnknownBs,
 )
 
+import sa_oracle
 from conftest import periodic_corpus
 
 
@@ -150,6 +151,57 @@ def test_hannan_rissanen_ma_roots_outside_unit_circle():
     assert np.all(np.abs(roots) >= 1.0 - 1e-9)
 
 
+def ma_autocovariance(psi, sigma2):
+    """gamma_0 .. gamma_q of an MA(q) with coefficients psi and variance sigma2."""
+    c = np.concatenate([[1.0], psi])
+    return np.array([sigma2 * c[:len(c) - k] @ c[k:] for k in range(len(c))])
+
+
+def reflect_one(psi, sigma2):
+    new_psi, new_sigma2 = baselines._reflect_ma_roots(
+        np.array([psi], dtype=float), np.array([sigma2])
+    )
+    return new_psi[0], new_sigma2[0]
+
+
+@pytest.mark.parametrize("reflect", [reflect_one, sa_oracle.reflect_ma_roots])
+@pytest.mark.parametrize("psi", [
+    [2.0], [-3.0], [0.5], [1.0],
+    [-0.75, -2.5],   # (1 - 2x)(1 + 1.25x): both roots inside
+    [0.2, 4.0],      # a complex pair of modulus 1/2
+    [2.5, 1.0],      # (1 + 2x)(1 + 0.5x): one root inside
+    [0.3, -0.1],     # invertible
+])
+def test_reflection_keeps_autocovariance(reflect, psi):
+    new_psi, new_sigma2 = reflect(np.array(psi), 1.5)
+    np.testing.assert_allclose(ma_autocovariance(new_psi, new_sigma2),
+                               ma_autocovariance(np.array(psi), 1.5), rtol=1e-12)
+    roots = np.roots(np.concatenate([new_psi[::-1], [1.0]]))
+    assert np.all(np.abs(roots) >= 1.0 - 1e-12)
+    if np.all(np.abs(np.roots(np.concatenate([psi[::-1], [1.0]]))) >= 1.0):
+        np.testing.assert_array_equal(new_psi, psi)
+        assert new_sigma2 == 1.5
+
+
+@pytest.mark.parametrize("reflect", [reflect_one, sa_oracle.reflect_ma_roots])
+def test_reflection_of_psi_two(reflect):
+    new_psi, new_sigma2 = reflect(np.array([2.0]), 1.0)
+    assert new_psi[0] == pytest.approx(0.5, rel=1e-15)
+    assert new_sigma2 == pytest.approx(4.0, rel=1e-15)
+
+
+def test_batched_reflection_matches_oracle():
+    rng = np.random.default_rng(8)
+    for q in (1, 2, 3):
+        psi = rng.normal(scale=2.0, size=(200, q))
+        sigma2 = rng.uniform(0.5, 2.0, size=200)
+        got_psi, got_sigma2 = baselines._reflect_ma_roots(psi, sigma2)
+        for i in range(200):
+            want_psi, want_sigma2 = sa_oracle.reflect_ma_roots(psi[i], sigma2[i])
+            np.testing.assert_allclose(got_psi[i], want_psi, rtol=1e-10, atol=1e-12)
+            assert got_sigma2[i] == pytest.approx(want_sigma2, rel=1e-10)
+
+
 def test_hannan_rissanen_too_short():
     with pytest.raises(InsufficientHistory):
         hannan_rissanen(np.zeros(3), 2, 1)
@@ -175,17 +227,21 @@ def test_sa_train_validation(small_corpus):
 
 
 def test_sa_failed_station_is_excluded(small_corpus, monkeypatch):
+    # train_sa fits chunks of stations per call; poison the coefficients of
+    # fleet row bad_index in whichever chunk holds it.
     real = baselines.hannan_rissanen
     bad_index = 2
-    calls = {"n": 0}
+    seen = {"rows": 0}
 
-    def flaky(z, ar, ma):
-        calls["n"] += 1
-        if calls["n"] == bad_index + 1:
-            raise SingularSystem("synthetic failure")
-        return real(z, ar, ma)
+    def poisoned(z, ar, ma):
+        coef = real(z, ar, ma)
+        row = bad_index - seen["rows"]
+        if 0 <= row < len(z):
+            coef.phi[row] = np.nan
+        seen["rows"] += len(z)
+        return coef
 
-    monkeypatch.setattr(baselines, "hannan_rissanen", flaky)
+    monkeypatch.setattr(baselines, "hannan_rissanen", poisoned)
     model = train_sa(small_corpus, train_hours=240)
     bad_bs = small_corpus.bs_ids[bad_index]
     assert model.failed_bs == [bad_bs]

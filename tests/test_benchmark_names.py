@@ -151,3 +151,30 @@ def test_evaluate_reaches_traced_functions(small_corpus, monkeypatch, kind, mode
     evaluate(model, small_corpus, mode=mode)
     for name in reached:
         assert counts[name] >= 1, f"{name} was not reached through its module attribute"
+
+
+@pytest.mark.parametrize("kind", ["br", "lr", "sa"])
+def test_training_reaches_traced_functions(small_corpus, monkeypatch, kind):
+    # A batched private helper that bypassed a traced name would make its
+    # calls read 0 in the traced benchmark run, which counts as a failure.
+    from blockreg import train_block_regression, train_sa
+
+    if kind == "sa":
+        reached = ["baselines.hannan_rissanen", "pipeline.seasonal_difference"]
+    else:
+        reached = [
+            "pipeline.slide_windows",
+            "pipeline.fit_normalization",
+            "pipeline.apply_normalization",
+            "regressor.train_cg",
+        ]
+    counts = _install_counters(monkeypatch, reached)
+    if kind == "sa":
+        train_sa(small_corpus)
+    else:
+        train_block_regression(
+            small_corpus, m=0 if kind == "lr" else 24, w=72 if kind == "lr" else 3,
+            train_hours=240,
+        )
+    for name in reached:
+        assert counts[name] >= 1, f"{name} was not reached through its module attribute"

@@ -282,3 +282,51 @@ def test_clean_idempotent_property(t):
     twice = clean(once)
     assert_same_matrix(twice, once)
     assert all(math.isfinite(v) and v >= 0 for v in once.values.ravel())
+
+
+# Spellings float() and numpy's string cast must read alike: exponent
+# overflow and underflow, signed and spelled-out non-finite values, bare
+# points and signs, leading zeros, and forms both must reject.
+VOLUME_SPELLINGS = [
+    "1e400", "-1e400", "-nan", "+nan", "NaN", "infinity", "-Infinity", "inF",
+    "4.9e-325", "2.4703282292062328e-324", "1.7976931348623159e308", "5.",
+    ".5", "+.5e-3", "00012", "-0", "1E5", "0.1", "1e", "0x10", "nan(1)",
+    "1d5", "", ".", "+", "e5", "1e+", "--1", "1.2.3", "inf1", "NA",
+]
+
+
+def float_bits(parse, s: str) -> bytes | None:
+    """The float64 bytes ``parse`` reads from ``s``, or None if it rejects it."""
+    try:
+        return np.float64(parse(s)).tobytes()
+    except ValueError:
+        return None
+
+
+def assert_parsers_agree(s: str):
+    assert blockreg.corpus._is_plain(s)
+    by_float = float_bits(float, s)
+    by_numpy = float_bits(lambda v: np.array([v], dtype=np.float64)[0], s)
+    assert by_numpy == by_float, s
+    parsed = blockreg.corpus._parse_volumes([s])
+    if s == "NA":
+        assert np.isnan(parsed).all()
+    elif by_float is None or not math.isfinite(float(s)):
+        assert parsed is None, s
+    else:
+        assert parsed.tobytes() == by_float, s
+
+
+@pytest.mark.parametrize("s", VOLUME_SPELLINGS)
+def test_volume_parser_agrees_with_float(s):
+    assert_parsers_agree(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda v: f"{v:.17e}".upper()),
+    st.text("0123456789.eE+-infatyINFATY", max_size=12),
+))
+def test_volume_parser_agrees_with_float_property(s):
+    assert_parsers_agree(s)

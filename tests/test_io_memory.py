@@ -18,7 +18,7 @@ from blockreg import SynthConfig, clean, load_corpus, save_corpus, synthesize
 from blockreg.baselines import forecast_sa, train_sa
 from blockreg.cli import _forecast_csv
 from blockreg.corpus import CHUNK_BYTES, TrafficMatrix
-from blockreg.forecaster import ForecastSeries
+from blockreg.forecaster import ForecastSeries, forecast_horizon, train_block_regression
 from blockreg.modelio import atomic_write_text
 
 READ_SLACK = 16 * CHUNK_BYTES
@@ -78,6 +78,19 @@ def test_forecast_sa_bounded(mode):
     fs, peak = traced_peak(forecast_sa, model, t, 240, 96, mode)
     assert fs.forecast.shape == (300, 96)
     assert peak < 2 * t.values.nbytes
+
+
+def test_one_step_forecasts_do_not_copy_the_corpus():
+    # one_step reads the corpus in place: what is left is the (n, k)
+    # forecasts and actuals and the per-hour vectors, well under the matrix.
+    t = synthesize(SynthConfig(n_bs=300, n_hours=336, seed=3))
+    sa = train_sa(t)
+    br, _ = train_block_regression(t, m=24, w=3, train_hours=240)
+    for forecast, model in ((forecast_sa, sa), (forecast_horizon, br)):
+        fs, peak = traced_peak(forecast, model, t, 240, 96, "one_step")
+        assert fs.forecast.shape == (300, 96)
+        assert peak < 0.8 * t.values.nbytes, forecast.__name__
+    assert t.values.flags.writeable
 
 
 def test_synthesize_bounded():
