@@ -8,7 +8,9 @@ config file over the table's default.
 
 Every output file is written atomically (temp file + rename) and every
 command is a pure function of its inputs and flags, so repeated runs
-produce byte-identical files. Errors print one machine-readable JSON line
+produce byte-identical files. `synth` and `clean` also write the corpus
+matrix next to the CSV (`<output>.matrix`), which later loads of that CSV
+read instead of parsing it. Errors print one machine-readable JSON line
 to stderr and exit with the family code: configuration 2, data 3,
 numerical 4.
 """

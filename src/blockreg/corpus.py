@@ -16,6 +16,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from . import sidecar
 from .errors import (
     EmptyCorpus,
     InconsistentHours,
@@ -239,7 +240,9 @@ def load_corpus(path: str) -> TrafficMatrix:
     the minimum to maximum hour present in the file, and some station must
     have a record for every hour of that span.
 
-    The file is read in chunks of whole lines, and a chunk's strings are
+    If ``path`` has a sidecar that `save_corpus` wrote along with these
+    very bytes (see `sidecar`), its matrix is returned unparsed. Otherwise
+    the file is read in chunks of whole lines, and a chunk's strings are
     dropped before the next chunk is read. While the file keeps the layout
     that `save_corpus` writes (see `_Layout`), a chunk keeps only its
     volumes, and the matrix is a reshape of them. From the first chunk that
@@ -248,6 +251,10 @@ def load_corpus(path: str) -> TrafficMatrix:
     so far. A defect raises ParseError (InconsistentHours for a duplicate
     record or an unfilled span) naming the first bad line in file order.
     """
+    cached = sidecar.load(path)
+    if cached is not None:
+        bs_ids, values, start = cached
+        return TrafficMatrix(bs_ids=bs_ids, values=values, start_hour=start)
     # "\n" + bs_id -> code, in order of first appearance (see _parse_rows)
     ids: dict[str, int] = {}
     try:
@@ -619,7 +626,40 @@ def _csv_block(bs_id: str, hours: list[str], row: np.ndarray) -> str:
 
 def save_corpus(t: TrafficMatrix, path: str) -> None:
     """Write a corpus CSV atomically, one station block at a time; it
-    round-trips exactly through load_corpus."""
+    round-trips exactly through load_corpus.
+
+    Then, if parsing the CSV gives back exactly this matrix (see
+    `_round_trips`), write its sidecar, which lets `load_corpus` skip the
+    parser; else remove any old one.
+    """
     from .modelio import atomic_write_text
 
-    atomic_write_text(path, _csv_blocks(t))
+    blocks = _csv_blocks(t)  # checks the corpus before any file is touched
+    csv_digest = sidecar.digest()
+
+    def encoded():
+        for block in blocks:
+            data = block.encode("utf-8")
+            csv_digest.update(data)
+            yield data
+
+    atomic_write_text(path, encoded())
+    if _round_trips(t):
+        sidecar.save(path, t, csv_digest.hexdigest())
+    else:
+        sidecar.remove(path)
+
+
+def _round_trips(t: TrafficMatrix) -> bool:
+    """True if the parser gives back ``t`` from its CSV, sorted by bs_id.
+
+    That needs a station and an hour, unique bs_ids (a repeated one is a
+    duplicate record), and hours from 0 up to the int64 maximum. The writer
+    has already rejected bs_ids and volumes it cannot write.
+    """
+    return (
+        t.n_bs >= 1
+        and t.n_hours >= 1
+        and len(set(t.bs_ids)) == t.n_bs
+        and 0 <= t.start_hour <= _INT64_MAX - t.n_hours + 1
+    )

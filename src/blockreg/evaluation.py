@@ -7,8 +7,8 @@ sweep trains and scores one differenced block model per candidate lag.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -84,25 +84,33 @@ class SweepResult:
         return min(scored, key=lambda p: p.average_nrmse).seasonality_m
 
 
-def nrmse(actual: np.ndarray, forecast: np.ndarray) -> float:
+def nrmse(actual: np.ndarray, forecast: np.ndarray, *, rows: bool = False):
     """sqrt(mean squared error) divided by mean(actual).
 
-    A score that overflows the float range raises Overflow.
+    With ``rows``, ``actual`` and ``forecast`` are ``(n, k)`` and the result
+    is the ``(n,)`` array of the rows' scores, each computed as a 1-D call
+    computes it. A zero mean raises ZeroMeanActual, and a score that
+    overflows the float range raises Overflow.
     """
     actual = np.asarray(actual, dtype=float)
     forecast = np.asarray(forecast, dtype=float)
-    if actual.shape != forecast.shape or actual.ndim != 1 or actual.size == 0:
+    if (
+        actual.shape != forecast.shape
+        or actual.ndim != 1 + rows
+        or actual.shape[-1] == 0
+    ):
         raise LengthMismatch(
             f"actual has shape {actual.shape}, forecast {forecast.shape}"
         )
-    mean = float(actual.mean())
-    if mean == 0.0:
+    mean = actual.mean(axis=-1)
+    if np.any(mean == 0.0):
         raise ZeroMeanActual("mean of actual series is zero")
-    rmse = float(np.sqrt(np.mean((actual - forecast) ** 2)))
-    score = rmse / mean
-    if not math.isfinite(score):
-        raise Overflow(f"NRMSE is {score}: the forecast errors overflow the float range")
-    return score
+    score = np.sqrt(np.mean((actual - forecast) ** 2, axis=-1)) / mean
+    overflow = ~np.isfinite(score)
+    if np.any(overflow):
+        worst = float(score[overflow][0] if rows else score)
+        raise Overflow(f"NRMSE is {worst}: the forecast errors overflow the float range")
+    return score if rows else float(score)
 
 
 def histogram(values: list[float]) -> list[HistogramBin]:
@@ -169,9 +177,10 @@ def evaluate(
 ) -> EvalReport:
     """Score a model on the test period of a cleaned corpus.
 
-    The fleet is forecast over the test horizon in one call and scored one
-    station (row) at a time; stations whose test-period mean is zero, and
-    stations whose SA fit failed, are excluded from the scores and counted.
+    The fleet is forecast over the test horizon in one call and scored in
+    one `nrmse` call over its rows; stations whose test-period mean is
+    zero, and stations whose SA fit failed, are excluded from the scores
+    and counted.
     ``seed`` is recorded in the report config for provenance only.
     """
     _check_run(t, split, mode)
@@ -186,15 +195,12 @@ def evaluate(
     )
 
     fs = forecast_fleet(model, t, split.train_hours, split.test_hours, mode)
-    per_bs: dict[str, float] = {}
-    excluded = t.n_bs - len(fs.bs_ids)
-    for bs, actual, forecast in zip(fs.bs_ids, fs.actual, fs.forecast):
-        try:
-            per_bs[bs] = nrmse(actual, forecast)
-        except ZeroMeanActual:
-            excluded += 1
-    if not per_bs:
+    scored = fs.actual.mean(axis=1) != 0.0
+    if not scored.any():
         raise EmptyCorpus("no station produced a score")
+    scores = nrmse(fs.actual[scored], fs.forecast[scored], rows=True)
+    per_bs = dict(zip(compress(fs.bs_ids, scored.tolist()), scores.tolist()))
+    excluded = t.n_bs - len(per_bs)
     average = float(np.mean(list(per_bs.values())))
     return EvalReport(
         per_bs=per_bs,

@@ -23,20 +23,24 @@ from .regressor import BlockModel
 FORMAT_VERSION = 1
 
 
-def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+def atomic_write_text(path: str, text: str | Iterable[str | bytes]) -> None:
     """Write ``text``, or its pieces in turn, to a temp file in the target
     directory, then rename it to ``path``.
 
-    A path that cannot be written raises InvalidConfig; that or any error
-    raised by the pieces leaves no temp file and the target as it was.
+    A str piece is written as UTF-8; any other piece is a bytes-like object
+    written as it is. A path that cannot be written raises InvalidConfig;
+    that or any error raised by the pieces leaves no temp file and the
+    target as it was.
     """
     pieces = [text] if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.writelines(pieces)
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(
+                    p.encode("utf-8") if isinstance(p, str) else p for p in pieces
+                )
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

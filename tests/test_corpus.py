@@ -335,4 +335,4 @@ def test_save_corpus_atomic_no_leftovers(tmp_path):
     path = tmp_path / "c.csv"
     save_corpus(t, str(path))
     save_corpus(t, str(path))  # overwrite fine
-    assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.csv.matrix"]

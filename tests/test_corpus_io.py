@@ -260,16 +260,18 @@ def matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_csv_round_trip_property(tmp_path_factory, t):
+    # Through the sidecar save_corpus writes, then through the parser.
     path = tmp_path_factory.mktemp("rt") / "c.csv"
     save_corpus(t, str(path))
-    back = load_corpus(str(path))
     order = sorted(range(t.n_bs), key=t.bs_ids.__getitem__)
     expect = TrafficMatrix(
         bs_ids=[t.bs_ids[i] for i in order],
         values=t.values[order],
         start_hour=t.start_hour,
     )
-    assert_same_matrix(back, expect)
+    assert_same_matrix(load_corpus(str(path)), expect)
+    path.with_name("c.csv.matrix").unlink()
+    assert_same_matrix(load_corpus(str(path)), expect)
 
 
 @settings(max_examples=60, deadline=None)

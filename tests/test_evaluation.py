@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockreg import (
     Split,
     evaluate,
+    forecast_fleet,
     histogram,
     nrmse,
     report_csv,
@@ -19,6 +22,7 @@ from blockreg import (
 from blockreg.errors import (
     InvalidConfig,
     LengthMismatch,
+    Overflow,
     UncleanCorpus,
     ZeroMeanActual,
 )
@@ -53,6 +57,75 @@ def test_nrmse_errors():
         nrmse(np.zeros(0), np.zeros(0))
     with pytest.raises(ZeroMeanActual):
         nrmse(np.array([-1.0, 1.0]), np.array([0.0, 0.0]))
+
+
+def scores_oracle(fs) -> tuple[dict[str, float], int]:
+    """Per-station loop that `evaluate` replaced: scores and zero-mean count."""
+    per_bs, zero_mean = {}, 0
+    for bs, actual, forecast in zip(fs.bs_ids, fs.actual, fs.forecast):
+        try:
+            per_bs[bs] = nrmse(actual, forecast)
+        except ZeroMeanActual:
+            zero_mean += 1
+    return per_bs, zero_mean
+
+
+def row_pairs(k: int):
+    """1 to 5 rows of k (actual, forecast) values; k > 128 takes numpy's
+    blocked summation."""
+    row = st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k)
+    return st.lists(st.tuples(row, row), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300).flatmap(row_pairs))
+def test_nrmse_rows_match_one_row_at_a_time(rows):
+    actual = np.array([a for a, _ in rows])
+    forecast = np.array([f for _, f in rows])
+    if not all(np.mean(a) != 0.0 for a in actual):
+        with pytest.raises(ZeroMeanActual):
+            nrmse(actual, forecast, rows=True)
+        return
+    try:
+        expected = [nrmse(a, f) for a, f in zip(actual, forecast)]
+    except Overflow:
+        with pytest.raises(Overflow):
+            nrmse(actual, forecast, rows=True)
+        return
+    # Bit for bit, also on a strided view of a wider matrix.
+    wide = np.zeros((len(rows), 2 * actual.shape[1]))
+    wide[:, 1::2] = actual
+    for a in (actual, wide[:, 1::2]):
+        assert nrmse(a, forecast, rows=True).tolist() == expected
+
+
+def test_nrmse_rows_errors():
+    with pytest.raises(LengthMismatch):
+        nrmse(np.ones(3), np.ones(3), rows=True)
+    with pytest.raises(LengthMismatch):
+        nrmse(np.ones((2, 0)), np.ones((2, 0)), rows=True)
+    with pytest.raises(Overflow, match="NRMSE is inf"), np.errstate(over="ignore"):
+        nrmse(np.ones((2, 2)), np.array([[1.0, 1.0], [1e300, -1e300]]), rows=True)
+
+
+@pytest.mark.parametrize("mode", ["one_step", "recursive"])
+@pytest.mark.parametrize("kind", ["br", "lr", "sa"])
+def test_evaluate_scores_match_per_station_loop(kind, mode):
+    t = make_corpus(n_bs=12)
+    t.values[[3, 7], 240:] = 0.0  # silent stations in the test window
+    if kind == "sa":
+        model = train_sa(t, train_hours=240)
+        model.per_bs.pop(t.bs_ids[0])
+        model.failed_bs.append(t.bs_ids[0])
+    else:
+        model, _ = train_block_regression(
+            t, m=0 if kind == "lr" else 24, w=72 if kind == "lr" else 3,
+            train_hours=240)
+    report = evaluate(model, t, mode=mode)
+    per_bs, zero_mean = scores_oracle(forecast_fleet(model, t, 240, 96, mode))
+    assert list(report.per_bs.items()) == list(per_bs.items())
+    assert report.excluded_count == zero_mean + (kind == "sa") == 2 + (kind == "sa")
+    assert report.average == float(np.mean(list(per_bs.values())))
 
 
 def test_histogram_bins():
