@@ -242,14 +242,15 @@ def load_corpus(path: str) -> TrafficMatrix:
 
     If ``path`` has a sidecar that `save_corpus` wrote along with these
     very bytes (see `sidecar`), its matrix is returned unparsed. Otherwise
-    the file is read in chunks of whole lines, and a chunk's strings are
-    dropped before the next chunk is read. While the file keeps the layout
-    that `save_corpus` writes (see `_Layout`), a chunk keeps only its
-    volumes, and the matrix is a reshape of them. From the first chunk that
-    breaks the layout on, each chunk is parsed into numpy columns (station
-    code, hour, volume, line number), after the columns of the rows read
-    so far. A defect raises ParseError (InconsistentHours for a duplicate
-    record or an unfilled span) naming the first bad line in file order.
+    the file is read in chunks of whole lines, each parsed by `_parse_rows`
+    into numpy columns (station code, hour, volume), and a chunk's strings
+    are dropped before the next chunk is read. While the parsed rows keep
+    the layout that `save_corpus` writes (see `_Layout`), only their
+    volumes are kept, and the matrix is a reshape of them. From the first
+    chunk that breaks the layout on, every column is kept, with the line
+    numbers, after the columns of the rows read so far. A defect raises
+    ParseError (InconsistentHours for a duplicate record or an unfilled
+    span) naming the first bad line in file order.
     """
     cached = sidecar.load(path)
     if cached is not None:
@@ -314,10 +315,9 @@ def _read_chunks(fh, path: str, ids: dict[str, int]):
     while lines := fh.readlines(CHUNK_BYTES):
         rows, linenos = _data_rows(lines, lineno)
         lineno += len(lines)
-        blank = len(rows) < len(lines)
         del lines  # the rows are a copy
         if layout is not None:
-            if not blank and layout.take(rows):
+            if layout.take(rows, linenos):
                 continue
             if layout.rows:
                 chunks.append(layout.columns(ids))
@@ -332,8 +332,8 @@ def _read_chunks(fh, path: str, ids: dict[str, int]):
                 chunks.append((*_parse_rows(rows[:bad], ids), linenos[:bad]))
             return None, chunks, f"{path}: line {linenos[bad]}: {why}"
         chunks.append((*columns, linenos))
-    if layout is not None and layout.complete():
-        return layout.matrix(), [], None
+    if layout is not None and (matrix := layout.matrix()) is not None:
+        return matrix, [], None
     if layout is not None and layout.rows:
         chunks.append(layout.columns(ids))
     return None, chunks, None
@@ -342,10 +342,11 @@ def _read_chunks(fh, path: str, ids: dict[str, int]):
 class _Layout:
     """The rows read so far of a file in the layout `save_corpus` writes.
 
-    That layout has one block of rows per station, bs_ids strictly
-    increasing, and no blank lines. Each block holds the hours ``start ..
-    start + span - 1`` in order, spelled as ``str(hour)``; the first block
-    sets ``start`` and ``span``. Such rows hold no duplicate record, so
+    The layout is judged on the columns `_parse_rows` gives: no blank line,
+    one block of rows per station, bs_ids strictly increasing, and in each
+    block the hours ``start .. start + span - 1`` in order, whatever their
+    spelling. The first row sets ``start``, and the first row of the
+    second station sets ``span``. Such rows hold no duplicate record, so
     only their volumes are kept.
     """
 
@@ -353,66 +354,46 @@ class _Layout:
         self.names: list[str] = []  # "\n" + bs_id, as in _parse_rows
         self.start = 0
         self.span: int | None = None  # until a second station starts
-        self.hours: list[str] = []  # the hours of a block, once span is known
         self.rows = 0
         self.volumes = array("d")
 
-    def take(self, rows: list[str]) -> bool:
-        """Keep the rows of a chunk without blank lines if they continue the
-        layout, and return True; else return False and change nothing."""
-        fields = _split_fields(rows)
-        if fields is None:
+    def take(self, rows: list[str], linenos: np.ndarray) -> bool:
+        """Keep the rows of a chunk if they continue the layout, and return
+        True; else return False and change nothing."""
+        n, done = len(rows), self.rows
+        # The line numbers run on from the header only if no line was blank.
+        if not n or linenos[-1] != done + n + 1:
             return False
-        bs, hours_s, volumes_s = fields
-        n, done = len(bs), self.rows
-        start, span = self.start, self.span
-        if not done:
-            first_hour = hours_s[0]
-            if not (
-                _is_digits(first_hour)
-                and len(first_hour) <= len(str(_INT64_MAX))  # int() takes it
-                and first_hour == str(int(first_hour))
-            ):
-                return False
-            start = int(first_hour)
-        current = self.names[-1] if done else bs[0]
-        if span is None and bs.count(current) < n:
-            span = done + bs.count(current)  # the second station starts here
-        if span is None:  # the whole chunk continues the first block
-            hours = _hour_strings(start, done, done + n)
-            first, new, later = n, [] if done else [current], []
-        else:
-            block = hours = self.hours or _hour_strings(start, 0, span)
-            offset = done % span
-            if block is not None:
-                hours = (block * ((offset + n) // span + 1))[offset : offset + n]
-            first = min(-done % span, n)  # rows before it finish the current block
-            new = bs[first::span]
-            later = list(chain.from_iterable(repeat(name, span) for name in new))
-        stations = self.names[-1:] + new
-        if (
-            hours is None
-            or hours_s != hours
-            or "\n" in new  # an empty bs_id
-            or not all(map(str.__lt__, stations, stations[1:]))
-            or bs != [current] * first + later[: n - first]
+        # Code 0 is the station the chunk may continue, so that the work per
+        # chunk does not grow with the number of stations read so far.
+        last = self.names[-1:]
+        ids = dict.fromkeys(last, 0)
+        columns = _parse_rows(rows, ids)
+        if columns is None:
+            return False
+        codes, hours, volumes = columns
+        start = self.start if done else int(hours[0])
+        span = self.span
+        if span is None and codes.any():
+            span = done + int(np.argmax(codes != 0))  # the second station
+        block = span or done + n  # until then all rows are in the first block
+        r = np.arange(done, done + n)  # the rows' places among all rows
+        stations = list(ids)
+        if not (
+            np.array_equal(codes, r // block - (len(self.names) - len(last)))
+            and np.array_equal(hours, r % block + start)
+            and all(map(str.__lt__, stations, stations[1:]))
         ):
             return False
-        volumes = _parse_volumes(volumes_s)
-        if volumes is None:
-            return False
         self.volumes.frombytes(volumes.tobytes())
-        self.names += new
+        self.names += stations[len(last):]
         self.start, self.span, self.rows = start, span, done + n
-        if span is not None:
-            self.hours = block
         return True
 
-    def complete(self) -> bool:
-        """True if the rows end with a whole block."""
-        return self.rows > 0 and self.rows % (self.span or self.rows) == 0
-
-    def matrix(self) -> TrafficMatrix:
+    def matrix(self) -> TrafficMatrix | None:
+        """The corpus, or None unless the rows end with a whole block."""
+        if not self.rows or self.rows != len(self.names) * (self.span or self.rows):
+            return None
         values = np.frombuffer(self.volumes, dtype=np.float64)
         return TrafficMatrix(
             bs_ids=[key[1:] for key in self.names],
@@ -424,22 +405,10 @@ class _Layout:
         """The rows as the general reader's first ``(codes, hours, volumes,
         line numbers)`` columns; fills the empty ``ids``."""
         ids.update(zip(self.names, range(len(self.names))))
-        span = self.span or self.rows
-        full, part = divmod(self.rows, span)
-        hours = np.arange(span, dtype=np.int64) + self.start
-        return (
-            np.repeat(np.arange(len(self.names)), [span] * full + [part] * (part > 0)),
-            np.concatenate([np.tile(hours, full), hours[:part]]),
-            np.frombuffer(self.volumes, dtype=np.float64),
-            np.arange(2, 2 + self.rows),
-        )
-
-
-def _hour_strings(start: int, lo: int, hi: int) -> list[str] | None:
-    """``str(start + i)`` for ``lo <= i < hi``, or None past int64."""
-    if start + hi - 1 > _INT64_MAX:
-        return None
-    return list(map(str, range(start + lo, start + hi)))
+        r = np.arange(self.rows)
+        block = self.span or self.rows
+        volumes = np.frombuffer(self.volumes, dtype=np.float64)
+        return r // block, r % block + self.start, volumes, r + 2
 
 
 def _data_rows(lines: list[str], first: int) -> tuple[list[str], np.ndarray]:
@@ -477,7 +446,7 @@ def _parse_rows(rows: list[str], ids: dict[str, int]):
     if volumes is None:
         return None
     try:
-        hours = np.fromiter(map(int, hours_s), dtype=np.int64, count=len(bs))
+        hours = np.array(hours_s, dtype=np.int64)
     except (ValueError, OverflowError):
         return None
     for key in dict.fromkeys(bs):
@@ -507,19 +476,15 @@ def _parse_volumes(volumes_s: list[str]) -> np.ndarray | None:
     """Volume fields as floats, NA as NaN; None if any is bad or not finite."""
     if not _is_plain("".join(volumes_s)):
         return None
-    n = len(volumes_s)
-    na = None
-    if "NA" in volumes_s:
-        na = np.fromiter(map("NA".__eq__, volumes_s), dtype=bool, count=n)
+    na = volumes_s.count("NA")
+    if na:
         volumes_s = ["nan" if v == "NA" else v for v in volumes_s]
     try:
         volumes = np.array(volumes_s, dtype=np.float64)
     except ValueError:
         return None
-    finite = np.isfinite(volumes)
-    if na is not None:
-        finite |= na
-    if not finite.all():
+    # Each NA is a NaN, so the counts agree only if every other is finite.
+    if np.count_nonzero(np.isfinite(volumes)) != len(volumes) - na:
         return None
     return volumes
 

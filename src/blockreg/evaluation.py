@@ -178,9 +178,9 @@ def evaluate(
     """Score a model on the test period of a cleaned corpus.
 
     The fleet is forecast over the test horizon in one call and scored in
-    one `nrmse` call over its rows; stations whose test-period mean is
-    zero, and stations whose SA fit failed, are excluded from the scores
-    and counted.
+    one `nrmse` call over its rows; stations whose test-period mean is not
+    positive, and stations whose SA fit failed, are excluded from the
+    scores and counted.
     ``seed`` is recorded in the report config for provenance only.
     """
     _check_run(t, split, mode)
@@ -195,7 +195,7 @@ def evaluate(
     )
 
     fs = forecast_fleet(model, t, split.train_hours, split.test_hours, mode)
-    scored = fs.actual.mean(axis=1) != 0.0
+    scored = fs.actual.mean(axis=1) > 0.0
     if not scored.any():
         raise EmptyCorpus("no station produced a score")
     scores = nrmse(fs.actual[scored], fs.forecast[scored], rows=True)

@@ -170,6 +170,36 @@ def test_sweep_default_grid_has_seven_points(workspace, tmp_path):
     assert len(json.loads(out.read_text())) == 7
 
 
+def test_commands_do_not_load_openssl(workspace, tmp_path):
+    # hashlib would load OpenSSL's libcrypto, several MB of RSS per command.
+    # synth is left out: numpy.random imports hashlib.
+    corpus = workspace / "corpus.csv"
+    commands = [
+        ("clean", "--input", corpus, "--output", tmp_path / "clean.csv"),
+        *(("train", "--kind", kind, "--input", corpus,
+           "--model", tmp_path / f"{kind}.json") for kind in ("br", "lr", "sa")),
+        *(("eval", "--input", corpus, "--model", tmp_path / f"{kind}.json",
+           "--output", tmp_path / f"{kind}.report.json")
+          for kind in ("br", "lr", "sa")),
+        ("forecast", "--input", corpus, "--model", tmp_path / "br.json",
+         "--mode", "recursive", "--output", tmp_path / "fc.csv"),
+        ("sweep", "--input", corpus, "--output", tmp_path / "sweep.json"),
+    ]
+    code = (
+        "import json, sys\n"
+        "from blockreg.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('_hashlib' in sys.modules, 'hashlib' in sys.modules)\n"
+    )
+    argvs = json.dumps([list(map(str, argv)) for argv in commands])
+    r = subprocess.run([sys.executable, "-c", code, argvs],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1].split() == ["False", "False"]
+    assert (tmp_path / "sweep.json").exists()
+
+
 def test_missing_input_exits_3(tmp_path):
     r = run("eval", "--input", tmp_path / "nope.csv",
             "--model", tmp_path / "nope.json", "--output", tmp_path / "r.json")

@@ -1,12 +1,12 @@
 """The reader's path for files in the layout that ``save_corpus`` writes.
 
 Such a file (one block per station, bs_ids increasing, every block the
-same hours spelled as ``str(hour)``, no blank lines) is read keeping only
-its volumes. On such files the reader must agree bit for bit with
-``corpus_oracle``. A file with one perturbation leaves that path part way
-through; it must then give what the general path alone gives (the same
-matrix, or the same error class and message, line included), and be read
-only once. Each case runs with ``CHUNK_BYTES`` at 64 and at its default.
+same hours in order, no blank lines) is read keeping only its volumes.
+On such files the reader must agree bit for bit with ``corpus_oracle``.
+A file with one perturbation leaves that path part way through; it must
+then give what the general path alone gives (the same matrix, or the
+same error class and message, line included), and be read only once.
+Each case runs with ``CHUNK_BYTES`` at 64 and at its default.
 """
 
 import contextlib
@@ -216,3 +216,15 @@ def test_file_broken_at_last_row_is_read_once(tmp_path, monkeypatch, chunk_bytes
     assert np.isnan(t.values[2, -1]) and t.values[2, -2] == 58.0
     monkeypatch.undo()
     assert_same_matrix(t, corpus_oracle.load_corpus(str(path)))
+
+
+def test_rows_handed_over_keep_their_line_numbers(tmp_path, monkeypatch):
+    # The first chunk holds a blank line, the second breaks the layout: the
+    # general path must get every row with the line number it has in the file.
+    monkeypatch.setattr(blockreg.corpus, "CHUNK_BYTES", 16)
+    path = tmp_path / "c.csv"
+    path.write_text("bs_id,hour,volume\na,0,1.0\n\na,1,2.0\nb,1,3.0\nb,0,4.0\n")
+    with open(path, encoding="utf-8", newline="") as fh:
+        matrix, chunks, problem = blockreg.corpus._read_chunks(fh, str(path), {})
+    assert matrix is None and problem is None
+    assert np.concatenate([c[3] for c in chunks]).tolist() == [2, 4, 5, 6]

@@ -179,6 +179,19 @@ def test_evaluate_zero_mean_station_excluded():
     assert len(report.per_bs) == t.n_bs - 1
 
 
+def test_evaluate_negative_mean_station_excluded():
+    # Finite negative volumes pass require_clean. Scored, such a station
+    # would get a negative NRMSE, lower the average and fall in the open bin.
+    t = make_corpus(n_bs=5)
+    t.values[0] *= -1.0
+    model, _ = train_block_regression(t, m=24, w=3, train_hours=240)
+    report = evaluate(model, t)
+    assert t.bs_ids[0] not in report.per_bs
+    assert report.excluded_count == 1
+    assert sum(b.count for b in report.histogram) == len(report.per_bs) == 4
+    assert min(report.per_bs.values()) > 0
+
+
 def test_evaluate_sa_failed_stations_counted():
     t = make_corpus(n_bs=6)
     model = train_sa(t, train_hours=240)
