@@ -155,7 +155,6 @@ def _forecast_csv(fs) -> Iterator[str]:
 
 def _cmd_forecast(args, opts: dict) -> int:
     t = load_corpus(args.input)
-    t.require_clean()
     model = load_model(args.model)
     # load_corpus sorts stations by id, so the rows come out sorted too.
     fs = forecast_fleet(model, t, opts["train_hours"], opts["test_hours"], opts["mode"])

@@ -12,6 +12,7 @@ import re
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import chain, repeat
 
 import numpy as np
@@ -86,9 +87,11 @@ class TrafficMatrix:
         Only finiteness is required here: the pipeline also ingests
         differenced matrices, whose entries are legitimately negative.
         Negative raw volumes are a data-validity problem and are handled
-        by `clean`, not by this gate.
+        by `clean`, not by this gate. A NaN makes the minimum NaN and an
+        infinity the minimum or maximum, so no mask of the matrix is built.
         """
-        if not np.all(np.isfinite(self.values)):
+        v = self.values
+        if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise UncleanCorpus(
                 "corpus contains missing entries; run clean first"
             )
@@ -561,8 +564,10 @@ def corpus_to_csv(t: TrafficMatrix) -> str:
 
 
 def _csv_blocks(t: TrafficMatrix) -> Iterator[str]:
-    """The text of `corpus_to_csv`: the header line, then one block of lines
-    per station. The checks run on the whole corpus before this returns."""
+    """The text of `corpus_to_csv`: the header line, then each station's
+    rows in pieces of at most ``CHUNK_BYTES // 128`` hours, so the text
+    held at a time does not grow with the rows. The checks run on the
+    whole corpus before this returns."""
     for bs_id in t.bs_ids:
         if not bs_id or _UNWRITABLE_ID.search(bs_id):
             raise InvalidBsId(f"bs_id {bs_id!r} cannot be written to a corpus CSV")
@@ -575,14 +580,19 @@ def _csv_blocks(t: TrafficMatrix) -> Iterator[str]:
             f"{t.bs_ids[i]} hour {t.start_hour + j}: volume {volume!r} "
             "cannot be written to a corpus CSV"
         )
-    hours = list(map(str, range(t.start_hour, t.start_hour + t.n_hours)))
-    # With no hours there are no rows.
-    order = sorted(range(t.n_bs), key=t.bs_ids.__getitem__) if hours else []
-    blocks = (_csv_block(t.bs_ids[i], hours, values[i]) for i in order)
-    return chain([",".join(CSV_HEADER) + "\n"], blocks)
+    start, n_hours, piece = t.start_hour, t.n_hours, max(1, CHUNK_BYTES // 128)
+
+    @lru_cache(maxsize=1)  # a row of one piece builds its hour strings once
+    def hours(j: int) -> list[str]:
+        return list(map(str, range(start + j, start + min(j + piece, n_hours))))
+
+    order = sorted(range(t.n_bs), key=t.bs_ids.__getitem__)
+    pieces = (_csv_piece(t.bs_ids[i], hours(j), values[i, j:j + piece])
+              for i in order for j in range(0, n_hours, piece))
+    return chain([",".join(CSV_HEADER) + "\n"], pieces)
 
 
-def _csv_block(bs_id: str, hours: list[str], row: np.ndarray) -> str:
+def _csv_piece(bs_id: str, hours: list[str], row: np.ndarray) -> str:
     volumes = list(map(repr, row.tolist()))
     for j in np.flatnonzero(np.isnan(row)).tolist():
         volumes[j] = "NA"
@@ -590,16 +600,26 @@ def _csv_block(bs_id: str, hours: list[str], row: np.ndarray) -> str:
 
 
 def save_corpus(t: TrafficMatrix, path: str) -> None:
-    """Write a corpus CSV atomically, one station block at a time; it
-    round-trips exactly through load_corpus.
+    """Write a corpus CSV atomically, a piece of a row at a time, then its
+    sidecar (see `sidecar`), which lets `load_corpus` skip the parser.
 
-    Then, if parsing the CSV gives back exactly this matrix (see
-    `_round_trips`), write its sidecar, which lets `load_corpus` skip the
-    parser; else remove any old one.
+    Refuses, before any file is touched, what `corpus_to_csv` refuses and
+    every other corpus whose CSV would not load back: EmptyCorpus for no
+    station or no hour, InvalidBsId for a repeated bs_id and
+    InconsistentHours for hours outside 0..2**63 - 1.
     """
     from .modelio import atomic_write_text
 
-    blocks = _csv_blocks(t)  # checks the corpus before any file is touched
+    if t.n_bs < 1 or t.n_hours < 1:
+        raise EmptyCorpus(f"{t.n_bs} stations x {t.n_hours} hours: no rows to write")
+    ids = sorted(t.bs_ids)
+    repeated = [a for a, b in zip(ids, ids[1:]) if a == b]
+    if repeated:
+        raise InvalidBsId(f"bs_id {repeated[0]!r} occurs more than once in the corpus")
+    last = t.start_hour + t.n_hours - 1
+    if t.start_hour < 0 or last > _INT64_MAX:
+        raise InconsistentHours(f"hours {t.start_hour}..{last} reach outside 0..2**63-1")
+    blocks = _csv_blocks(t)  # checks the rest before any file is touched
     csv_digest = sidecar.digest()
 
     def encoded():
@@ -609,22 +629,4 @@ def save_corpus(t: TrafficMatrix, path: str) -> None:
             yield data
 
     atomic_write_text(path, encoded())
-    if _round_trips(t):
-        sidecar.save(path, t, csv_digest.hexdigest())
-    else:
-        sidecar.remove(path)
-
-
-def _round_trips(t: TrafficMatrix) -> bool:
-    """True if the parser gives back ``t`` from its CSV, sorted by bs_id.
-
-    That needs a station and an hour, unique bs_ids (a repeated one is a
-    duplicate record), and hours from 0 up to the int64 maximum. The writer
-    has already rejected bs_ids and volumes it cannot write.
-    """
-    return (
-        t.n_bs >= 1
-        and t.n_hours >= 1
-        and len(set(t.bs_ids)) == t.n_bs
-        and 0 <= t.start_hour <= _INT64_MAX - t.n_hours + 1
-    )
+    sidecar.save(path, t, csv_digest.hexdigest())

@@ -65,13 +65,14 @@ class ParseError(DataError):
 
 
 class InconsistentHours(DataError):
-    """Duplicate (bs_id, hour) record in an input file, or an hour span
-    that no station has a record for every hour of."""
+    """Duplicate (bs_id, hour) record in an input file, an hour span that
+    no station has a record for every hour of, or hours outside
+    0..2**63-1 in a corpus to be written."""
 
 
 class InvalidBsId(DataError):
     """A station id the corpus CSV cannot hold (empty, or with a comma,
-    a quote or a line break)."""
+    a quote or a line break), or one a corpus to be written repeats."""
 
 
 class InfiniteVolume(DataError):

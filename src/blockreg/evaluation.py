@@ -114,7 +114,10 @@ def nrmse(actual: np.ndarray, forecast: np.ndarray, *, rows: bool = False):
 
 
 def histogram(values: list[float]) -> list[HistogramBin]:
-    """Fixed bins of width 0.1 over [0, 1) plus one open bin for >= 1."""
+    """Fixed bins of width 0.1 over [0, 1) plus one open bin for >= 1.
+
+    Raises InvalidConfig naming the first value that is negative or NaN.
+    """
     bins = [
         HistogramBin(round(i * HISTOGRAM_BIN_WIDTH, 1),
                      round((i + 1) * HISTOGRAM_BIN_WIDTH, 1), 0)
@@ -122,6 +125,8 @@ def histogram(values: list[float]) -> list[HistogramBin]:
     ]
     bins.append(HistogramBin(HISTOGRAM_OPEN_LOWER, None, 0))
     for v in values:
+        if not v >= 0:
+            raise InvalidConfig(f"histogram values must be >= 0, got {v!r}")
         if v >= HISTOGRAM_OPEN_LOWER:
             bins[-1].count += 1
         else:
@@ -148,9 +153,10 @@ def forecast_fleet(
     """Forecast k hours from corpus column ``start`` for every station.
 
     Rows follow corpus order. Stations whose SA fit failed have no
-    coefficients and get no row. Raises Overflow if a forecast is not
-    finite.
+    coefficients and get no row. Raises UncleanCorpus if the corpus has a
+    missing entry, and Overflow if a forecast is not finite.
     """
+    t.require_clean()
     if isinstance(model, SaModel):
         fs = forecast_sa(model, t, start, k, mode)
     else:

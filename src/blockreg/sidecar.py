@@ -1,8 +1,8 @@
 """The matrix sidecar of a corpus CSV: its parsed matrix, stored next to it.
 
-`corpus.save_corpus` writes ``<csv>.matrix`` after the CSV, and
-`corpus.load_corpus` returns its matrix instead of parsing the CSV when the
-sidecar was written along with the very bytes the CSV now holds. The file
+`corpus.save_corpus` writes ``<csv>.matrix`` after every CSV it writes,
+and `corpus.load_corpus` returns its matrix instead of parsing the CSV when
+the sidecar was written along with the very bytes the CSV now holds. The file
 is one JSON header line, then the ``(N, n_hours)`` matrix as little-endian
 float64, rows in bs_id order. The header holds the format version, the
 blake2b digest of the CSV, the blake2b digest of the matrix (`_body`
@@ -48,15 +48,6 @@ def save(path: str, t: TrafficMatrix, csv_hex: str) -> None:
     try:
         atomic_write_text(path + SUFFIX, _pieces(t, csv_hex))
     except InvalidConfig:
-        pass
-
-
-def remove(path: str) -> None:
-    """Remove any sidecar of the CSV at ``path``; one that cannot be removed
-    stays, and cannot match the CSV's digest anyway."""
-    try:
-        os.remove(path + SUFFIX)
-    except OSError:
         pass
 
 

@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from blockreg import SynthConfig, TrafficMatrix, synthesize
+
+# Commands the tests start as `python -m blockreg` find the package in
+# src/ too, so the suite needs no install.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])
+)
 
 
 def make_corpus(**kw) -> TrafficMatrix:

@@ -17,8 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockreg.corpus
-from blockreg import TrafficMatrix, load_corpus, save_corpus
-from blockreg.errors import DataError, ParseError
+from blockreg import TrafficMatrix, corpus_to_csv, load_corpus, save_corpus
+from blockreg.errors import (
+    DataError,
+    EmptyCorpus,
+    InconsistentHours,
+    InvalidBsId,
+    ParseError,
+)
 
 from conftest import make_corpus
 
@@ -83,7 +89,8 @@ volumes = st.floats(allow_infinity=False) | st.sampled_from(
 
 @st.composite
 def saveable(draw):
-    """Matrices save_corpus accepts, with and without a sidecar."""
+    """Matrices with bs_ids and volumes a corpus CSV can hold; save_corpus
+    refuses those whose CSV would not load back."""
     ids = draw(st.lists(st.sampled_from(["b", "a", "c", "é", "a0"]), max_size=4))
     n_hours = draw(st.integers(0, 4))
     rows = draw(st.lists(
@@ -101,30 +108,45 @@ def saveable(draw):
 @settings(max_examples=200, deadline=None)
 @given(saveable())
 def test_sidecar_equals_parse_property(tmp_path_factory, t):
-    path = tmp_path_factory.mktemp("sc") / "c.csv"
-    save_corpus(t, str(path))
+    directory = tmp_path_factory.mktemp("sc")
+    path = directory / "c.csv"
+    try:
+        save_corpus(t, str(path))
+    except DataError:
+        # A save is refused, writing nothing, exactly when the CSV would
+        # not load.
+        assert list(directory.iterdir()) == []
+        path.write_text(corpus_to_csv(t), encoding="utf-8")
+        with pytest.raises(DataError):
+            load_corpus(str(path))
+        return
+    assert sidecar(path).exists()
     parsed = parsed_outcome(path)
+    assert type(parsed[0]) is bytes
     assert outcome(path) == parsed
-    # A sidecar is written exactly when the CSV parses.
-    assert sidecar(path).exists() == (type(parsed[0]) is bytes)
 
 
 def test_sidecar_is_written_only_for_matrices_that_round_trip(tmp_path):
+    # Any other matrix is refused before a file is touched: the CSV and
+    # sidecar of an earlier save stay as they were.
     path = tmp_path / "c.csv"
     ok = TrafficMatrix(["b", "a"], np.array([[1.0, np.nan], [-0.0, 5e-324]]), 3)
     save_corpus(ok, str(path))
-    assert sidecar(path).exists()
-    for bad in (
-        TrafficMatrix(["a", "a"], np.ones((2, 2)), 0),  # duplicate record
-        TrafficMatrix(["a"], np.ones((1, 2)), -1),  # negative hour
-        TrafficMatrix(["a"], np.ones((1, 2)), 2**63 - 1),  # hour past int64
-        TrafficMatrix(["a"], np.ones((1, 0)), 0),  # no rows
+    before = path.read_bytes(), sidecar(path).read_bytes()
+    for bad, error in (
+        (TrafficMatrix([], np.ones((0, 2)), 0), EmptyCorpus),  # no station
+        (TrafficMatrix(["a"], np.ones((1, 0)), 0), EmptyCorpus),  # no hour
+        (TrafficMatrix(["a", "b", "a"], np.ones((3, 2)), 0), InvalidBsId),
+        (TrafficMatrix(["a"], np.ones((1, 2)), -1), InconsistentHours),
+        (TrafficMatrix(["a"], np.ones((1, 2)), 2**63 - 1), InconsistentHours),
     ):
-        save_corpus(ok, str(path))
-        save_corpus(bad, str(path))
-        assert not sidecar(path).exists()
-        with pytest.raises(DataError):
-            load_corpus(str(path))
+        with pytest.raises(error):
+            save_corpus(bad, str(path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.csv.matrix"]
+        assert (path.read_bytes(), sidecar(path).read_bytes()) == before
+    back = load_corpus(str(path))
+    assert back.bs_ids == ["a", "b"]
+    assert np.array_equal(back.values, ok.values[::-1], equal_nan=True)
 
 
 def test_unwritable_sidecar_is_skipped(tmp_path):

@@ -17,6 +17,7 @@ from blockreg import (
     sweep_doc,
     sweep_seasonality,
     train_block_regression,
+    train_lr,
     train_sa,
 )
 from blockreg.errors import (
@@ -148,6 +149,12 @@ def test_histogram_empty():
     assert sum(b.count for b in histogram([])) == 0
 
 
+@pytest.mark.parametrize("bad", [-0.5, float("nan")], ids=["negative", "nan"])
+def test_histogram_rejects_negative_and_nan(bad):
+    with pytest.raises(InvalidConfig, match=f"got {bad!r}$"):
+        histogram([0.3, bad, -2.0])
+
+
 def eval_setup(n_bs=10):
     t = make_corpus(n_bs=n_bs)
     model, _ = train_block_regression(t, m=24, w=3, train_hours=240)
@@ -209,6 +216,24 @@ def test_evaluate_rejects_unclean():
     t.values[0, 0] = np.nan
     with pytest.raises(UncleanCorpus):
         evaluate(model, t)
+
+
+TRAINERS = {
+    "br": lambda t: train_block_regression(t, m=24, w=3, train_hours=240)[0],
+    "lr": lambda t: train_lr(t, train_hours=240),
+    "sa": lambda t: train_sa(t, train_hours=240),
+}
+
+
+@pytest.mark.parametrize("hour", [230, 250], ids=["history", "horizon"])
+@pytest.mark.parametrize("mode", ["one_step", "recursive"])
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_forecast_fleet_rejects_unclean(kind, mode, hour):
+    t = make_corpus(n_bs=5)
+    model = TRAINERS[kind](t)
+    t.values[2, hour] = np.nan
+    with pytest.raises(UncleanCorpus):
+        forecast_fleet(model, t, 240, 96, mode)
 
 
 def test_evaluate_validation():

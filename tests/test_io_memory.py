@@ -2,7 +2,8 @@
 
 Each I/O bound is the matrix bytes plus a fixed number of ``CHUNK_BYTES``,
 measured with ``tracemalloc`` as the peak above what was allocated before
-the call. The writers hold one station block at a time. The parser holds
+the call. The corpus writer holds at most 512 hours of one station's rows
+at a time, and the forecast writer one station block. The parser holds
 one chunk at a time, as lines, rows and fields, and each short Python
 string takes several times its characters, hence its larger slack; a load
 through the sidecar holds the matrix and one digest read. The
@@ -45,8 +46,7 @@ def test_save_and_load_corpus_bounded(tmp_path, n_bs, n_hours):
     path = tmp_path / "c.csv"
     _, peak = traced_peak(save_corpus, t, str(path))
     assert path.stat().st_size > 3 * t.values.nbytes
-    if n_hours <= 336:  # the writer holds a whole block and its hour strings
-        assert peak < t.values.nbytes + WRITE_SLACK
+    assert peak < t.values.nbytes + WRITE_SLACK
     back, peak = traced_peak(load_corpus, str(path))  # through the sidecar
     assert np.array_equal(back.values, t.values)
     assert peak < t.values.nbytes + READ_SLACK
