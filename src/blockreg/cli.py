@@ -113,7 +113,7 @@ def _cmd_synth(args, opts: dict) -> int:
 def _cmd_clean(args, opts: dict) -> int:
     raw = load_corpus(args.input)
     cleaned = clean(raw)
-    save_corpus(cleaned, args.output)
+    save_corpus(cleaned, args.output, source=args.input)
     print(f"clean: kept {cleaned.n_bs}/{raw.n_bs} stations -> {args.output}")
     return 0
 

@@ -572,14 +572,18 @@ def _csv_blocks(t: TrafficMatrix) -> Iterator[str]:
         if not bs_id or _UNWRITABLE_ID.search(bs_id):
             raise InvalidBsId(f"bs_id {bs_id!r} cannot be written to a corpus CSV")
     values = np.asarray(t.values, dtype=float)  # repr "1.0", never "1"
-    infinite = np.argwhere(np.isinf(values))
-    if infinite.size:
-        i, j = infinite[0].tolist()
-        volume = float(values[i, j])
-        raise InfiniteVolume(
-            f"{t.bs_ids[i]} hour {t.start_hour + j}: volume {volume!r} "
-            "cannot be written to a corpus CSV"
-        )
+    # fmin and fmax skip NaN, so only an infinite volume makes an extreme
+    # infinite; only then are the rows scanned, each with its own mask.
+    extremes = [f.reduce(values, axis=None) for f in (np.fmin, np.fmax) if values.size]
+    if np.isinf(extremes).any():
+        for i, row in enumerate(values):
+            infinite = np.flatnonzero(np.isinf(row))
+            if infinite.size:
+                j = int(infinite[0])
+                raise InfiniteVolume(
+                    f"{t.bs_ids[i]} hour {t.start_hour + j}: volume "
+                    f"{float(row[j])!r} cannot be written to a corpus CSV"
+                )
     start, n_hours, piece = t.start_hour, t.n_hours, max(1, CHUNK_BYTES // 128)
 
     @lru_cache(maxsize=1)  # a row of one piece builds its hour strings once
@@ -599,7 +603,7 @@ def _csv_piece(bs_id: str, hours: list[str], row: np.ndarray) -> str:
     return "\n".join(map(",".join, zip(repeat(bs_id), hours, volumes))) + "\n"
 
 
-def save_corpus(t: TrafficMatrix, path: str) -> None:
+def save_corpus(t: TrafficMatrix, path: str, source: str | None = None) -> None:
     """Write a corpus CSV atomically, a piece of a row at a time, then its
     sidecar (see `sidecar`), which lets `load_corpus` skip the parser.
 
@@ -607,6 +611,13 @@ def save_corpus(t: TrafficMatrix, path: str) -> None:
     every other corpus whose CSV would not load back: EmptyCorpus for no
     station or no hour, InvalidBsId for a repeated bs_id and
     InconsistentHours for hours outside 0..2**63 - 1.
+
+    ``source`` names a corpus CSV that ``t`` may have been loaded from. If
+    its sidecar holds every row of ``t`` (see `sidecar.kept_rows`), the
+    station blocks of ``t`` are copied from that CSV instead of rendered
+    again. Should the CSV turn out not to be the one the sidecar was
+    written with, even part way through the copy, the copy is discarded
+    and the CSV rendered, so the bytes are always those of `corpus_to_csv`.
     """
     from .modelio import atomic_write_text
 
@@ -620,13 +631,58 @@ def save_corpus(t: TrafficMatrix, path: str) -> None:
     if t.start_hour < 0 or last > _INT64_MAX:
         raise InconsistentHours(f"hours {t.start_hour}..{last} reach outside 0..2**63-1")
     blocks = _csv_blocks(t)  # checks the rest before any file is touched
-    csv_digest = sidecar.digest()
-
-    def encoded():
-        for block in blocks:
-            data = block.encode("utf-8")
-            csv_digest.update(data)
-            yield data
-
-    atomic_write_text(path, encoded())
+    plan = None if source is None else sidecar.kept_rows(source, t)
+    if plan is not None:
+        csv_digest = sidecar.digest()
+        try:
+            atomic_write_text(path, _copied_csv(source, t.n_hours, *plan, csv_digest))
+        except _StaleSource:
+            plan = None
+    if plan is None:
+        csv_digest = sidecar.digest()
+        atomic_write_text(path, _encoded(blocks, csv_digest))
     sidecar.save(path, t, csv_digest.hexdigest())
+
+
+class _StaleSource(Exception):
+    """The CSV to copy from is not the one its sidecar was written with."""
+
+
+def _encoded(blocks: Iterator[str], csv_digest) -> Iterator[bytes]:
+    """The blocks as UTF-8, fed to ``csv_digest`` too."""
+    for block in blocks:
+        data = block.encode("utf-8")
+        csv_digest.update(data)
+        yield data
+
+
+def _copied_csv(source: str, n_hours: int, csv_hex: str, kept: np.ndarray,
+                csv_digest) -> Iterator[memoryview]:
+    """The header line and the station blocks of the CSV at ``source`` that
+    the mask ``kept`` selects, fed to ``csv_digest`` too, in reads of
+    ``CHUNK_BYTES``.
+
+    In the CSV that `save_corpus` writes, station block k is the lines
+    after the header up to its ``(k + 1) * n_hours``-th newline. After the
+    last read, raises _StaleSource unless the whole CSV has the digest
+    ``csv_hex``; so does a read that fails.
+    """
+    source_digest = sidecar.digest()
+    station, lines = -1, 0  # at the start of the next read; -1: the header
+    try:
+        with open(source, "rb") as fh:
+            while chunk := fh.read(CHUNK_BYTES):
+                source_digest.update(chunk)
+                ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
+                cuts = (ends[-lines % n_hours::n_hours] + 1).tolist()
+                lines += len(ends)
+                view, edges = memoryview(chunk), [0, *cuts, len(chunk)]
+                for k, (a, b) in enumerate(zip(edges, edges[1:]), station):
+                    if k < 0 or k < len(kept) and kept[k]:
+                        csv_digest.update(view[a:b])
+                        yield view[a:b]
+                station += len(cuts)
+    except OSError:
+        raise _StaleSource from None
+    if source_digest.hexdigest() != csv_hex:
+        raise _StaleSource

@@ -7,12 +7,19 @@ is one JSON header line, then the ``(N, n_hours)`` matrix as little-endian
 float64, rows in bs_id order. The header holds the format version, the
 blake2b digest of the CSV, the blake2b digest of the matrix (`_body`
 followed by the volumes), ``start_hour``, ``n_hours`` and ``bs_ids``.
+
+`corpus.save_corpus` may also copy station blocks from a CSV whose sidecar
+holds the rows it writes (see `kept_rows`), instead of rendering them. So a
+sidecar also vouches that its CSV is what `corpus.corpus_to_csv` renders
+for its matrix: a change to the bytes `corpus_to_csv` writes for any matrix
+must bump ``VERSION``, which leaves every older sidecar unused.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
@@ -30,6 +37,8 @@ SUFFIX = ".matrix"
 VERSION = 1
 # load digests the CSV in reads of this many bytes.
 READ_BYTES = 256 * 1024
+# kept_rows reads and compares rows in pieces of at most this many volumes.
+ROW_PIECE = 8 * 1024
 
 
 def digest(data: bytes = b"") -> blake2b:
@@ -55,49 +64,113 @@ def load(path: str) -> tuple[list[str], np.ndarray, int] | None:
     """``(bs_ids, values, start_hour)`` from the sidecar of the CSV at
     ``path``, or None if it cannot be used.
 
-    It is used only if the CSV's digest equals the header's
-    ``csv_blake2b``, the file size fits the header, and the digest of the
+    It is used only if its header is valid (see `_header`), the CSV's
+    digest equals the header's ``csv_blake2b``, and the digest of the
     matrix equals ``matrix_blake2b``. Any other sidecar, or one that cannot
     be read, gives None.
     """
     try:
         with open(path + SUFFIX, "rb") as side, open(path, "rb") as fh:
-            # JSON spells a character in at most 6 bytes and each bs_id fills
-            # a CSV row, so a longer line is not a header `save` wrote.
-            line = side.readline(6 * os.fstat(fh.fileno()).st_size + 1024)
-            header = json.loads(line)
-            if not (
-                line.endswith(b"\n")
-                and isinstance(header, dict)
-                and header.get("version") == VERSION
-                and header.get("csv_blake2b") == _file_digest(fh)
-            ):
+            header = _header(side, os.fstat(fh.fileno()).st_size)
+            if header is None or header["csv_blake2b"] != _file_digest(fh):
                 return None
-            start, n_hours = header.get("start_hour"), header.get("n_hours")
-            bs_ids = header.get("bs_ids")
-            if not (
-                type(start) is int
-                and start >= 0
-                and type(n_hours) is int
-                and n_hours >= 1
-                and type(bs_ids) is list
-                and bs_ids
-                and all(type(bs) is str for bs in bs_ids)
-            ):
-                return None
-            nbytes = 8 * len(bs_ids) * n_hours
-            if os.fstat(side.fileno()).st_size != len(line) + nbytes:
-                return None
+            bs_ids, n_hours = header["bs_ids"], header["n_hours"]
             values = np.empty((len(bs_ids), n_hours), dtype="<f8")
-            if side.readinto(values) != nbytes:
+            if side.readinto(values) != values.nbytes:
                 return None
     except (OSError, ValueError, RecursionError):  # ValueError: bad UTF-8 or JSON
         return None
+    start = header["start_hour"]
     matrix_digest = digest(_body(start, n_hours, bs_ids))
     matrix_digest.update(values)
-    if matrix_digest.hexdigest() != header.get("matrix_blake2b"):
+    if matrix_digest.hexdigest() != header["matrix_blake2b"]:
         return None
     return bs_ids, values.astype(np.float64, copy=False), start
+
+
+def kept_rows(path: str, t: TrafficMatrix) -> tuple[str, np.ndarray] | None:
+    """Which rows of the sidecar of the CSV at ``path`` are ``t``'s rows.
+
+    Returns the header's ``csv_blake2b`` and a mask over the sidecar's
+    rows, or None unless the header is valid, ``t`` has its ``start_hour``
+    and ``n_hours``, ``t``'s bs_ids, sorted, are a subsequence of its
+    bs_ids, each such row has the bits of ``t``'s row as `_rows` gives it,
+    and the matrix digest matches. The sidecar is read a piece of a row at
+    a time; the CSV is not read.
+    """
+    try:
+        with open(path + SUFFIX, "rb") as side:
+            header = _header(side, os.path.getsize(path))
+            if header is None:
+                return None
+            bs_ids, n_hours = header["bs_ids"], header["n_hours"]
+            start = header["start_hour"]
+            if (start, n_hours) != (t.start_hour, t.n_hours):
+                return None
+            # save wrote the bs_ids sorted and unique
+            order = sorted(range(t.n_bs), key=t.bs_ids.__getitem__)
+            kept = np.zeros(len(bs_ids), dtype=bool)
+            for i in order:
+                k = bisect_left(bs_ids, t.bs_ids[i])
+                if k == len(bs_ids) or bs_ids[k] != t.bs_ids[i]:
+                    return None
+                kept[k] = True
+            matrix_digest = digest(_body(start, n_hours, bs_ids))
+            rows = _rows(t, order)
+            part = np.empty(min(n_hours, ROW_PIECE), dtype="<f8")
+            for k in range(len(bs_ids)):
+                row = next(rows) if kept[k] else None
+                for j in range(0, n_hours, len(part)):
+                    piece = part[: n_hours - j]
+                    if side.readinto(piece) != piece.nbytes:
+                        return None
+                    matrix_digest.update(piece)
+                    if row is not None and not np.array_equal(
+                        row[j : j + len(piece)].view("<u8"), piece.view("<u8")
+                    ):
+                        return None
+    except (OSError, ValueError, RecursionError):  # ValueError: bad UTF-8 or JSON
+        return None
+    if matrix_digest.hexdigest() != header["matrix_blake2b"]:
+        return None
+    return header["csv_blake2b"], kept
+
+
+def _header(side, csv_size: int) -> dict | None:
+    """The header of the open sidecar ``side`` of a CSV of ``csv_size``
+    bytes, read up to the matrix, or None unless it has this version, a
+    digest of each kind, a shape and bs_ids, and the file size fits it.
+
+    Raises ValueError or RecursionError for a line that is not JSON.
+    """
+    # JSON spells a character in at most 6 bytes and each bs_id fills a
+    # CSV row, so a longer line is not a header `save` wrote.
+    line = side.readline(6 * csv_size + 1024)
+    header = json.loads(line)
+    if not (
+        line.endswith(b"\n")
+        and isinstance(header, dict)
+        and header.get("version") == VERSION
+    ):
+        return None
+    start, n_hours = header.get("start_hour"), header.get("n_hours")
+    bs_ids = header.get("bs_ids")
+    if not (
+        type(header.get("csv_blake2b")) is str
+        and type(header.get("matrix_blake2b")) is str
+        and type(start) is int
+        and start >= 0
+        and type(n_hours) is int
+        and n_hours >= 1
+        and type(bs_ids) is list
+        and bs_ids
+        and all(type(bs) is str for bs in bs_ids)
+    ):
+        return None
+    nbytes = 8 * len(bs_ids) * n_hours
+    if os.fstat(side.fileno()).st_size != len(line) + nbytes:
+        return None
+    return header
 
 
 def _body(start_hour: int, n_hours: int, bs_ids: list[str]) -> bytes:

@@ -3,7 +3,8 @@
 Each I/O bound is the matrix bytes plus a fixed number of ``CHUNK_BYTES``,
 measured with ``tracemalloc`` as the peak above what was allocated before
 the call. The corpus writer holds at most 512 hours of one station's rows
-at a time, and the forecast writer one station block. The parser holds
+at a time, or, copying from a source CSV, one read of it and a piece of
+a sidecar row; the forecast writer holds one station block. The parser holds
 one chunk at a time, as lines, rows and fields, and each short Python
 string takes several times its characters, hence its larger slack; a load
 through the sidecar holds the matrix and one digest read. The
@@ -11,11 +12,15 @@ CSV text of these matrices is over three times the matrix, so building it
 whole breaks every bound. The other bounds are multiples of the matrix.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import blockreg.corpus
 from blockreg import SynthConfig, clean, load_corpus, save_corpus, synthesize
 from blockreg.baselines import forecast_sa, train_sa
 from blockreg.cli import _forecast_csv
@@ -41,7 +46,7 @@ def traced_peak(fn, *args):
 
 # Many short station blocks, and blocks longer than many chunks.
 @pytest.mark.parametrize("n_bs, n_hours", [(300, 336), (3000, 24), (4, 20000)])
-def test_save_and_load_corpus_bounded(tmp_path, n_bs, n_hours):
+def test_save_and_load_corpus_bounded(tmp_path, monkeypatch, n_bs, n_hours):
     t = synthesize(SynthConfig(n_bs=n_bs, n_hours=n_hours, seed=3))
     path = tmp_path / "c.csv"
     _, peak = traced_peak(save_corpus, t, str(path))
@@ -50,10 +55,50 @@ def test_save_and_load_corpus_bounded(tmp_path, n_bs, n_hours):
     back, peak = traced_peak(load_corpus, str(path))  # through the sidecar
     assert np.array_equal(back.values, t.values)
     assert peak < t.values.nbytes + READ_SLACK
+    with monkeypatch.context() as patch:
+        patch.setattr(blockreg.corpus, "_csv_piece", None)  # copy, never render
+        _, peak = traced_peak(save_corpus, back, str(tmp_path / "d.csv"), str(path))
+    assert (tmp_path / "d.csv").read_bytes() == path.read_bytes()
+    assert peak < t.values.nbytes + WRITE_SLACK
     path.with_name("c.csv.matrix").unlink()
     back, peak = traced_peak(load_corpus, str(path))  # through the parser
     assert np.array_equal(back.values, t.values)
     assert peak < t.values.nbytes + READ_SLACK
+
+
+def test_save_corpus_builds_no_mask_of_the_matrix(tmp_path):
+    # An infinity check through np.isinf(values) would take one byte per entry.
+    t = synthesize(SynthConfig(n_bs=2000, n_hours=336, seed=3))
+    _, peak = traced_peak(save_corpus, t, str(tmp_path / "c.csv"))
+    assert peak < t.values.size
+
+
+# A child's ru_maxrss counts the memory of the process it was forked
+# from, so each command is started by this small launcher, not by pytest.
+LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def test_clean_peaks_below_synth(tmp_path):
+    # synth sets the benchmark's peak RSS; clean, which holds the corpus
+    # twice, must stay clear of it at the benchmark's wide size.
+    (tmp_path / "cfg.json").write_text('{"n_bs": 2000}')
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    peaks = []
+    for argv in (("synth", "--config", "cfg.json", "--output", "raw.csv"),
+                 ("clean", "--input", "raw.csv", "--output", "c.csv")):
+        r = subprocess.run(
+            [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "blockreg", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+        code, kib = map(int, r.stdout.split())
+        assert code == 0, argv
+        peaks.append(kib * 1024)  # ru_maxrss is in KiB on Linux
+    synth_peak, clean_peak = peaks
+    assert clean_peak < synth_peak - 2**20
 
 
 def test_forecast_csv_write_bounded(tmp_path):
