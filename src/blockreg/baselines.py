@@ -27,10 +27,10 @@ from .errors import (
 from .forecaster import (
     CHUNK_BYTES,
     ForecastSeries,
+    check_horizon,
     horizon_series,
     train_block_regression,
     training_slice,
-    working_matrix,
 )
 from .pipeline import seasonal_difference
 from .regressor import BlockModel
@@ -347,25 +347,34 @@ def forecast_sa(
     missing = [bs for bs in t.bs_ids if bs not in model.per_bs and bs not in failed]
     if missing:
         raise UnknownBs(f"no fitted model for {missing[0]!r}")
-    fitted = t
-    if any(bs in failed for bs in t.bs_ids):
-        rows = [i for i, bs in enumerate(t.bs_ids) if bs in model.per_bs]
-        fitted = replace(t, bs_ids=[t.bs_ids[i] for i in rows], values=t.values[rows])
-    coefs = [model.per_bs[bs] for bs in fitted.bs_ids]
+    ids, rows = t.bs_ids, None
+    if any(bs in failed for bs in ids):
+        rows = np.array([i for i, bs in enumerate(ids) if bs in model.per_bs],
+                        dtype=np.intp)
+        ids = [ids[i] for i in rows]
+    coefs = [model.per_bs[bs] for bs in ids]
     s, ar, ma = model.seasonality, model.ar_order, model.ma_order
-    n = fitted.n_bs
+    n = len(coefs)
     phi = np.array([c.phi for c in coefs], dtype=float).reshape(n, ar)
     psi = np.array([c.psi for c in coefs], dtype=float).reshape(n, ma)
     intercept = np.array([c.intercept for c in coefs], dtype=float)
 
-    working = working_matrix(fitted.values, start, k, mode, s + ar)
+    check_horizon(t.n_hours, start, k, mode, s + ar)
     base = start - s  # index of the first horizon hour on the differenced scale
+    forecast = np.empty((n, k))
+
+    def column(l: int) -> np.ndarray:
+        """Hour ``l`` of the fitted stations, read in place: recorded traffic,
+        or the forecast once a recursive horizon has made one."""
+        if mode == "recursive" and l >= start:
+            return forecast[:, l - start]
+        return t.values[:, l] if rows is None else t.values[rows, l]
+
     # The last ar differences z and the last ma residuals e, oldest first.
     # Residuals before hour ar, and those of recursive forecast hours, are 0.
     zero = np.zeros(n)
-    z = deque((working[:, s + tt] - working[:, tt] for tt in range(ar)), maxlen=ar)
+    z = deque((column(s + tt) - column(tt) for tt in range(ar)), maxlen=ar)
     e = deque([zero] * ma, maxlen=ma)
-    forecast = np.empty((n, k))
     for tt in range(ar, base + k):
         zhat = intercept.copy()
         for j in range(1, ar + 1):
@@ -374,7 +383,7 @@ def forecast_sa(
             if tt - j >= 0:
                 zhat += psi[:, j - 1] * e[-j]
         if tt < base or mode == "one_step":
-            diff = working[:, s + tt] - working[:, tt]
+            diff = column(s + tt) - column(tt)
             z.append(diff)
             e.append(diff - zhat)
         else:  # a forecast hour
@@ -383,7 +392,5 @@ def forecast_sa(
         if tt < base:
             continue
         step = tt - base
-        forecast[:, step] = zhat + working[:, start + step - s]
-        if mode == "recursive":
-            working[:, start + step] = forecast[:, step]
-    return horizon_series(fitted, start, forecast, mode)
+        forecast[:, step] = zhat + column(start + step - s)
+    return horizon_series(t, start, forecast, mode, rows)

@@ -216,8 +216,17 @@ FILES = {"input": "input corpus CSV", "model": "model JSON path",
          "output": "output file path"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InvalidConfig, so that
+    they print the same JSON line as every other error; its subcommand
+    parsers are of this class too."""
+
+    def error(self, message: str):
+        raise InvalidConfig(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockreg",
         description=(
             "Short-term mobile traffic forecasting: a shared linear model "
@@ -250,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # Outputs are checked for non-finite numbers, which raise Overflow,
         # so numpy's floating-point warnings would only repeat that on stderr.
         with np.errstate(all="ignore"):

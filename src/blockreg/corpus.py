@@ -47,6 +47,10 @@ _UNWRITABLE_ID = re.compile('[,"\r\n]')
 # fleet, which the generator keeps fixed.
 SCALE_SIGMA = 1.2
 
+# synthesize draws its hourly noise this many bytes of rows at a time, and
+# at least one row, so it never holds a second matrix-sized array.
+NOISE_BLOCK_BYTES = 512 * 1024
+
 
 @dataclass
 class TrafficMatrix:
@@ -182,18 +186,23 @@ def synthesize(cfg: SynthConfig) -> TrafficMatrix:
     mix = wmix[:, None]
     amp = cfg.daily_profile_amplitude
     profile = 0.22 + amp * (mix * bump1 + (1.0 - mix) * bump2)
+    del bump1, bump2
     values = profile[:, np.arange(n_hours) % 24]
 
     # values = scale x profile x day factor x noise, multiplied in place in
-    # that order; the day factor one day of columns at a time.
+    # that order; the day factor one day of columns at a time, the noise
+    # one block of rows at a time. The generator fills each draw in C
+    # order, so the blocks take the stream of one (n_bs, n_hours) draw.
     steps = rng.normal(0.0, 1.0, (n_bs, n_days)) * cfg.day_intensity_std
     fday = np.exp(np.cumsum(steps, axis=1))
     values *= scales[:, None]
     for d in range(n_days):
         values[:, 24 * d:24 * (d + 1)] *= fday[:, d:d + 1]
-    noise = rng.normal(0.0, 1.0, (n_bs, n_hours))
-    noise *= cfg.noise_std
-    values *= np.exp(noise, out=noise)
+    rows = max(1, NOISE_BLOCK_BYTES // (8 * n_hours))
+    for lo in range(0, n_bs, rows):
+        noise = rng.normal(0.0, 1.0, (min(rows, n_bs - lo), n_hours))
+        noise *= cfg.noise_std
+        values[lo:lo + rows] *= np.exp(noise, out=noise)
 
     # Bursts only in the last quarter so they fall inside a standard
     # train/test split's test period.
@@ -205,7 +214,9 @@ def synthesize(cfg: SynthConfig) -> TrafficMatrix:
             dur = int(rng.integers(12, 37))
             factor = float(rng.uniform(2.0, 5.0))
             values[i, start:start + dur] *= factor
-    if not np.isfinite(values).all():
+    # A NaN makes the minimum NaN and an infinity the maximum, so no mask
+    # of the matrix is built.
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise Overflow(
             "synthetic volumes overflow the float range; lower "
             "daily_profile_amplitude, day_intensity_std or noise_std"
@@ -632,16 +643,22 @@ def save_corpus(t: TrafficMatrix, path: str, source: str | None = None) -> None:
         raise InconsistentHours(f"hours {t.start_hour}..{last} reach outside 0..2**63-1")
     blocks = _csv_blocks(t)  # checks the rest before any file is touched
     plan = None if source is None else sidecar.kept_rows(source, t)
+    csv_hex = None
     if plan is not None:
-        csv_digest = sidecar.digest()
+        source_hex, kept = plan
+        # A copy of every station is the source, whose digest the copy
+        # checks; only a copy that leaves a station out is digested again.
+        csv_digest = None if kept.all() else sidecar.digest()
         try:
             atomic_write_text(path, _copied_csv(source, t.n_hours, *plan, csv_digest))
+            csv_hex = source_hex if csv_digest is None else csv_digest.hexdigest()
         except _StaleSource:
-            plan = None
-    if plan is None:
+            pass
+    if csv_hex is None:
         csv_digest = sidecar.digest()
         atomic_write_text(path, _encoded(blocks, csv_digest))
-    sidecar.save(path, t, csv_digest.hexdigest())
+        csv_hex = csv_digest.hexdigest()
+    sidecar.save(path, t, csv_hex)
 
 
 class _StaleSource(Exception):
@@ -659,8 +676,8 @@ def _encoded(blocks: Iterator[str], csv_digest) -> Iterator[bytes]:
 def _copied_csv(source: str, n_hours: int, csv_hex: str, kept: np.ndarray,
                 csv_digest) -> Iterator[memoryview]:
     """The header line and the station blocks of the CSV at ``source`` that
-    the mask ``kept`` selects, fed to ``csv_digest`` too, in reads of
-    ``CHUNK_BYTES``.
+    the mask ``kept`` selects, fed to ``csv_digest`` too unless it is None,
+    in reads of ``CHUNK_BYTES``.
 
     In the CSV that `save_corpus` writes, station block k is the lines
     after the header up to its ``(k + 1) * n_hours``-th newline. After the
@@ -679,7 +696,8 @@ def _copied_csv(source: str, n_hours: int, csv_hex: str, kept: np.ndarray,
                 view, edges = memoryview(chunk), [0, *cuts, len(chunk)]
                 for k, (a, b) in enumerate(zip(edges, edges[1:]), station):
                     if k < 0 or k < len(kept) and kept[k]:
-                        csv_digest.update(view[a:b])
+                        if csv_digest is not None:
+                            csv_digest.update(view[a:b])
                         yield view[a:b]
                 station += len(cuts)
     except OSError:

@@ -105,7 +105,9 @@ def nrmse(actual: np.ndarray, forecast: np.ndarray, *, rows: bool = False):
     mean = actual.mean(axis=-1)
     if np.any(mean == 0.0):
         raise ZeroMeanActual("mean of actual series is zero")
-    score = np.sqrt(np.mean((actual - forecast) ** 2, axis=-1)) / mean
+    err = actual - forecast
+    err *= err
+    score = np.sqrt(np.mean(err, axis=-1)) / mean
     overflow = ~np.isfinite(score)
     if np.any(overflow):
         worst = float(score[overflow][0] if rows else score)
@@ -204,7 +206,10 @@ def evaluate(
     scored = fs.actual.mean(axis=1) > 0.0
     if not scored.any():
         raise EmptyCorpus("no station produced a score")
-    scores = nrmse(fs.actual[scored], fs.forecast[scored], rows=True)
+    actual, forecast = fs.actual, fs.forecast
+    if not scored.all():  # copies the scored rows only when some are left out
+        actual, forecast = actual[scored], forecast[scored]
+    scores = nrmse(actual, forecast, rows=True)
     per_bs = dict(zip(compress(fs.bs_ids, scored.tolist()), scores.tolist()))
     excluded = t.n_bs - len(per_bs)
     average = float(np.mean(list(per_bs.values())))

@@ -136,24 +136,18 @@ def forecast_one(model: BlockModel, history: np.ndarray) -> float | np.ndarray:
     return value
 
 
-def working_matrix(
-    values: np.ndarray, start: int, k: int, mode: str, need: int
-) -> np.ndarray:
-    """Check a k-hour horizon from column ``start``; return its working matrix.
+def check_horizon(n_hours: int, start: int, k: int, mode: str, need: int) -> None:
+    """Check a k-hour horizon from column ``start`` of an ``n_hours`` corpus.
 
-    The working matrix has one row per row of ``values`` and ``start + k``
-    columns. one_step reads recorded actuals in every column, so the corpus
-    must cover the whole horizon, and the working matrix is a read-only view
-    of ``values``; recursive copies only the columns before ``start`` and
-    leaves the horizon for the caller to write its forecasts into, so the
-    horizon may extend past the end of the corpus, but may not start past
-    it.
+    Every forecast reads the ``need`` hours before ``start``. one_step reads
+    recorded actuals in every column, so the corpus must cover the whole
+    horizon; a recursive horizon may extend past the end of the corpus, but
+    may not start past it.
     """
     if mode not in MODES:
         raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
     if k < 1:
         raise InvalidConfig(f"horizon k must be >= 1, got {k}")
-    n_hours = values.shape[1]
     if start < need:
         raise InsufficientHistory(
             f"start column {start} leaves less than {need} hours of history"
@@ -166,25 +160,30 @@ def working_matrix(
         raise InsufficientHistory(
             f"one_step horizon [{start}, {start + k}) exceeds corpus length {n_hours}"
         )
-    if mode == "one_step":
-        working = values[:, :start + k]
-        working.flags.writeable = False
-        return working
-    working = np.empty((values.shape[0], start + k))
-    working[:, :start] = values[:, :start]
-    return working
 
 
 def horizon_series(
-    t: TrafficMatrix, start: int, forecast: np.ndarray, mode: str
+    t: TrafficMatrix,
+    start: int,
+    forecast: np.ndarray,
+    mode: str,
+    rows: np.ndarray | None = None,
 ) -> ForecastSeries:
-    """Wrap an (n, k) forecast for the stations of ``t`` with hours and actuals."""
+    """Wrap an (n, k) forecast for the stations of ``t`` with hours and actuals.
+
+    With ``rows``, the forecast belongs to those rows of ``t`` only. The
+    actuals are a read-only view of the corpus, or with ``rows`` a copy of
+    the horizon.
+    """
     k = forecast.shape[1]
     actual = None
     if start + k <= t.n_hours:
-        actual = t.values[:, start:start + k].copy()
+        actual = t.values[:, start:start + k]
+        if rows is not None:
+            actual = actual[rows]
+        actual.flags.writeable = False
     return ForecastSeries(
-        bs_ids=list(t.bs_ids),
+        bs_ids=list(t.bs_ids) if rows is None else [t.bs_ids[i] for i in rows],
         hours=t.start_hour + start + np.arange(k),
         forecast=forecast,
         actual=actual,
@@ -202,18 +201,25 @@ def forecast_horizon(
     """Forecast k hours beginning at corpus column ``start`` for every station.
 
     One loop over the horizon hours serves the whole fleet: each step reads
-    the m + w hours before it from a working matrix and forecasts one column.
-    one_step: every lag and the t_{l-m} term read recorded actuals, so the
-    corpus must cover the whole horizon. recursive: each step's forecasts
-    are written back into the working matrix and read by later steps, and
-    the horizon may extend past the end of the corpus.
+    the m + w hours before it from a working matrix of the m + w hours
+    before ``start`` and the horizon, and forecasts one column. one_step:
+    every lag and the t_{l-m} term read recorded actuals, so the corpus must
+    cover the whole horizon, and the working matrix is a read-only view of
+    it. recursive: the working matrix is a copy, each step's forecasts are
+    written into its horizon and read by later steps, and the horizon may
+    extend past the end of the corpus.
     """
     need = model.seasonality_m + model.window_w
-    working = working_matrix(t.values, start, k, mode, need)
+    check_horizon(t.n_hours, start, k, mode, need)
+    if mode == "one_step":
+        working = t.values[:, start - need:start + k]
+        working.flags.writeable = False
+    else:
+        working = np.empty((t.n_bs, need + k))
+        working[:, :need] = t.values[:, start - need:start]
     forecast = np.empty((t.n_bs, k))
     for j in range(k):
-        l = start + j
-        forecast[:, j] = forecast_one(model, working[:, l - need:l])
+        forecast[:, j] = forecast_one(model, working[:, j:j + need])
         if mode == "recursive":
-            working[:, l] = forecast[:, j]
+            working[:, need + j] = forecast[:, j]
     return horizon_series(t, start, forecast, mode)

@@ -194,6 +194,11 @@ def _sa_model(doc: dict, path: str) -> SaModel:
         isinstance(bs, str) for bs in failed_bs
     ):
         raise ParseError(f"{path}: failed_bs must be a list of station ids")
+    if len(set(failed_bs)) != len(failed_bs):
+        raise ParseError(f"{path}: failed_bs lists a station more than once")
+    both = sorted(per_bs.keys() & set(failed_bs))
+    if both:
+        raise ParseError(f"{path}: station {both[0]} is in both per_bs and failed_bs")
     return SaModel(
         per_bs=per_bs,
         seasonality=_field(doc, "seasonality", int, path, low=1),
@@ -206,8 +211,10 @@ def _sa_model(doc: dict, path: str) -> SaModel:
 def load_model(path: str):
     """Load a model file; returns a BlockModel (kind br or lr) or an SaModel.
 
-    Every field is checked: a missing, mistyped or non-finite value, or a
-    non-positive normalization sigma, raises ParseError.
+    Every field is checked: a missing, mistyped or non-finite value, a
+    non-positive normalization sigma, a ``params`` other than the model's
+    parameter count, and an sa station that is both fitted and failed, or
+    failed twice, raise ParseError.
     """
     doc = load_json(path, ParseError, "model file")
     version = _field(doc, "format_version", int, path)
@@ -218,7 +225,15 @@ def load_model(path: str):
         )
     kind = doc.get("kind", "br")
     if kind in ("br", "lr"):
-        return _block_model(doc, kind, path)
-    if kind == "sa":
-        return _sa_model(doc, path)
-    raise ParseError(f"{path}: unknown model kind {kind!r}")
+        model = _block_model(doc, kind, path)
+    elif kind == "sa":
+        model = _sa_model(doc, path)
+    else:
+        raise ParseError(f"{path}: unknown model kind {kind!r}")
+    params = _field(doc, "params", int, path)
+    if params != model.n_params:
+        raise ParseError(
+            f"{path}: model field 'params' is {params}, but the model has "
+            f"{model.n_params} parameters"
+        )
+    return model

@@ -254,8 +254,19 @@ def test_corpus_defect_exits_3(tmp_path, rows, error):
 
 
 def test_argparse_errors_exit_2(workspace):
-    assert run("train", "--input", workspace / "corpus.csv").returncode == 2
-    assert run("frobnicate").returncode == 2
+    # A bad choice, a missing flag, a bad int, an unknown and no command.
+    for argv in (("eval", "--mode", "bogus"),
+                 ("train", "--input", "corpus.csv"),
+                 ("train", "--input", "corpus.csv", "--model", "m.json", "--m", "x"),
+                 ("frobnicate",),
+                 ()):
+        r = run(*argv, cwd=workspace)
+        assert r.returncode == 2, argv
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1, r.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "InvalidConfig" and err["family"] == "ConfigError"
+    assert not (workspace / "m.json").exists()
 
 
 def test_threads_must_be_positive(workspace, tmp_path):
@@ -336,6 +347,29 @@ def test_unreadable_model_file_exits_3(workspace, tmp_path, command, kind, defec
     err = json.loads(r.stderr)
     assert err["error"] == "ParseError" and str(model) in err["message"]
     assert not (tmp_path / "out").exists()
+
+
+def _failed_too(doc):
+    doc["failed_bs"].append(min(doc["per_bs"]))
+
+
+@pytest.mark.parametrize("kind,edit", [
+    ("br", lambda doc: doc.update(params=5)),
+    ("sa", lambda doc: doc.update(params=7)),
+    ("sa", _failed_too),
+    ("sa", lambda doc: doc.update(failed_bs=["bs_zz", "bs_zz"])),
+], ids=["br-params-5", "sa-params-7", "fitted-and-failed", "failed-twice"])
+def test_inconsistent_model_file_exits_3(workspace, tmp_path, kind, edit):
+    doc = json.loads((workspace / f"{kind}.json").read_text())
+    edit(doc)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    r = run("eval", "--input", workspace / "corpus.csv", "--model", model,
+            "--output", tmp_path / "out.json")
+    assert r.returncode == 3, r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert json.loads(r.stderr)["error"] == "ParseError"
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "1.0", "str-1"])

@@ -130,6 +130,51 @@ def test_clean_in_place(tmp_path, drop, monkeypatch, capsys):
     assert np.array_equal(load_corpus(str(corpus)).values, load_corpus(str(fresh)).values)
 
 
+class CountingDigest:
+    """A sidecar digest that counts the bytes fed to it; every one made is
+    kept in ``made``."""
+
+    made: list = []
+
+    def __init__(self, data=b""):
+        self.hash, self.fed = REAL_DIGEST(data), len(data)
+        CountingDigest.made.append(self)
+
+    def update(self, data):
+        self.hash.update(data)
+        self.fed += len(memoryview(data).cast("B"))
+
+    def hexdigest(self):
+        return self.hash.hexdigest()
+
+
+REAL_DIGEST = blockreg.sidecar.digest
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["all_kept", "some_dropped"])
+def test_clean_digests_each_csv_once_per_check(tmp_path, drop, monkeypatch):
+    # The load checks the source CSV against its sidecar, and the copy
+    # checks it again as it reads it. A copy of every station is then the
+    # source, so its digest is not taken a third time; a copy that leaves
+    # stations out is digested as it is written.
+    t = make_corpus(n_bs=30, n_hours=48)
+    if drop:
+        t.values[::4, 7] = np.nan
+    raw, corpus = tmp_path / "raw.csv", tmp_path / "corpus.csv"
+    save_corpus(t, str(raw))
+    monkeypatch.setattr(CountingDigest, "made", [])
+    monkeypatch.setattr(blockreg.sidecar, "digest", CountingDigest)
+    assert main(["clean", "--input", str(raw), "--output", str(corpus)]) == 0
+    fed = [d.fed for d in CountingDigest.made]
+    assert fed.count(raw.stat().st_size) == 2
+    if drop:
+        assert fed.count(corpus.stat().st_size) == 1
+    monkeypatch.undo()
+    assert corpus.read_bytes() == corpus_to_csv(clean(t)).encode()
+    monkeypatch.setattr(blockreg.corpus, "_read_chunks", None)  # the sidecar serves
+    assert load_corpus(str(corpus)).values.tobytes() == clean(t).values.tobytes()
+
+
 def test_corpus_to_csv_golden_bytes():
     # save_corpus copies the blocks of a CSV whose sidecar holds their rows,
     # trusting that corpus_to_csv would write the same bytes. Changing the

@@ -1,4 +1,4 @@
-"""Corpus I/O, generation, cleaning and SA forecasts hold about the matrix.
+"""Corpus I/O, generation, cleaning, forecasts and scoring hold about the matrix.
 
 Each I/O bound is the matrix bytes plus a fixed number of ``CHUNK_BYTES``,
 measured with ``tracemalloc`` as the peak above what was allocated before
@@ -25,6 +25,7 @@ from blockreg import SynthConfig, clean, load_corpus, save_corpus, synthesize
 from blockreg.baselines import forecast_sa, train_sa
 from blockreg.cli import _forecast_csv
 from blockreg.corpus import CHUNK_BYTES, TrafficMatrix
+from blockreg.evaluation import Split, evaluate
 from blockreg.forecaster import ForecastSeries, forecast_horizon, train_block_regression
 from blockreg.modelio import atomic_write_text
 
@@ -84,8 +85,10 @@ LAUNCHER = (
 
 
 def test_clean_peaks_below_synth(tmp_path):
-    # synth sets the benchmark's peak RSS; clean, which holds the corpus
-    # twice, must stay clear of it at the benchmark's wide size.
+    # clean holds the loaded corpus and its kept rows, two matrices; synth
+    # holds one matrix and one noise block, but imports numpy.random. At
+    # the benchmark's wide size clean must stay clear of synth, so that its
+    # second matrix does not set the benchmark's peak RSS.
     (tmp_path / "cfg.json").write_text('{"n_bs": 2000}')
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     peaks = []
@@ -147,9 +150,32 @@ def test_one_step_forecasts_do_not_copy_the_corpus():
 
 
 def test_synthesize_bounded():
+    # The matrix and one block of noise rows, never a second matrix.
     cfg = SynthConfig(n_bs=2000, n_hours=336)
     t, peak = traced_peak(synthesize, cfg)
-    assert peak < 3 * t.values.nbytes
+    assert peak < 1.8 * t.values.nbytes
+
+
+@pytest.fixture(scope="module")
+def scored():
+    t = synthesize(SynthConfig(n_bs=300, n_hours=336, seed=3))
+    models = {"br": train_block_regression(t, m=24, w=3, train_hours=240)[0],
+              "lr": train_block_regression(t, m=0, w=72, train_hours=240)[0],
+              "sa": train_sa(t)}
+    return t, models
+
+
+@pytest.mark.parametrize("mode, bound", [("one_step", 0.9), ("recursive", 1.4)])
+@pytest.mark.parametrize("kind", ["br", "lr", "sa"])
+def test_evaluate_bounded(scored, kind, mode, bound):
+    # Scoring reads the test window in place and squares the errors in
+    # place; a recursive forecast holds the m + w hours before the horizon
+    # and the horizon, not the history. What is left is a few (n, k)
+    # arrays, and lr's (n, w) features.
+    t, models = scored
+    report, peak = traced_peak(evaluate, models[kind], t, Split(), mode)
+    assert len(report.per_bs) == 300
+    assert peak < bound * t.values.nbytes
 
 
 def test_clean_bounded():

@@ -207,6 +207,8 @@ BAD_LINEAR = {
     "m_negative": (_set("m", -24), "'m' must be an integer >= 0"),
     "w_float": (_set("w", 3.0), "'w' must be an integer"),
     "lr_with_m": (_set("kind", "lr"), "an lr model has m = 0, got m=24"),
+    "params_wrong": (_set("params", 5), "'params' is 5, but the model has 4"),
+    "params_missing": (lambda doc: doc.pop("params"), "missing model field 'params'"),
 }
 
 BAD_SA = {
@@ -230,6 +232,15 @@ BAD_SA = {
     "ar_string": (_set("ar", "2"), "'ar' must be an integer"),
     "seasonality_zero": (_set("seasonality", 0), "'seasonality' must be an integer"),
     "failed_bs_string": (_set("failed_bs", "bs_zz"), "failed_bs must be a list"),
+    "params_wrong": (_set("params", 7), "'params' is 7, but the model has 15"),
+    "fitted_and_failed": (
+        lambda doc: doc["failed_bs"].append("bs_1"),
+        "station bs_1 is in both per_bs and failed_bs",
+    ),
+    "failed_twice": (
+        lambda doc: doc["failed_bs"].append("bs_zz"),
+        "failed_bs lists a station more than once",
+    ),
 }
 
 
