@@ -60,7 +60,8 @@ SETTINGS = [
     ("mode", MODES, "one_step", "forecast mode", RUNS),
     ("seed", int | None, None, "recorded in the report config", ("eval",)),
     ("seasonalities", list, [24, 48, 72, 96, 120, 144, 168], None, ("sweep",)),
-    ("threads", int, 1, "parallelism cap; never changes results", ("train", *RUNS)),
+    ("threads", int, 1, "checked, never changes results; no command starts "
+     "threads, and BLAS threads follow OPENBLAS_NUM_THREADS", ("train", *RUNS)),
 ]
 
 
@@ -89,8 +90,8 @@ def resolve_settings(args) -> dict:
             opts[key] = typed_value(key, doc[key], kind)
         else:
             opts[key] = default
-    # Execution is sequential, so the cap never changes results; it has no
-    # library function to check it.
+    # Execution is sequential, so the setting never changes results; it has
+    # no library function to check it.
     if "threads" in opts and opts["threads"] < 1:
         raise InvalidConfig(f"--threads must be >= 1, got {opts['threads']}")
     return opts

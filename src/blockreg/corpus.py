@@ -643,22 +643,26 @@ def save_corpus(t: TrafficMatrix, path: str, source: str | None = None) -> None:
         raise InconsistentHours(f"hours {t.start_hour}..{last} reach outside 0..2**63-1")
     blocks = _csv_blocks(t)  # checks the rest before any file is touched
     plan = None if source is None else sidecar.kept_rows(source, t)
-    csv_hex = None
+    csv_hex = matrix_hex = None
     if plan is not None:
-        source_hex, kept = plan
+        source_hex, kept, source_matrix_hex = plan
         # A copy of every station is the source, whose digest the copy
-        # checks; only a copy that leaves a station out is digested again.
-        csv_digest = None if kept.all() else sidecar.digest()
+        # checks, and its matrix is the source's, whose digest the sidecar
+        # holds; only a copy that leaves a station out is digested again.
+        whole = kept.all()
+        csv_digest = None if whole else sidecar.digest()
+        matrix_hex = source_matrix_hex if whole else None
         try:
-            atomic_write_text(path, _copied_csv(source, t.n_hours, *plan, csv_digest))
-            csv_hex = source_hex if csv_digest is None else csv_digest.hexdigest()
+            atomic_write_text(
+                path, _copied_csv(source, t.n_hours, source_hex, kept, csv_digest))
+            csv_hex = source_hex if whole else csv_digest.hexdigest()
         except _StaleSource:
             pass
     if csv_hex is None:
         csv_digest = sidecar.digest()
         atomic_write_text(path, _encoded(blocks, csv_digest))
         csv_hex = csv_digest.hexdigest()
-    sidecar.save(path, t, csv_hex)
+    sidecar.save(path, t, csv_hex, matrix_hex)
 
 
 class _StaleSource(Exception):

@@ -56,10 +56,6 @@ class LengthMismatch(ConfigError):
     """Paired vectors have different lengths."""
 
 
-class UnknownBs(ConfigError):
-    """Requested base station is not present in the corpus."""
-
-
 class ParseError(DataError):
     """A file could not be parsed; message includes the location."""
 
@@ -73,6 +69,11 @@ class InconsistentHours(DataError):
 class InvalidBsId(DataError):
     """A station id the corpus CSV cannot hold (empty, or with a comma,
     a quote or a line break), or one a corpus to be written repeats."""
+
+
+class UnknownBs(DataError):
+    """A station missing from the corpus, or a corpus station that an sa
+    model neither fitted nor lists as failed."""
 
 
 class InfiniteVolume(DataError):

@@ -128,7 +128,10 @@ def forecast_one(model: BlockModel, history: np.ndarray) -> float | np.ndarray:
     lags = _window_features(model, hist)
     # In C order whatever the layout of ``history``, so that the product
     # with theta sums in one order for a view of the corpus and for a copy.
-    xhat = np.subtract(lags, model.stats.mu_x, order="C") / model.stats.sigma_x
+    xhat = np.subtract(lags, model.stats.mu_x, order="C")
+    # Divided in place: two (n, w) temporaries freed together hand their
+    # memory back to the OS, and every hour of a horizon faults it in again.
+    xhat /= model.stats.sigma_x
     z = model.theta0 + xhat @ model.theta
     value = model.stats.mu_y + z * model.stats.sigma_y
     if m > 0:

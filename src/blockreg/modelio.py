@@ -53,17 +53,29 @@ def atomic_write_text(path: str, text: str | Iterable[str | bytes]) -> None:
 def load_json(path: str, error: type[BlockregError], what: str) -> dict:
     """The JSON object in the UTF-8 file ``path``; any failure raises ``error``.
 
-    ``what`` names the file when it holds something other than an object.
+    ``what`` names the file when it holds something other than an object,
+    and an object that gives a key twice is invalid JSON here, rather than
+    one of its values being dropped.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise error(f"cannot open {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deep
         raise error(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: {what} must be a JSON object")
+    return doc
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``; a repeated key raises ValueError."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"key {key!r} occurs more than once in an object")
     return doc
 
 

@@ -46,16 +46,19 @@ def digest(data: bytes = b"") -> blake2b:
     return blake2b(data, digest_size=32)
 
 
-def save(path: str, t: TrafficMatrix, csv_hex: str) -> None:
+def save(path: str, t: TrafficMatrix, csv_hex: str,
+         matrix_hex: str | None = None) -> None:
     """Write the sidecar of the CSV at ``path``, whose bytes have the digest
     ``csv_hex`` and parse to ``t`` with its rows sorted by bs_id.
 
-    A sidecar that cannot be written is skipped: the CSV is already there.
+    ``matrix_hex``, if given, is the matrix digest of ``t``, which is then
+    not taken again. A sidecar that cannot be written is skipped: the CSV
+    is already there.
     """
     from .modelio import atomic_write_text
 
     try:
-        atomic_write_text(path + SUFFIX, _pieces(t, csv_hex))
+        atomic_write_text(path + SUFFIX, _pieces(t, csv_hex, matrix_hex))
     except InvalidConfig:
         pass
 
@@ -88,15 +91,15 @@ def load(path: str) -> tuple[list[str], np.ndarray, int] | None:
     return bs_ids, values.astype(np.float64, copy=False), start
 
 
-def kept_rows(path: str, t: TrafficMatrix) -> tuple[str, np.ndarray] | None:
+def kept_rows(path: str, t: TrafficMatrix) -> tuple[str, np.ndarray, str] | None:
     """Which rows of the sidecar of the CSV at ``path`` are ``t``'s rows.
 
-    Returns the header's ``csv_blake2b`` and a mask over the sidecar's
-    rows, or None unless the header is valid, ``t`` has its ``start_hour``
-    and ``n_hours``, ``t``'s bs_ids, sorted, are a subsequence of its
-    bs_ids, each such row has the bits of ``t``'s row as `_rows` gives it,
-    and the matrix digest matches. The sidecar is read a piece of a row at
-    a time; the CSV is not read.
+    Returns the header's ``csv_blake2b``, a mask over the sidecar's rows
+    and the header's ``matrix_blake2b``, or None unless the header is
+    valid, ``t`` has its ``start_hour`` and ``n_hours``, ``t``'s bs_ids,
+    sorted, are a subsequence of its bs_ids, each such row has the bits of
+    ``t``'s row as `_rows` gives it, and the matrix digest matches. The
+    sidecar is read a piece of a row at a time; the CSV is not read.
     """
     try:
         with open(path + SUFFIX, "rb") as side:
@@ -133,7 +136,7 @@ def kept_rows(path: str, t: TrafficMatrix) -> tuple[str, np.ndarray] | None:
         return None
     if matrix_digest.hexdigest() != header["matrix_blake2b"]:
         return None
-    return header["csv_blake2b"], kept
+    return header["csv_blake2b"], kept, header["matrix_blake2b"]
 
 
 def _header(side, csv_size: int) -> dict | None:
@@ -190,18 +193,21 @@ def _rows(t: TrafficMatrix, order: list[int]) -> Iterator[np.ndarray]:
         yield np.ascontiguousarray(row, dtype="<f8")
 
 
-def _pieces(t: TrafficMatrix, csv_hex: str) -> Iterator[str | np.ndarray]:
+def _pieces(t: TrafficMatrix, csv_hex: str,
+            matrix_hex: str | None) -> Iterator[str | np.ndarray]:
     """The header line, then the rows, of the sidecar."""
     order = sorted(range(t.n_bs), key=t.bs_ids.__getitem__)
     bs_ids = [t.bs_ids[i] for i in order]
     start = int(t.start_hour)
-    matrix_digest = digest(_body(start, t.n_hours, bs_ids))
-    for row in _rows(t, order):
-        matrix_digest.update(row)
+    if matrix_hex is None:
+        matrix_digest = digest(_body(start, t.n_hours, bs_ids))
+        for row in _rows(t, order):
+            matrix_digest.update(row)
+        matrix_hex = matrix_digest.hexdigest()
     header = {
         "version": VERSION,
         "csv_blake2b": csv_hex,
-        "matrix_blake2b": matrix_digest.hexdigest(),
+        "matrix_blake2b": matrix_hex,
         "start_hour": start,
         "n_hours": t.n_hours,
         "bs_ids": bs_ids,

@@ -77,3 +77,34 @@ def sa_forecast(model, t, bs, start, k, mode):
         if mode == "recursive":
             working = np.append(working, value)
     return forecast
+
+
+def fleet_forecast_one(model, history):
+    """The fleet forecast for the hour after an (n, L) ``history``, with
+    the subtraction and the division each making an (n, w) array."""
+    m, w = model.seasonality_m, model.window_w
+    hist = np.asarray(history, dtype=float)[..., -(m + w):]
+    lags = hist[..., m:m + w] - hist[..., :w] if m > 0 else hist[..., -w:]
+    xhat = np.subtract(lags, model.stats.mu_x, order="C") / model.stats.sigma_x
+    z = model.theta0 + xhat @ model.theta
+    value = model.stats.mu_y + z * model.stats.sigma_y
+    if m > 0:
+        value = value + hist[..., w]
+    return value
+
+
+def fleet_forecast(model, t, start, k, mode):
+    """Every station's br/lr forecasts for k hours from column ``start``,
+    one `fleet_forecast_one` per hour, as an (n, k) array."""
+    need = model.seasonality_m + model.window_w
+    if mode == "one_step":
+        working = t.values[:, start - need:start + k]
+    else:
+        working = np.empty((t.n_bs, need + k))
+        working[:, :need] = t.values[:, start - need:start]
+    forecast = np.empty((t.n_bs, k))
+    for j in range(k):
+        forecast[:, j] = fleet_forecast_one(model, working[:, j:j + need])
+        if mode == "recursive":
+            working[:, need + j] = forecast[:, j]
+    return forecast

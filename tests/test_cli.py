@@ -353,13 +353,21 @@ def _failed_too(doc):
     doc["failed_bs"].append(min(doc["per_bs"]))
 
 
-@pytest.mark.parametrize("kind,edit", [
-    ("br", lambda doc: doc.update(params=5)),
-    ("sa", lambda doc: doc.update(params=7)),
-    ("sa", _failed_too),
-    ("sa", lambda doc: doc.update(failed_bs=["bs_zz", "bs_zz"])),
-], ids=["br-params-5", "sa-params-7", "fitted-and-failed", "failed-twice"])
-def test_inconsistent_model_file_exits_3(workspace, tmp_path, kind, edit):
+def _left_out(doc):
+    # neither fitted nor failed: the model does not cover the corpus
+    del doc["per_bs"][min(doc["per_bs"])]
+    doc["params"] -= 5
+
+
+@pytest.mark.parametrize("kind,edit,error", [
+    ("br", lambda doc: doc.update(params=5), "ParseError"),
+    ("sa", lambda doc: doc.update(params=7), "ParseError"),
+    ("sa", _failed_too, "ParseError"),
+    ("sa", lambda doc: doc.update(failed_bs=["bs_zz", "bs_zz"]), "ParseError"),
+    ("sa", _left_out, "UnknownBs"),
+], ids=["br-params-5", "sa-params-7", "fitted-and-failed", "failed-twice",
+        "station-left-out"])
+def test_inconsistent_model_file_exits_3(workspace, tmp_path, kind, edit, error):
     doc = json.loads((workspace / f"{kind}.json").read_text())
     edit(doc)
     model = tmp_path / "m.json"
@@ -368,7 +376,7 @@ def test_inconsistent_model_file_exits_3(workspace, tmp_path, kind, edit):
             "--output", tmp_path / "out.json")
     assert r.returncode == 3, r.stderr
     assert len(r.stderr.splitlines()) == 1
-    assert json.loads(r.stderr)["error"] == "ParseError"
+    assert json.loads(r.stderr)["error"] == error
     assert not (tmp_path / "out.json").exists()
 
 

@@ -151,12 +151,20 @@ class CountingDigest:
 REAL_DIGEST = blockreg.sidecar.digest
 
 
+def matrix_fed(t: TrafficMatrix) -> int:
+    """The bytes fed to the matrix digest of ``t``'s sidecar."""
+    ids = sorted(t.bs_ids)
+    return len(blockreg.sidecar._body(t.start_hour, t.n_hours, ids)) + t.values.nbytes
+
+
 @pytest.mark.parametrize("drop", [False, True], ids=["all_kept", "some_dropped"])
 def test_clean_digests_each_csv_once_per_check(tmp_path, drop, monkeypatch):
     # The load checks the source CSV against its sidecar, and the copy
     # checks it again as it reads it. A copy of every station is then the
     # source, so its digest is not taken a third time; a copy that leaves
-    # stations out is digested as it is written.
+    # stations out is digested as it is written. The same holds for the
+    # matrix, which the load and the row check each digest: a copy of every
+    # station writes the source's sidecar, matrix digest and all.
     t = make_corpus(n_bs=30, n_hours=48)
     if drop:
         t.values[::4, 7] = np.nan
@@ -167,8 +175,12 @@ def test_clean_digests_each_csv_once_per_check(tmp_path, drop, monkeypatch):
     assert main(["clean", "--input", str(raw), "--output", str(corpus)]) == 0
     fed = [d.fed for d in CountingDigest.made]
     assert fed.count(raw.stat().st_size) == 2
+    assert fed.count(matrix_fed(t)) == 2
     if drop:
         assert fed.count(corpus.stat().st_size) == 1
+        assert fed.count(matrix_fed(clean(t))) == 1
+    else:
+        assert sidecar(corpus).read_bytes() == sidecar(raw).read_bytes()
     monkeypatch.undo()
     assert corpus.read_bytes() == corpus_to_csv(clean(t)).encode()
     monkeypatch.setattr(blockreg.corpus, "_read_chunks", None)  # the sidecar serves

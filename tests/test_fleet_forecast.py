@@ -3,7 +3,9 @@
 br/lr forecasts may differ from the loop by summation order only, so they
 are compared per station within 1e-12 times the station's largest traffic
 value; the SA recursion keeps the loop's order of operations and must be
-bit-identical.
+bit-identical. br/lr forecasts must also be bit-identical to the fleet
+loop of ``forecast_oracle``, which makes an (n, w) array for the
+subtraction and another for the division.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ from blockreg import (
     train_sa,
 )
 
-from forecast_oracle import block_forecast, sa_forecast
+from forecast_oracle import block_forecast, fleet_forecast, sa_forecast
 
 MODES = ("one_step", "recursive")
 REL_TOL = 1e-12
@@ -133,3 +135,37 @@ def test_fleet_matches_oracle_property(case):
         np.testing.assert_array_equal(fs.actual, t.values[:, start:start + k])
     else:
         assert fs.actual is None
+
+
+# (stations, widths): one station, and (n, w) features of more than the
+# 128 KiB above which glibc maps an allocation by itself.
+SIZES = {"one_station": (st.just(1), st.integers(1, 72)),
+         "above_128KiB": (st.integers(250, 400), st.just(72))}
+
+
+@pytest.mark.parametrize("size", sorted(SIZES))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("differenced", [False, True], ids=["m0", "m_pos"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_block_fleet_bitwise_equals_fleet_oracle(size, mode, differenced, data):
+    stations, widths = SIZES[size]
+    n, w = data.draw(stations), data.draw(widths)
+    m = data.draw(st.sampled_from([1, 12, 24])) if differenced else 0
+    need = m + w
+    length = data.draw(st.integers(need + 1, need + 60))
+    start = data.draw(st.integers(need, length if mode == "recursive" else length - 1))
+    k = data.draw(st.integers(1, 48 if mode == "recursive" else length - start))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    t = TrafficMatrix(
+        bs_ids=[f"bs_{i}" for i in range(n)],
+        values=rng.uniform(0.5, 2.0, size=(n, length)) * rng.uniform(1, 100, (n, 1)),
+    )
+    stats = NormalizationStats(
+        rng.normal(size=w), rng.uniform(0.5, 2.0, w),
+        float(rng.normal()), float(rng.uniform(0.5, 2.0)),
+    )
+    model = BlockModel(float(rng.normal()), rng.normal(scale=0.2 / w, size=w),
+                       stats, m, w)
+    fs = forecast_horizon(model, t, start, k, mode)
+    np.testing.assert_array_equal(fs.forecast, fleet_forecast(model, t, start, k, mode))

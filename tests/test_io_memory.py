@@ -156,6 +156,19 @@ def test_synthesize_bounded():
     assert peak < 1.8 * t.values.nbytes
 
 
+@pytest.mark.parametrize("mode", ["one_step", "recursive"])
+def test_lr_horizon_holds_one_feature_array_per_hour(mode):
+    # Each hour's (n, w) features are normalized in the one array that the
+    # subtraction makes. A second such array, freed with the first, would
+    # hand the memory back to the OS, to be faulted in again every hour.
+    t = synthesize(SynthConfig(n_bs=2000, n_hours=336, seed=3))
+    model, _ = train_block_regression(t, m=0, w=72, train_hours=240)
+    fs, peak = traced_peak(forecast_horizon, model, t, 240, 96, mode)
+    features = t.n_bs * model.window_w * 8
+    working = 0 if mode == "one_step" else t.n_bs * (model.window_w + 96) * 8
+    assert (peak - fs.forecast.nbytes - working) / features < 1.5
+
+
 @pytest.fixture(scope="module")
 def scored():
     t = synthesize(SynthConfig(n_bs=300, n_hours=336, seed=3))

@@ -278,6 +278,14 @@ def test_load_rejects_unreadable_json(tmp_path, content):
         load_model(str(path))
 
 
+def test_load_rejects_a_station_given_twice(tmp_path):
+    # json.load would keep the second station's coefficients silently.
+    path = tmp_path / "m.json"
+    path.write_text(dump_json(model_doc(sa_model())).replace('"bs_1"', '"bs_0"'))
+    with pytest.raises(ParseError, match="key 'bs_0' occurs more than once"):
+        load_model(str(path))
+
+
 def test_load_missing_file():
     with pytest.raises(ParseError, match="cannot open"):
         load_model("/nonexistent/model.json")

@@ -105,6 +105,16 @@ def test_threads_below_one_rejected(tmp_path):
         resolve("train", config={"threads": -1}, tmp_path=tmp_path)
 
 
+def test_config_key_given_twice_rejected(tmp_path):
+    # json.load would keep the second value and drop the first silently.
+    path = tmp_path / "cfg.json"
+    path.write_text('{"m": 24, "m": 48}')
+    args = build_parser().parse_args(
+        ["train", "--input", "c.csv", "--model", "m.json", "--config", str(path)])
+    with pytest.raises(InvalidConfig, match="key 'm' occurs more than once"):
+        resolve_settings(args)
+
+
 @pytest.mark.parametrize("config", [{"w": 0}, {"kind": "lr", "w": 0}])
 def test_zero_width_reaches_training(tmp_path, capsys, config):
     corpus = tmp_path / "c.csv"
