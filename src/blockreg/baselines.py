@@ -25,14 +25,13 @@ from .errors import (
     UnknownBs,
 )
 from .forecaster import (
-    CHUNK_BYTES,
     ForecastSeries,
     check_horizon,
     horizon_series,
     train_block_regression,
     training_slice,
 )
-from .pipeline import seasonal_difference
+from .pipeline import CHUNK_BYTES, seasonal_difference
 from .regressor import BlockModel
 
 

@@ -189,14 +189,14 @@ def _cmd_sweep(args, opts: dict) -> int:
     split = Split(opts["train_hours"], opts["test_hours"])
     grid = opts["seasonalities"]
     result = sweep_seasonality(t, grid, _width(opts), split, opts["mode"])
+    best = result.best_m()  # raises, before any write, when no point scored
+    best_value = next(
+        p.average_nrmse for p in result.points if p.seasonality_m == best
+    )
     if args.output.endswith(".csv"):
         atomic_write_text(args.output, sweep_csv(result))
     else:
         atomic_write_text(args.output, dump_json(sweep_doc(result)))
-    best = result.best_m()
-    best_value = next(
-        p.average_nrmse for p in result.points if p.seasonality_m == best
-    )
     print(f"sweep: best_m={best} average_nrmse={best_value:.6f} -> {args.output}")
     return 0
 

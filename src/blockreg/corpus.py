@@ -122,6 +122,9 @@ class SynthConfig:
             raise InvalidConfig(f"n_bs must be >= 1, got {self.n_bs}")
         if self.n_hours < 24:
             raise InvalidConfig(f"n_hours must be >= 24, got {self.n_hours}")
+        if self.n_bs * self.n_hours * 8 > np.iinfo(np.intp).max:
+            raise InvalidConfig(
+                f"a {self.n_bs} x {self.n_hours} matrix exceeds the address space")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must fit in 64 unsigned bits")
         if self.daily_profile_amplitude < 0:

@@ -20,6 +20,8 @@ from .errors import (
     InvalidConfig,
     LengthMismatch,
     Overflow,
+    SeasonalityTooLarge,
+    WindowTooLarge,
     ZeroMeanActual,
 )
 from .forecaster import MODES, ForecastSeries, forecast_horizon, train_block_regression
@@ -244,6 +246,13 @@ def sweep_seasonality(
         raise InvalidConfig("seasonalities must be positive")
     if any(b <= a for a, b in zip(seasonalities, seasonalities[1:])):
         raise InvalidConfig("seasonalities must be strictly increasing")
+    # The smallest lag leaves the most differenced training columns.
+    columns = split.train_hours - seasonalities[0]
+    if columns < 1:
+        raise SeasonalityTooLarge(
+            f"every lag leaves no columns for train_hours={split.train_hours}")
+    if w >= columns:
+        raise WindowTooLarge(f"w={w} leaves no window positions at any lag")
     result = SweepResult()
     for m in seasonalities:
         try:

@@ -19,6 +19,7 @@ import numpy as np
 from .corpus import TrafficMatrix
 from .errors import InsufficientHistory, InvalidConfig
 from .pipeline import (
+    CHUNK_BYTES,
     DifferencedMatrix,
     NormalizationStats,
     apply_normalization,
@@ -30,12 +31,6 @@ from .pipeline import (
 from .regressor import BlockModel, NormalSystem, TrainingDiagnostics, train_cg
 
 MODES = ("one_step", "recursive")
-
-# Training windows and normalizes the stations a chunk at a time; a chunk
-# holds as many stations as fit their samples (w features and the target,
-# as float64) into this many bytes, and at least one. Training then holds a
-# few chunks of samples at once, never the whole N (L - m - w) x w design.
-CHUNK_BYTES = 1024 * 1024
 
 
 @dataclass

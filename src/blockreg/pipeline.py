@@ -3,6 +3,8 @@
 Turns a cleaned traffic matrix into a normalized regression problem. The
 stages are pure and deterministic; window rows are ordered by
 (bs_index, target_hour) regardless of how the work is scheduled.
+Normalization statistics come from per-column sums of the differenced
+matrix, so fitting them builds no window.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ from .errors import (
     SeasonalityTooLarge,
     WindowTooLarge,
 )
+
+# Work on the fleet goes a block of stations at a time: a block holds as
+# many stations as fit their working data (their rows of the differenced
+# matrix, or their windowed samples as float64) into this many bytes, and at
+# least one. So no stage holds a copy the size of the whole matrix or design.
+CHUNK_BYTES = 1024 * 1024
 
 
 @dataclass
@@ -127,8 +135,10 @@ def slide_windows(d: DifferencedMatrix, w: int) -> FeatureSet:
     per_bs = _positions(d, w)
     n_bs = d.n_bs
     windows = np.lib.stride_tricks.sliding_window_view(d.values, w + 1, axis=1)
-    x = windows[:, :, :w].reshape(n_bs * per_bs, w).copy()
-    y = windows[:, :, w].reshape(n_bs * per_bs).copy()
+    # One copy each, never a view of d: `np.ascontiguousarray` would hand
+    # back one station's targets uncopied.
+    x = np.array(windows[:, :, :w], order="C").reshape(n_bs * per_bs, w)
+    y = np.array(windows[:, :, w], order="C").reshape(n_bs * per_bs)
     bs_idx = np.repeat(np.arange(n_bs), per_bs)
     target_col = np.tile(np.arange(w, d.n_cols) + d.seasonality_m, n_bs)
     provenance = np.column_stack([bs_idx, target_col])
@@ -139,24 +149,63 @@ def fit_normalization(d: DifferencedMatrix, w: int) -> NormalizationStats:
     """Column means and sample standard deviations of the window samples.
 
     The samples are those `slide_windows` makes from ``d`` at width ``w``,
-    but no window is built: with P positions per station, feature column j
-    of every window is the view ``d.values[:, j:j + P]`` and the target
-    column is the view at ``j = w``, so the stats cost one column of
-    temporaries.
+    but no window is built. With P positions per station, window column j
+    (feature j, or the target at ``j = w``) holds the matrix columns j to
+    j + P - 1 of every station, so its stats follow from each matrix
+    column's mean and sum of squared deviations: the window's mean is the
+    mean of its columns' means, and its sum of squares adds its columns'
+    sums and N times the squared spread of their means about that mean.
+    Those column moments take one pass over ``d`` a block of stations at a
+    time, as values less one scalar shift ``c = d.values[0, w]``, a value
+    of the target column. The shift keeps a large common level out of the
+    sums, and a constant matrix has exactly zero deviation.
     """
     per_bs = _positions(d, w)
-    columns = [d.values[:, j:j + per_bs] for j in range(w + 1)]
-    n = columns[0].size
+    n = d.n_bs * per_bs
     if n < 2:
         raise InsufficientSamples(
             f"normalization needs at least 2 samples, got {n}"
         )
-    mu = np.array([c.mean() for c in columns])
-    sigma = np.array([c.std(ddof=1) for c in columns])
+    c = d.values[0, w]
+    col_mean, col_m2 = _column_moments(d.values, c)
+    mu = np.empty(w + 1)
+    m2 = np.empty(w + 1)
+    for j in range(w + 1):
+        means = col_mean[j:j + per_bs]
+        mu[j] = means.mean()
+        spread = means - mu[j]
+        m2[j] = col_m2[j:j + per_bs].sum() + d.n_bs * (spread @ spread)
+    mu += c
+    sigma = np.sqrt(m2 / (n - 1))
     sigma[sigma == 0.0] = 1.0
     return NormalizationStats(
         mu_x=mu[:-1], sigma_x=sigma[:-1], mu_y=float(mu[-1]), sigma_y=float(sigma[-1])
     )
+
+
+def _column_moments(values: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of ``values - c``: the mean and the sum of squared deviations.
+
+    Reads ``values`` once, `CHUNK_BYTES` of rows at a time into one reused
+    buffer, and merges each block's moments into the running ones (Chan,
+    Golub and LeVeque's pairwise update).
+    """
+    n_rows, n_cols = values.shape
+    step = max(1, min(n_rows, CHUNK_BYTES // (n_cols * 8)))
+    buffer = np.empty((step, n_cols))
+    mean = np.zeros(n_cols)
+    m2 = np.zeros(n_cols)
+    for lo in range(0, n_rows, step):
+        rows = values[lo:lo + step]
+        k = rows.shape[0]
+        block = np.subtract(rows, c, out=buffer[:k])
+        block_mean = block.sum(axis=0) / k
+        block -= block_mean
+        block *= block
+        delta = block_mean - mean
+        mean += delta * (k / (lo + k))
+        m2 += block.sum(axis=0) + delta * delta * (lo * k / (lo + k))
+    return mean, m2
 
 
 def apply_normalization(f: FeatureSet, s: NormalizationStats) -> FeatureSet:

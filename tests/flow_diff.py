@@ -1,0 +1,140 @@
+"""Compare the files of the CLI flow under two versions of blockreg.
+
+    python tests/flow_diff.py OLD_SRC NEW_SRC [--synth-config FILE]
+
+Runs the whole flow once with ``PYTHONPATH=OLD_SRC`` and once with
+``PYTHONPATH=NEW_SRC``, each in its own temporary directory: synth
+``--seed 1``, clean, train br/lr/sa, eval each model in both modes to .json
+and .csv, forecast each model in both modes, and sweep to .json and .csv.
+That is 25 files, and the two corpus sidecars (``<csv>.matrix``). For each
+file it prints "identical", or, when the text around the numbers agrees,
+the largest relative difference among the file's numbers and the largest
+difference over the file's largest number. A ``--synth-config`` JSON
+file goes to synth, for example ``{"n_bs": 2000}`` for a wide fleet.
+
+Exits 0 when every command of both flows exited 0, else 1. Uses only the
+standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+KINDS = ("br", "lr", "sa")
+MODES = ("one_step", "recursive")
+NUMBER = re.compile(
+    r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf(?:inity)?|nan)",
+    re.IGNORECASE,
+)
+
+
+def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
+    """The commands of the flow, each with the files it writes."""
+    steps = [(["synth", "--seed", "1", "--output", "raw.csv"]
+              + (["--config", synth_config] if synth_config else []),
+              ["raw.csv", "raw.csv.matrix"]),
+             (["clean", "--input", "raw.csv", "--output", "corpus.csv"],
+              ["corpus.csv", "corpus.csv.matrix"])]
+    for kind in KINDS:
+        steps.append((["train", "--kind", kind, "--input", "corpus.csv",
+                       "--model", f"{kind}.json"], [f"{kind}.json"]))
+    for kind in KINDS:
+        for mode in MODES:
+            for ext in ("json", "csv"):
+                out = f"eval_{kind}_{mode}.{ext}"
+                steps.append((["eval", "--input", "corpus.csv", "--model",
+                               f"{kind}.json", "--mode", mode, "--output", out], [out]))
+            out = f"forecast_{kind}_{mode}.csv"
+            steps.append((["forecast", "--input", "corpus.csv", "--model",
+                           f"{kind}.json", "--mode", mode, "--output", out], [out]))
+    for ext in ("json", "csv"):
+        steps.append((["sweep", "--input", "corpus.csv", "--output", f"sweep.{ext}"],
+                      [f"sweep.{ext}"]))
+    return steps
+
+
+def run_flow(src: str, work: Path, steps) -> bool:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    ok = True
+    for argv, _ in steps:
+        done = subprocess.run([sys.executable, "-m", "blockreg", *argv], cwd=work,
+                              env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            print(f"{src}: {' '.join(argv)} exited {done.returncode}: "
+                  f"{done.stderr.strip()}", file=sys.stderr)
+            ok = False
+    return ok
+
+
+def split_numbers(text: str) -> tuple[list[str], np.ndarray]:
+    """The text between the numbers, and the numbers."""
+    return NUMBER.split(text), np.array([float(v) for v in NUMBER.findall(text)])
+
+
+def differences(a: np.ndarray, b: np.ndarray) -> str:
+    """The largest relative difference of two equal-length number lists, and
+    the largest difference over the largest magnitude in the file. A number
+    that is rounding noise about zero, such as the intercept of a model on
+    standardized data, has a large first figure and a tiny second one."""
+    if a.shape != b.shape:
+        return "differs (count of numbers)"
+    scale = np.maximum(np.abs(a), np.abs(b))
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diff = np.where(same, 0.0, np.abs(a - b))
+        rel = np.where(same, 0.0, diff / scale)
+    top = np.nanmax(scale, initial=0.0)
+    return "max relative difference {:.3g} ({:.3g} of the largest number)".format(
+        rel.max(initial=0.0), diff.max(initial=0.0) / top if top else 0.0)
+
+
+def compare(old: Path, new: Path) -> str:
+    if not old.exists() or not new.exists():
+        return "missing on the " + ("old" if not old.exists() else "new") + " side"
+    a, b = old.read_bytes(), new.read_bytes()
+    if a == b:
+        return "identical"
+    if old.suffix == ".matrix":  # one JSON header line, then float64 volumes
+        head_a, _, body_a = a.partition(b"\n")
+        head_b, _, body_b = b.partition(b"\n")
+        if head_a != head_b:
+            return "differs (sidecar header)"
+        return differences(np.frombuffer(body_a, "<f8"), np.frombuffer(body_b, "<f8"))
+    text_a, nums_a = split_numbers(a.decode())
+    text_b, nums_b = split_numbers(b.decode())
+    if text_a != text_b:
+        return "differs (text around the numbers)"
+    return differences(nums_a, nums_b)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--synth-config")
+    args = parser.parse_args(argv)
+    config = os.path.abspath(args.synth_config) if args.synth_config else None
+    steps = flow(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        old, new = Path(tmp, "old"), Path(tmp, "new")
+        old.mkdir()
+        new.mkdir()
+        ok = run_flow(args.old_src, old, steps) & run_flow(args.new_src, new, steps)
+        files = [f for _, written in steps for f in written]
+        width = max(map(len, files))
+        for name in files:
+            print(f"{name:<{width}}  {compare(old / name, new / name)}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from blockreg import SynthConfig, TrafficMatrix, save_corpus, synthesize
+
 SMALL = {"n_bs": 12, "n_hours": 336, "seed": 1}
 
 
@@ -528,6 +530,10 @@ def test_br_with_m_zero_is_lr(workspace, tmp_path):
     {"daily_profile_amplitude": float("inf")},
     {"day_intensity_std": 10 ** 400},
     {"noise_std": -(10 ** 400)},
+    # A matrix beyond the address space.
+    {"n_bs": 2**64},
+    {"n_bs": 10**400},
+    {"n_bs": 3, "n_hours": 2**62},
 ])
 def test_synth_config_wrong_type_exits_2(tmp_path, setting):
     cfg = tmp_path / "synth.json"
@@ -574,6 +580,35 @@ def test_sweep_config_error_exits_2(workspace, tmp_path, setting):
             "--config", cfg)
     assert r.returncode == 2, r.stderr
     assert json.loads(r.stderr)["error"] == "InvalidConfig"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, error", [
+    ({"w": 216}, "WindowTooLarge"),  # 240 - 24 columns at the smallest lag
+    ({"w": 2**64}, "WindowTooLarge"),
+    ({"seasonalities": [240, 300]}, "SeasonalityTooLarge"),
+])
+def test_sweep_that_fails_at_every_lag_exits_2(workspace, tmp_path, setting, error):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(setting))
+    out = tmp_path / "s.json"
+    r = run("sweep", "--input", workspace / "corpus.csv", "--output", out,
+            "--config", cfg)
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr)["error"] == error
+    assert not out.exists()
+
+
+def test_sweep_without_a_score_writes_nothing(tmp_path):
+    # Every station's test hours are 0, so every lag's report excludes them all.
+    t = synthesize(SynthConfig(**SMALL))
+    values = t.values.copy()
+    values[:, 240:] = 0.0
+    save_corpus(TrafficMatrix(t.bs_ids, values), str(tmp_path / "zero.csv"))
+    out = tmp_path / "s.json"
+    r = run("sweep", "--input", tmp_path / "zero.csv", "--output", out)
+    assert r.returncode == 3, r.stderr
+    assert json.loads(r.stderr)["message"] == "no sweep point produced a score"
     assert not out.exists()
 
 

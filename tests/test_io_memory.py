@@ -21,13 +21,22 @@ import numpy as np
 import pytest
 
 import blockreg.corpus
-from blockreg import SynthConfig, clean, load_corpus, save_corpus, synthesize
+from blockreg import (
+    SynthConfig,
+    clean,
+    fit_normalization,
+    load_corpus,
+    pipeline,
+    save_corpus,
+    synthesize,
+)
 from blockreg.baselines import forecast_sa, train_sa
 from blockreg.cli import _forecast_csv
 from blockreg.corpus import CHUNK_BYTES, TrafficMatrix
 from blockreg.evaluation import Split, evaluate
 from blockreg.forecaster import ForecastSeries, forecast_horizon, train_block_regression
 from blockreg.modelio import atomic_write_text
+from blockreg.pipeline import DifferencedMatrix
 
 READ_SLACK = 16 * CHUNK_BYTES
 WRITE_SLACK = 4 * CHUNK_BYTES
@@ -167,6 +176,16 @@ def test_lr_horizon_holds_one_feature_array_per_hour(mode):
     features = t.n_bs * model.window_w * 8
     working = 0 if mode == "one_step" else t.n_bs * (model.window_w + 96) * 8
     assert (peak - fs.forecast.nbytes - working) / features < 1.5
+
+
+@pytest.mark.parametrize("w", [3, 72, 119])
+def test_fit_normalization_holds_one_row_block(w):
+    # One block of rows in the buffer, numpy's reduction buffer and a few
+    # vectors over the columns; a (N, P) temporary of a window column,
+    # 2.7 MB at w = 72, breaks the bound.
+    d = DifferencedMatrix(0, np.random.default_rng(1).normal(size=(2000, 240)))
+    _, peak = traced_peak(fit_normalization, d, w)
+    assert peak < pipeline.CHUNK_BYTES + np.getbufsize() * 8 + 16 * d.n_cols * 8
 
 
 @pytest.fixture(scope="module")

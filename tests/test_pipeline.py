@@ -107,6 +107,17 @@ def test_slide_windows_row_ordering():
     assert list(f.provenance[:, 1]) == [2, 3, 4, 5, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("n_bs", [1, 3])
+@pytest.mark.parametrize("w", [1, 4])
+def test_slide_windows_copies_the_samples(n_bs, w):
+    d = identity_difference(matrix(np.arange(n_bs * 10.0).reshape(n_bs, 10)))
+    f = slide_windows(d, w)
+    assert f.x.shape == (n_bs * (10 - w), w) and f.y.shape == (n_bs * (10 - w),)
+    assert f.x.flags.c_contiguous and f.y.flags.c_contiguous
+    assert not np.shares_memory(f.x, d.values)
+    assert not np.shares_memory(f.y, d.values)
+
+
 def test_slide_windows_window_too_large():
     t = matrix([[1, 2, 3, 4]])
     with pytest.raises(WindowTooLarge):

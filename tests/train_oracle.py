@@ -4,6 +4,9 @@ This is the training pipeline as it was before training accumulated a
 normal system per station chunk: one windowed copy of every sample, one
 normalized copy, and the ``[1 | X]`` design whose Gram matrix CG solves.
 Tests compare the chunked path in ``blockreg.forecaster`` against it.
+It also keeps the normalization fit that read strided views of the
+differenced matrix, one window column at a time, before the fit moved to
+per-column sums.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from blockreg import FeatureSet, NormalizationStats, TrafficMatrix, train_cg
+from blockreg.errors import InsufficientSamples
 from blockreg.pipeline import (
     DifferencedMatrix,
+    _positions,
     identity_difference,
     seasonal_difference,
     slide_windows,
@@ -28,6 +33,27 @@ def fit_normalization(f: FeatureSet) -> NormalizationStats:
     if sigma_y == 0.0:
         sigma_y = 1.0
     return NormalizationStats(mu_x=mu_x, sigma_x=sigma_x, mu_y=mu_y, sigma_y=sigma_y)
+
+
+def fit_normalization_views(d: DifferencedMatrix, w: int) -> NormalizationStats:
+    """The stats of `slide_windows(d, w)` from one strided view per column.
+
+    With P positions per station, window column j is the (N, P) view
+    ``d.values[:, j:j + P]``; each gets a mean and a ``std(ddof=1)``.
+    """
+    per_bs = _positions(d, w)
+    columns = [d.values[:, j:j + per_bs] for j in range(w + 1)]
+    n = columns[0].size
+    if n < 2:
+        raise InsufficientSamples(
+            f"normalization needs at least 2 samples, got {n}"
+        )
+    mu = np.array([c.mean() for c in columns])
+    sigma = np.array([c.std(ddof=1) for c in columns])
+    sigma[sigma == 0.0] = 1.0
+    return NormalizationStats(
+        mu_x=mu[:-1], sigma_x=sigma[:-1], mu_y=float(mu[-1]), sigma_y=float(sigma[-1])
+    )
 
 
 def apply_normalization(f: FeatureSet, s: NormalizationStats) -> FeatureSet:
