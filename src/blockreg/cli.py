@@ -27,7 +27,7 @@ from itertools import repeat
 import numpy as np
 
 from .baselines import train_sa
-from .corpus import SynthConfig, clean, load_corpus, save_corpus, synthesize
+from .corpus import SynthConfig, clean_file, load_corpus, save_corpus, synthesize
 from .errors import BlockregError, InvalidConfig, typed_value
 from .evaluation import (
     Split,
@@ -112,9 +112,7 @@ def _cmd_synth(args, opts: dict) -> int:
 
 
 def _cmd_clean(args, opts: dict) -> int:
-    raw = load_corpus(args.input)
-    cleaned = clean(raw)
-    save_corpus(cleaned, args.output, source=args.input)
+    raw, cleaned = clean_file(args.input, args.output)
     print(f"clean: kept {cleaned.n_bs}/{raw.n_bs} stations -> {args.output}")
     return 0
 

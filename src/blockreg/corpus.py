@@ -152,9 +152,6 @@ class SynthConfig:
         return cfg
 
 
-# Settings near the float range overflow to inf or nan; synthesize checks
-# its result and raises Overflow instead of letting numpy warn.
-@np.errstate(over="ignore", invalid="ignore")
 def synthesize(cfg: SynthConfig) -> TrafficMatrix:
     """Generate a deterministic synthetic traffic corpus.
 
@@ -166,9 +163,22 @@ def synthesize(cfg: SynthConfig) -> TrafficMatrix:
 
     With ``noise_std = day_intensity_std = burst_probability = 0`` every row
     is exactly 24-periodic. Raises Overflow when settings near the float
-    range make a volume infinite or undefined.
+    range make a volume infinite or undefined, and InvalidConfig when the
+    matrix does not fit in memory.
     """
     cfg.validate()
+    try:
+        return _synthesize(cfg)
+    except MemoryError:
+        raise InvalidConfig(
+            f"a {cfg.n_bs} x {cfg.n_hours} corpus ({8 * cfg.n_bs * cfg.n_hours} "
+            "bytes) does not fit in memory") from None
+
+
+# Settings near the float range overflow to inf or nan; _synthesize checks
+# its result and raises Overflow instead of letting numpy warn.
+@np.errstate(over="ignore", invalid="ignore")
+def _synthesize(cfg: SynthConfig) -> TrafficMatrix:
     n_bs, n_hours = cfg.n_bs, cfg.n_hours
     rng = np.random.default_rng(cfg.seed)
     n_days = -(-n_hours // 24)
@@ -269,10 +279,16 @@ def load_corpus(path: str) -> TrafficMatrix:
     ParseError (InconsistentHours for a duplicate record or an unfilled
     span) naming the first bad line in file order.
     """
+    return _load(path)[0]
+
+
+def _load(path: str) -> tuple[TrafficMatrix, str | None]:
+    """`load_corpus`, and the CSV digest that the sidecar vouched for, or
+    None when the CSV was parsed."""
     cached = sidecar.load(path)
     if cached is not None:
-        bs_ids, values, start = cached
-        return TrafficMatrix(bs_ids=bs_ids, values=values, start_hour=start)
+        bs_ids, values, start, csv_hex = cached
+        return TrafficMatrix(bs_ids=bs_ids, values=values, start_hour=start), csv_hex
     # "\n" + bs_id -> code, in order of first appearance (see _parse_rows)
     ids: dict[str, int] = {}
     try:
@@ -285,7 +301,7 @@ def load_corpus(path: str) -> TrafficMatrix:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if matrix is not None:
-        return matrix
+        return matrix, None
     if not chunks:
         raise ParseError(problem or f"{path}: no data rows")
 
@@ -310,7 +326,7 @@ def load_corpus(path: str) -> TrafficMatrix:
     values[rank[codes], hours - start] = volumes
     return TrafficMatrix(
         bs_ids=[names[i] for i in order], values=values, start_hour=start
-    )
+    ), None
 
 
 def _read_chunks(fh, path: str, ids: dict[str, int]):
@@ -617,7 +633,7 @@ def _csv_piece(bs_id: str, hours: list[str], row: np.ndarray) -> str:
     return "\n".join(map(",".join, zip(repeat(bs_id), hours, volumes))) + "\n"
 
 
-def save_corpus(t: TrafficMatrix, path: str, source: str | None = None) -> None:
+def save_corpus(t: TrafficMatrix, path: str) -> None:
     """Write a corpus CSV atomically, a piece of a row at a time, then its
     sidecar (see `sidecar`), which lets `load_corpus` skip the parser.
 
@@ -625,13 +641,6 @@ def save_corpus(t: TrafficMatrix, path: str, source: str | None = None) -> None:
     every other corpus whose CSV would not load back: EmptyCorpus for no
     station or no hour, InvalidBsId for a repeated bs_id and
     InconsistentHours for hours outside 0..2**63 - 1.
-
-    ``source`` names a corpus CSV that ``t`` may have been loaded from. If
-    its sidecar holds every row of ``t`` (see `sidecar.kept_rows`), the
-    station blocks of ``t`` are copied from that CSV instead of rendered
-    again. Should the CSV turn out not to be the one the sidecar was
-    written with, even part way through the copy, the copy is discarded
-    and the CSV rendered, so the bytes are always those of `corpus_to_csv`.
     """
     from .modelio import atomic_write_text
 
@@ -645,27 +654,42 @@ def save_corpus(t: TrafficMatrix, path: str, source: str | None = None) -> None:
     if t.start_hour < 0 or last > _INT64_MAX:
         raise InconsistentHours(f"hours {t.start_hour}..{last} reach outside 0..2**63-1")
     blocks = _csv_blocks(t)  # checks the rest before any file is touched
-    plan = None if source is None else sidecar.kept_rows(source, t)
-    csv_hex = matrix_hex = None
-    if plan is not None:
-        source_hex, kept, source_matrix_hex = plan
-        # A copy of every station is the source, whose digest the copy
-        # checks, and its matrix is the source's, whose digest the sidecar
-        # holds; only a copy that leaves a station out is digested again.
-        whole = kept.all()
-        csv_digest = None if whole else sidecar.digest()
-        matrix_hex = source_matrix_hex if whole else None
+    csv_digest = sidecar.digest()
+    atomic_write_text(path, _encoded(blocks, csv_digest))
+    sidecar.save(path, t, csv_digest.hexdigest())
+
+
+def clean_file(source: str, path: str) -> tuple[TrafficMatrix, TrafficMatrix]:
+    """`clean` the corpus CSV at ``source`` and save the result to ``path``
+    as `save_corpus` does; returns the loaded and the cleaned corpus.
+
+    If the sidecar of ``source`` vouched for its bytes when it was loaded,
+    the CSV is what `corpus_to_csv` writes for the loaded matrix, so the
+    kept station blocks are copied from it instead of rendered again. Should
+    the CSV have changed since the load, even part way through the copy, the
+    copy is discarded and the CSV rendered, so the bytes are always those of
+    `corpus_to_csv`.
+    """
+    from .modelio import atomic_write_text
+
+    raw, source_hex = _load(source)
+    t = clean(raw)
+    if source_hex is not None:
+        # Both are in bs_id order, the order of the source's station blocks.
+        ids = set(t.bs_ids)
+        kept = np.array([bs_id in ids for bs_id in raw.bs_ids])
+        # A copy of every station is the source, whose digest the copy checks.
+        csv_digest = None if t.n_bs == raw.n_bs else sidecar.digest()
         try:
             atomic_write_text(
                 path, _copied_csv(source, t.n_hours, source_hex, kept, csv_digest))
-            csv_hex = source_hex if whole else csv_digest.hexdigest()
         except _StaleSource:
             pass
-    if csv_hex is None:
-        csv_digest = sidecar.digest()
-        atomic_write_text(path, _encoded(blocks, csv_digest))
-        csv_hex = csv_digest.hexdigest()
-    sidecar.save(path, t, csv_hex, matrix_hex)
+        else:
+            sidecar.save(path, t, csv_digest.hexdigest() if csv_digest else source_hex)
+            return raw, t
+    save_corpus(t, path)
+    return raw, t
 
 
 class _StaleSource(Exception):

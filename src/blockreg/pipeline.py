@@ -214,6 +214,9 @@ def apply_normalization(f: FeatureSet, s: NormalizationStats) -> FeatureSet:
         raise DimensionMismatch(
             f"stats cover {s.mu_x.shape[0]} columns, features have {f.window_w}"
         )
-    x = (f.x - s.mu_x) / s.sigma_x
-    y = (f.y - s.mu_y) / s.sigma_y
+    # Dividing in the arrays the subtractions make saves a temporary of each.
+    x = f.x - s.mu_x
+    x /= s.sigma_x
+    y = f.y - s.mu_y
+    y /= s.sigma_y
     return FeatureSet(x=x, y=y, provenance=f.provenance, window_w=f.window_w)

@@ -1,25 +1,26 @@
 """The matrix sidecar of a corpus CSV: its parsed matrix, stored next to it.
 
-`corpus.save_corpus` writes ``<csv>.matrix`` after every CSV it writes,
-and `corpus.load_corpus` returns its matrix instead of parsing the CSV when
-the sidecar was written along with the very bytes the CSV now holds. The file
-is one JSON header line, then the ``(N, n_hours)`` matrix as little-endian
-float64, rows in bs_id order. The header holds the format version, the
-blake2b digest of the CSV, the blake2b digest of the matrix (`_body`
-followed by the volumes), ``start_hour``, ``n_hours`` and ``bs_ids``.
+`corpus.save_corpus` and `corpus.clean_file` write ``<csv>.matrix`` after
+every CSV they write, and `corpus.load_corpus` returns its matrix instead of
+parsing the CSV when the sidecar was written along with the very bytes the
+CSV now holds. The file is one JSON header line, then the ``(N, n_hours)``
+matrix as little-endian float64, rows in bs_id order. The header holds the
+format version, the blake2b digest of the CSV, the blake2b digest of the
+matrix (`_body` followed by the volumes), ``start_hour``, ``n_hours`` and
+``bs_ids``.
 
-`corpus.save_corpus` may also copy station blocks from a CSV whose sidecar
-holds the rows it writes (see `kept_rows`), instead of rendering them. So a
-sidecar also vouches that its CSV is what `corpus.corpus_to_csv` renders
-for its matrix: a change to the bytes `corpus_to_csv` writes for any matrix
-must bump ``VERSION``, which leaves every older sidecar unused.
+`corpus.clean_file` copies the kept station blocks of a CSV whose sidecar
+vouched for its bytes when it was loaded, checked against the CSV digest
+`load` returns, instead of rendering them. So a sidecar also vouches that
+its CSV is what `corpus.corpus_to_csv` renders for its matrix: a change to
+the bytes `corpus_to_csv` writes for any matrix must bump ``VERSION``,
+which leaves every older sidecar unused.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_left
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
@@ -37,8 +38,6 @@ SUFFIX = ".matrix"
 VERSION = 1
 # load digests the CSV in reads of this many bytes.
 READ_BYTES = 256 * 1024
-# kept_rows reads and compares rows in pieces of at most this many volumes.
-ROW_PIECE = 8 * 1024
 
 
 def digest(data: bytes = b"") -> blake2b:
@@ -46,26 +45,23 @@ def digest(data: bytes = b"") -> blake2b:
     return blake2b(data, digest_size=32)
 
 
-def save(path: str, t: TrafficMatrix, csv_hex: str,
-         matrix_hex: str | None = None) -> None:
+def save(path: str, t: TrafficMatrix, csv_hex: str) -> None:
     """Write the sidecar of the CSV at ``path``, whose bytes have the digest
     ``csv_hex`` and parse to ``t`` with its rows sorted by bs_id.
 
-    ``matrix_hex``, if given, is the matrix digest of ``t``, which is then
-    not taken again. A sidecar that cannot be written is skipped: the CSV
-    is already there.
+    A sidecar that cannot be written is skipped: the CSV is already there.
     """
     from .modelio import atomic_write_text
 
     try:
-        atomic_write_text(path + SUFFIX, _pieces(t, csv_hex, matrix_hex))
+        atomic_write_text(path + SUFFIX, _pieces(t, csv_hex))
     except InvalidConfig:
         pass
 
 
-def load(path: str) -> tuple[list[str], np.ndarray, int] | None:
-    """``(bs_ids, values, start_hour)`` from the sidecar of the CSV at
-    ``path``, or None if it cannot be used.
+def load(path: str) -> tuple[list[str], np.ndarray, int, str] | None:
+    """``(bs_ids, values, start_hour, csv_blake2b)`` from the sidecar of the
+    CSV at ``path``, or None if it cannot be used.
 
     It is used only if its header is valid (see `_header`), the CSV's
     digest equals the header's ``csv_blake2b``, and the digest of the
@@ -88,55 +84,7 @@ def load(path: str) -> tuple[list[str], np.ndarray, int] | None:
     matrix_digest.update(values)
     if matrix_digest.hexdigest() != header["matrix_blake2b"]:
         return None
-    return bs_ids, values.astype(np.float64, copy=False), start
-
-
-def kept_rows(path: str, t: TrafficMatrix) -> tuple[str, np.ndarray, str] | None:
-    """Which rows of the sidecar of the CSV at ``path`` are ``t``'s rows.
-
-    Returns the header's ``csv_blake2b``, a mask over the sidecar's rows
-    and the header's ``matrix_blake2b``, or None unless the header is
-    valid, ``t`` has its ``start_hour`` and ``n_hours``, ``t``'s bs_ids,
-    sorted, are a subsequence of its bs_ids, each such row has the bits of
-    ``t``'s row as `_rows` gives it, and the matrix digest matches. The
-    sidecar is read a piece of a row at a time; the CSV is not read.
-    """
-    try:
-        with open(path + SUFFIX, "rb") as side:
-            header = _header(side, os.path.getsize(path))
-            if header is None:
-                return None
-            bs_ids, n_hours = header["bs_ids"], header["n_hours"]
-            start = header["start_hour"]
-            if (start, n_hours) != (t.start_hour, t.n_hours):
-                return None
-            # save wrote the bs_ids sorted and unique
-            order = sorted(range(t.n_bs), key=t.bs_ids.__getitem__)
-            kept = np.zeros(len(bs_ids), dtype=bool)
-            for i in order:
-                k = bisect_left(bs_ids, t.bs_ids[i])
-                if k == len(bs_ids) or bs_ids[k] != t.bs_ids[i]:
-                    return None
-                kept[k] = True
-            matrix_digest = digest(_body(start, n_hours, bs_ids))
-            rows = _rows(t, order)
-            part = np.empty(min(n_hours, ROW_PIECE), dtype="<f8")
-            for k in range(len(bs_ids)):
-                row = next(rows) if kept[k] else None
-                for j in range(0, n_hours, len(part)):
-                    piece = part[: n_hours - j]
-                    if side.readinto(piece) != piece.nbytes:
-                        return None
-                    matrix_digest.update(piece)
-                    if row is not None and not np.array_equal(
-                        row[j : j + len(piece)].view("<u8"), piece.view("<u8")
-                    ):
-                        return None
-    except (OSError, ValueError, RecursionError):  # ValueError: bad UTF-8 or JSON
-        return None
-    if matrix_digest.hexdigest() != header["matrix_blake2b"]:
-        return None
-    return header["csv_blake2b"], kept, header["matrix_blake2b"]
+    return bs_ids, values.astype(np.float64, copy=False), start, header["csv_blake2b"]
 
 
 def _header(side, csv_size: int) -> dict | None:
@@ -193,21 +141,18 @@ def _rows(t: TrafficMatrix, order: list[int]) -> Iterator[np.ndarray]:
         yield np.ascontiguousarray(row, dtype="<f8")
 
 
-def _pieces(t: TrafficMatrix, csv_hex: str,
-            matrix_hex: str | None) -> Iterator[str | np.ndarray]:
+def _pieces(t: TrafficMatrix, csv_hex: str) -> Iterator[str | np.ndarray]:
     """The header line, then the rows, of the sidecar."""
     order = sorted(range(t.n_bs), key=t.bs_ids.__getitem__)
     bs_ids = [t.bs_ids[i] for i in order]
     start = int(t.start_hour)
-    if matrix_hex is None:
-        matrix_digest = digest(_body(start, t.n_hours, bs_ids))
-        for row in _rows(t, order):
-            matrix_digest.update(row)
-        matrix_hex = matrix_digest.hexdigest()
+    matrix_digest = digest(_body(start, t.n_hours, bs_ids))
+    for row in _rows(t, order):
+        matrix_digest.update(row)
     header = {
         "version": VERSION,
         "csv_blake2b": csv_hex,
-        "matrix_blake2b": matrix_hex,
+        "matrix_blake2b": matrix_digest.hexdigest(),
         "start_hour": start,
         "n_hours": t.n_hours,
         "bs_ids": bs_ids,

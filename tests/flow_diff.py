@@ -6,7 +6,11 @@ Runs the whole flow once with ``PYTHONPATH=OLD_SRC`` and once with
 ``PYTHONPATH=NEW_SRC``, each in its own temporary directory: synth
 ``--seed 1``, clean, train br/lr/sa, eval each model in both modes to .json
 and .csv, forecast each model in both modes, and sweep to .json and .csv.
-That is 25 files, and the two corpus sidecars (``<csv>.matrix``). For each
+That is 25 files, and the two corpus sidecars (``<csv>.matrix``). Then a
+copy of the synth CSV with an NA or a negative volume in a few stations
+(`DIRTY`, the same text edit on both sides) is saved with its sidecar and
+cleaned, so that clean copies the kept station blocks of its source and
+leaves the others out. For each
 file it prints "identical", or, when the text around the numbers agrees,
 the largest relative difference among the file's numbers and the largest
 difference over the file's largest number. A ``--synth-config`` JSON
@@ -36,8 +40,29 @@ NUMBER = re.compile(
 )
 
 
+# Writes dirty.csv: raw.csv with the volume of every 4001st row, from the
+# 18th on, made NA or negative in turn, then saves it with its sidecar. The
+# save must give back the edited text: a negative volume is written as "-"
+# and the volume, NA as NA.
+DIRTY = """
+from blockreg.corpus import load_corpus, save_corpus
+with open("raw.csv", encoding="utf-8") as fh:
+    lines = fh.read().split("\\n")
+for n, i in enumerate(range(18, len(lines) - 1, 4001)):
+    bs_id, hour, volume = lines[i].split(",")
+    lines[i] = ",".join((bs_id, hour, "-" + volume if n % 2 else "NA"))
+text = "\\n".join(lines)
+with open("dirty.csv", "w", encoding="utf-8", newline="") as fh:
+    fh.write(text)
+save_corpus(load_corpus("dirty.csv"), "dirty.csv")
+with open("dirty.csv", encoding="utf-8", newline="") as fh:
+    assert fh.read() == text, "the save changed the edited CSV"
+"""
+
+
 def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
-    """The commands of the flow, each with the files it writes."""
+    """The arguments of each python command of the flow, with the files it
+    writes."""
     steps = [(["synth", "--seed", "1", "--output", "raw.csv"]
               + (["--config", synth_config] if synth_config else []),
               ["raw.csv", "raw.csv.matrix"]),
@@ -58,7 +83,11 @@ def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
     for ext in ("json", "csv"):
         steps.append((["sweep", "--input", "corpus.csv", "--output", f"sweep.{ext}"],
                       [f"sweep.{ext}"]))
-    return steps
+    steps.append((["-c", DIRTY], ["dirty.csv", "dirty.csv.matrix"]))
+    steps.append((["clean", "--input", "dirty.csv", "--output", "dropped.csv"],
+                  ["dropped.csv", "dropped.csv.matrix"]))
+    return [(argv if argv[0] == "-c" else ["-m", "blockreg", *argv], written)
+            for argv, written in steps]
 
 
 def run_flow(src: str, work: Path, steps) -> bool:
@@ -66,10 +95,10 @@ def run_flow(src: str, work: Path, steps) -> bool:
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     ok = True
     for argv, _ in steps:
-        done = subprocess.run([sys.executable, "-m", "blockreg", *argv], cwd=work,
+        done = subprocess.run([sys.executable, *argv], cwd=work,
                               env=env, capture_output=True, text=True)
         if done.returncode != 0:
-            print(f"{src}: {' '.join(argv)} exited {done.returncode}: "
+            print(f"{src}: {' '.join(argv)[:80]} exited {done.returncode}: "
                   f"{done.stderr.strip()}", file=sys.stderr)
             ok = False
     return ok

@@ -544,6 +544,27 @@ def test_synth_config_wrong_type_exits_2(tmp_path, setting):
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_synth_out_of_memory_exits_2(tmp_path):
+    # The MemoryError is injected before anything is allocated, so no
+    # such allocation is ever asked for.
+    launch = ("import sys, numpy as np\n"
+              "def fail(seed): raise MemoryError\n"
+              "np.random.default_rng = fail\n"
+              "from blockreg.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"n_bs": 99999999999}))
+    r = subprocess.run([sys.executable, "-c", launch, "synth", "--output",
+                        tmp_path / "c.csv", "--config", cfg],
+                       capture_output=True, text=True)
+    assert r.returncode == 2, r.stderr
+    assert len(r.stderr.splitlines()) == 1  # the JSON line, no traceback
+    error = json.loads(r.stderr)
+    assert error["error"] == "InvalidConfig"
+    assert "99999999999 x 336" in error["message"]
+    assert not list(tmp_path.glob("c.csv*"))
+
+
 def test_synth_config_int_for_float_field(tmp_path):
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps({"n_bs": 3, "n_hours": 48, "noise_std": 0}))

@@ -1,9 +1,9 @@
-"""`save_corpus(t, path, source=...)` copies station blocks from ``source``.
+"""`clean_file(source, path)` copies the kept station blocks from ``source``.
 
-The copy must give the very CSV and sidecar bytes that rendering ``t``
-gives. It is taken only when the source's sidecar holds every row of
-``t``; with any other source, even one that changes after ``t`` was
-loaded from it, the CSV is rendered.
+The copy must give the very CSV and sidecar bytes that saving `clean` of
+the loaded corpus gives. It is taken only when the source's sidecar vouched
+for the CSV at the load; a CSV that changes after the load, even part way
+through the copy, is rendered instead.
 """
 
 from pathlib import Path
@@ -18,7 +18,7 @@ import blockreg.corpus
 import blockreg.sidecar
 from blockreg import TrafficMatrix, clean, corpus_to_csv, load_corpus, save_corpus
 from blockreg.cli import main
-from blockreg.corpus import CHUNK_BYTES
+from blockreg.corpus import CHUNK_BYTES, clean_file
 from blockreg.errors import EmptyCorpus
 
 from conftest import make_corpus
@@ -34,34 +34,38 @@ def flip(path: Path, offset: int) -> None:
     path.write_bytes(bytes(data))
 
 
-# NaN, negative values, -0.0 and subnormals come from st.floats; NaNs of
-# another sign or payload are written as NA all the same.
+# -0.0 and subnormals are kept by clean; NaN, NaNs of another sign or
+# payload (written as NA all the same) and negative volumes drop a station.
 ODD_NANS = np.array([0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64)
-volumes = st.floats(allow_infinity=False) | st.sampled_from(
-    [-0.0, 5e-324, 1e-310, *ODD_NANS.view(np.float64).tolist()])
+volumes = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e-310])
+faults = st.sampled_from([np.nan, *ODD_NANS.view(np.float64).tolist(), -5e-324, -2.5])
 
-# After ``t`` is loaded from the source, before it is saved: None leaves the
-# source alone, so the blocks are copied; every other entry makes the save
-# render the CSV.
+# After the source is loaded, before its blocks are copied: None leaves the
+# source alone, so the blocks are copied. A changed CSV makes clean_file
+# render it; a changed sidecar alone does not, since the load has read it.
 DEFECTS = {
     None: lambda src, other: None,
     "csv_edited": lambda src, other: flip(src, src.stat().st_size - 2),
     "csv_row_appended": lambda src, other: src.write_bytes(
         src.read_bytes() + b"a,0,1.0\n"),
-    "sidecar_edited": lambda src, other: flip(sidecar(src), sidecar(src).stat().st_size - 1),
-    "sidecar_deleted": lambda src, other: sidecar(src).unlink(),
     # The CSV of another corpus with the same ids, under the old sidecar.
-    "sidecar_stale": lambda src, other: src.write_bytes(corpus_to_csv(other).encode()),
+    "csv_replaced": lambda src, other: src.write_bytes(corpus_to_csv(other).encode()),
     # Another corpus with the same ids, and its own sidecar.
     "other_corpus": lambda src, other: save_corpus(other, str(src)),
     "no_sidecar": lambda src, other: (sidecar(src).unlink(),
                                       src.write_bytes(corpus_to_csv(other).encode())),
+    "sidecar_edited": lambda src, other: flip(sidecar(src), sidecar(src).stat().st_size - 1),
+    "sidecar_deleted": lambda src, other: sidecar(src).unlink(),
 }
+CSV_CHANGED = {"csv_edited", "csv_row_appended", "csv_replaced", "other_corpus",
+               "no_sidecar"}
 
 
 @st.composite
-def copies(draw):
-    """A source corpus, the corpus to save from it and a defect."""
+def sources(draw):
+    """A raw corpus, whether its sidecar is gone before the load, and a
+    defect."""
     ids = draw(st.lists(st.sampled_from(["b", "a", "c", "é", "a0", "z"]),
                         min_size=1, max_size=5, unique=True))
     n_hours = draw(st.integers(1, 5))
@@ -70,38 +74,48 @@ def copies(draw):
         min_size=len(ids), max_size=len(ids),
     ))
     values = np.array(rows, dtype=float).reshape(len(ids), n_hours)
+    for i, j, fault in draw(st.lists(st.tuples(
+            st.integers(0, len(ids) - 1), st.integers(0, n_hours - 1), faults),
+            max_size=4)):
+        values[i, j] = fault
     t = TrafficMatrix(ids, values, draw(st.integers(0, 50)))
-    # Rows kept in any order, so their ids need sorting; or what clean keeps.
-    subset = draw(st.lists(st.sampled_from(range(len(ids))), min_size=1, unique=True))
-    cleaned, shift = draw(st.booleans()), draw(st.sampled_from([0, 0, 0, 1]))
-    return t, subset, cleaned, shift, draw(st.sampled_from(list(DEFECTS)))
+    parsed, defect = draw(st.booleans()), draw(st.sampled_from(list(DEFECTS)))
+    assume(not parsed or not defect or defect.startswith("csv"))
+    return t, parsed, defect
 
 
 @settings(max_examples=300, deadline=None)
-@given(copies(), st.sampled_from([1, 7, 64, CHUNK_BYTES]), st.sampled_from([1, 2, 8192]))
-def test_copy_gives_the_rendered_bytes(tmp_path_factory, case, chunk_bytes, row_piece):
-    t, subset, cleaned, shift, defect = case
+@given(sources(), st.sampled_from([1, 7, 64, CHUNK_BYTES]))
+def test_clean_file_gives_the_rendered_bytes(tmp_path_factory, case, chunk_bytes):
+    t, parsed, defect = case
     directory = tmp_path_factory.mktemp("copy")
     src, copied, rendered = (directory / name for name in ("src.csv", "c.csv", "r.csv"))
-    with mock.patch.object(blockreg.corpus, "CHUNK_BYTES", chunk_bytes), \
-            mock.patch.object(blockreg.sidecar, "ROW_PIECE", row_piece):
+    other = TrafficMatrix(t.bs_ids, np.full_like(t.values, 12345.0), t.start_hour)
+    assume(defect is None or not np.array_equal(t.values, other.values))
+    piece, load, loaded = blockreg.corpus._csv_piece, blockreg.corpus._load, []
+
+    def load_then_break(path):
+        result = load(path)
+        loaded.append(result[0])
+        with mock.patch.object(blockreg.corpus, "_csv_piece", piece):
+            DEFECTS[defect](src, other)
+        return result
+
+    render = mock.Mock(wraps=piece)
+    with mock.patch.object(blockreg.corpus, "CHUNK_BYTES", chunk_bytes):
         save_corpus(t, str(src))
-        raw = load_corpus(str(src))
-        kept = TrafficMatrix([t.bs_ids[i] for i in subset], t.values[subset], t.start_hour)
-        if cleaned:
+        if parsed:
+            sidecar(src).unlink()
+        with mock.patch.object(blockreg.corpus, "_load", load_then_break), \
+                mock.patch.object(blockreg.corpus, "_csv_piece", render):
             try:
-                kept = clean(raw)
+                clean_file(str(src), str(copied))
             except EmptyCorpus:
-                pass
-        kept.start_hour += shift  # not the rows of the source's hours
-        other = TrafficMatrix(t.bs_ids, np.full_like(t.values, 12345.0), t.start_hour)
-        assume(defect is None or not np.array_equal(t.values, other.values))
-        DEFECTS[defect](src, other)
-        render = mock.Mock(wraps=blockreg.corpus._csv_piece)
-        with mock.patch.object(blockreg.corpus, "_csv_piece", render):
-            save_corpus(kept, str(copied), source=str(src))
-        assert render.called == (defect is not None or shift != 0)
-        save_corpus(kept, str(rendered))
+                assert not np.any(np.all(t.values >= 0, axis=1))
+                assert not copied.exists() and not sidecar(copied).exists()
+                return
+        assert render.called == (parsed or defect in CSV_CHANGED)
+        save_corpus(clean(loaded[0]), str(rendered))
     assert copied.read_bytes() == rendered.read_bytes()
     assert sidecar(copied).read_bytes() == sidecar(rendered).read_bytes()
     assert not list(directory.glob("*.tmp"))
@@ -159,12 +173,11 @@ def matrix_fed(t: TrafficMatrix) -> int:
 
 @pytest.mark.parametrize("drop", [False, True], ids=["all_kept", "some_dropped"])
 def test_clean_digests_each_csv_once_per_check(tmp_path, drop, monkeypatch):
-    # The load checks the source CSV against its sidecar, and the copy
-    # checks it again as it reads it. A copy of every station is then the
-    # source, so its digest is not taken a third time; a copy that leaves
-    # stations out is digested as it is written. The same holds for the
-    # matrix, which the load and the row check each digest: a copy of every
-    # station writes the source's sidecar, matrix digest and all.
+    # The load checks the source CSV and its matrix against the sidecar,
+    # and the copy checks the CSV again as it reads it. A copy of every
+    # station is then the source, so its digest is not taken a third time;
+    # a copy that leaves stations out is digested as it is written. The
+    # sidecar written digests the kept matrix once.
     t = make_corpus(n_bs=30, n_hours=48)
     if drop:
         t.values[::4, 7] = np.nan
@@ -175,11 +188,12 @@ def test_clean_digests_each_csv_once_per_check(tmp_path, drop, monkeypatch):
     assert main(["clean", "--input", str(raw), "--output", str(corpus)]) == 0
     fed = [d.fed for d in CountingDigest.made]
     assert fed.count(raw.stat().st_size) == 2
-    assert fed.count(matrix_fed(t)) == 2
     if drop:
+        assert fed.count(matrix_fed(t)) == 1
         assert fed.count(corpus.stat().st_size) == 1
         assert fed.count(matrix_fed(clean(t))) == 1
     else:
+        assert fed.count(matrix_fed(t)) == 2  # the load's and the sidecar's
         assert sidecar(corpus).read_bytes() == sidecar(raw).read_bytes()
     monkeypatch.undo()
     assert corpus.read_bytes() == corpus_to_csv(clean(t)).encode()
@@ -188,7 +202,7 @@ def test_clean_digests_each_csv_once_per_check(tmp_path, drop, monkeypatch):
 
 
 def test_corpus_to_csv_golden_bytes():
-    # save_corpus copies the blocks of a CSV whose sidecar holds their rows,
+    # clean_file copies the blocks of a CSV whose sidecar vouched for it,
     # trusting that corpus_to_csv would write the same bytes. Changing the
     # bytes below therefore requires bumping sidecar.VERSION, and then this
     # test, so that no older sidecar is used.

@@ -3,13 +3,14 @@
 Each I/O bound is the matrix bytes plus a fixed number of ``CHUNK_BYTES``,
 measured with ``tracemalloc`` as the peak above what was allocated before
 the call. The corpus writer holds at most 512 hours of one station's rows
-at a time, or, copying from a source CSV, one read of it and a piece of
-a sidecar row; the forecast writer holds one station block. The parser holds
-one chunk at a time, as lines, rows and fields, and each short Python
-string takes several times its characters, hence its larger slack; a load
-through the sidecar holds the matrix and one digest read. The
-CSV text of these matrices is over three times the matrix, so building it
-whole breaks every bound. The other bounds are multiples of the matrix.
+at a time; `clean_file` holds the loaded and the cleaned matrix and,
+copying from its source CSV, one read of it; the forecast writer holds one
+station block. The parser holds one chunk at a time, as lines, rows and
+fields, and each short Python string takes several times its characters,
+hence its larger slack; a load through the sidecar holds the matrix and
+one digest read. The CSV text of these matrices is over three times the
+matrix, so building it whole breaks every bound. The other bounds are
+multiples of the matrix.
 """
 
 import os
@@ -32,7 +33,7 @@ from blockreg import (
 )
 from blockreg.baselines import forecast_sa, train_sa
 from blockreg.cli import _forecast_csv
-from blockreg.corpus import CHUNK_BYTES, TrafficMatrix
+from blockreg.corpus import CHUNK_BYTES, TrafficMatrix, clean_file
 from blockreg.evaluation import Split, evaluate
 from blockreg.forecaster import ForecastSeries, forecast_horizon, train_block_regression
 from blockreg.modelio import atomic_write_text
@@ -67,9 +68,10 @@ def test_save_and_load_corpus_bounded(tmp_path, monkeypatch, n_bs, n_hours):
     assert peak < t.values.nbytes + READ_SLACK
     with monkeypatch.context() as patch:
         patch.setattr(blockreg.corpus, "_csv_piece", None)  # copy, never render
-        _, peak = traced_peak(save_corpus, back, str(tmp_path / "d.csv"), str(path))
+        _, peak = traced_peak(clean_file, str(path), str(tmp_path / "d.csv"))
     assert (tmp_path / "d.csv").read_bytes() == path.read_bytes()
-    assert peak < t.values.nbytes + WRITE_SLACK
+    # A load through the sidecar, and the kept rows that clean makes of it.
+    assert peak < 2 * t.values.nbytes + READ_SLACK
     path.with_name("c.csv.matrix").unlink()
     back, peak = traced_peak(load_corpus, str(path))  # through the parser
     assert np.array_equal(back.values, t.values)
@@ -186,6 +188,19 @@ def test_fit_normalization_holds_one_row_block(w):
     d = DifferencedMatrix(0, np.random.default_rng(1).normal(size=(2000, 240)))
     _, peak = traced_peak(fit_normalization, d, w)
     assert peak < pipeline.CHUNK_BYTES + np.getbufsize() * 8 + 16 * d.n_cols * 8
+
+
+def test_apply_normalization_holds_its_results():
+    # Each result is normalized in the array its subtraction makes; a
+    # second (n, w) temporary, 1.15 MB here, breaks the bound.
+    rng = np.random.default_rng(1)
+    f = pipeline.FeatureSet(x=rng.normal(size=(2000, 72)), y=rng.normal(size=2000),
+                            provenance=np.zeros((2000, 2), dtype=np.int64), window_w=72)
+    s = pipeline.NormalizationStats(rng.normal(size=72), rng.random(72) + 0.5, 0.3, 1.7)
+    out, peak = traced_peak(pipeline.apply_normalization, f, s)
+    assert np.array_equal(out.x, (f.x - s.mu_x) / s.sigma_x)
+    assert np.array_equal(out.y, (f.y - s.mu_y) / s.sigma_y)
+    assert peak < f.x.nbytes + f.y.nbytes + CHUNK_BYTES
 
 
 @pytest.fixture(scope="module")
