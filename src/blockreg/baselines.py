@@ -358,7 +358,7 @@ def forecast_sa(
     psi = np.array([c.psi for c in coefs], dtype=float).reshape(n, ma)
     intercept = np.array([c.intercept for c in coefs], dtype=float)
 
-    check_horizon(t.n_hours, start, k, mode, s + ar)
+    check_horizon(t, start, k, mode, s + ar)
     base = start - s  # index of the first horizon hour on the differenced scale
     forecast = np.empty((n, k))
 

@@ -22,12 +22,21 @@ import json
 import sys
 from collections.abc import Iterator
 from dataclasses import fields
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .baselines import train_sa
-from .corpus import SynthConfig, clean_file, load_corpus, save_corpus, synthesize
+from .corpus import (
+    SynthConfig,
+    block_lines,
+    clean_file,
+    load_corpus,
+    save_corpus,
+    synthesize,
+    with_sidecar,
+)
 from .errors import BlockregError, InvalidConfig, typed_value
 from .evaluation import (
     Split,
@@ -43,6 +52,7 @@ from .forecaster import MODES, train_block_regression
 from .modelio import atomic_write_text, dump_json, load_json, load_model, save_model
 
 RUNS = ("forecast", "eval", "sweep")
+FORECAST_HEADER = "bs_id,hour,actual,forecast,mode\n"
 # (key, type or choices, default, help, commands). The flag of a key is
 # --key with "_" as "-"; a row without help is a config-file key only.
 # Types are those `typed_value` checks; range checks stay in the library.
@@ -143,7 +153,7 @@ def _cmd_train(args, opts: dict) -> int:
 
 def _forecast_csv(fs) -> Iterator[str]:
     """The forecast CSV: the header line, then one block of lines per station."""
-    yield "bs_id,hour,actual,forecast,mode\n"
+    yield FORECAST_HEADER
     hours = list(map(str, fs.hours.tolist()))
     for i, bs in enumerate(fs.bs_ids):  # forecast_fleet guarantees k >= 1
         actual = repeat("") if fs.actual is None else map(repr, fs.actual[i].tolist())
@@ -152,12 +162,41 @@ def _forecast_csv(fs) -> Iterator[str]:
         yield "\n".join(map(",".join, rows)) + "\n"
 
 
+def _copied_forecast_csv(fs, lines) -> Iterator[str | bytes]:
+    """`_forecast_csv`, with each station's ``bs_id,hour,actual`` text copied
+    from the corpus CSV's own lines of the horizon, which ``lines`` gives
+    in pieces numbered by row of ``fs`` (see `corpus.block_lines`)."""
+    yield FORECAST_HEADER
+    for i, pieces in groupby(lines, key=itemgetter(0)):
+        # Latin-1 gives back every byte as it was, whatever the bs_id.
+        text = b"".join(piece for _, piece in pieces).decode("latin-1")
+        rows = zip(text.split("\n"), map(repr, fs.forecast[i].tolist()), repeat(fs.mode))
+        yield ("\n".join(map(",".join, rows)) + "\n").encode("latin-1")
+
+
 def _cmd_forecast(args, opts: dict) -> int:
-    t = load_corpus(args.input)
-    model = load_model(args.model)
-    # load_corpus sorts stations by id, so the rows come out sorted too.
-    fs = forecast_fleet(model, t, opts["train_hours"], opts["test_hours"], opts["mode"])
-    atomic_write_text(args.output, _forecast_csv(fs))
+    start, k, mode = opts["train_hours"], opts["test_hours"], opts["mode"]
+
+    def forecasts(t):
+        # load_corpus sorts stations by id, so the rows come out sorted too.
+        return forecast_fleet(load_model(args.model), t, start, k, mode)
+
+    def copy(t, header):
+        if start + k > t.n_hours:
+            return None  # no actuals to copy
+        fs = forecasts(t)
+        index = dict(zip(t.bs_ids, range(t.n_bs)))
+        stations = [index[bs] for bs in fs.bs_ids]
+        lines = block_lines(args.input, header, stations, start, start + k)
+        atomic_write_text(args.output, _copied_forecast_csv(fs, lines))
+        return fs
+
+    def render(t):
+        fs = forecasts(t)
+        atomic_write_text(args.output, _forecast_csv(fs))
+        return fs
+
+    fs = with_sidecar(args.input, copy, render)
     print(
         f"forecast: {len(fs.bs_ids)} stations x {opts['test_hours']} hours "
         f"({opts['mode']}) -> {args.output}"
@@ -222,6 +261,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise InvalidConfig(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        for key, value in vars(parsed).items():
+            # argparse takes `--flag=--` for an empty list of values,
+            # unchecked by the flag's type and choices.
+            if isinstance(value, list):
+                self.error(f"argument --{key.replace('_', '-')}: expected one argument")
+        return parsed, extras
 
 
 def build_parser() -> argparse.ArgumentParser:

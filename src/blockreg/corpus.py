@@ -19,6 +19,7 @@ import numpy as np
 
 from . import sidecar
 from .errors import (
+    BlockregError,
     EmptyCorpus,
     InconsistentHours,
     InfiniteVolume,
@@ -279,16 +280,9 @@ def load_corpus(path: str) -> TrafficMatrix:
     ParseError (InconsistentHours for a duplicate record or an unfilled
     span) naming the first bad line in file order.
     """
-    return _load(path)[0]
-
-
-def _load(path: str) -> tuple[TrafficMatrix, str | None]:
-    """`load_corpus`, and the CSV digest that the sidecar vouched for, or
-    None when the CSV was parsed."""
     cached = sidecar.load(path)
     if cached is not None:
-        bs_ids, values, start, csv_hex = cached
-        return TrafficMatrix(bs_ids=bs_ids, values=values, start_hour=start), csv_hex
+        return _matrix(*cached)
     # "\n" + bs_id -> code, in order of first appearance (see _parse_rows)
     ids: dict[str, int] = {}
     try:
@@ -301,7 +295,7 @@ def _load(path: str) -> tuple[TrafficMatrix, str | None]:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if matrix is not None:
-        return matrix, None
+        return matrix
     if not chunks:
         raise ParseError(problem or f"{path}: no data rows")
 
@@ -326,7 +320,11 @@ def _load(path: str) -> tuple[TrafficMatrix, str | None]:
     values[rank[codes], hours - start] = volumes
     return TrafficMatrix(
         bs_ids=[names[i] for i in order], values=values, start_hour=start
-    ), None
+    )
+
+
+def _matrix(header: dict, values: np.ndarray) -> TrafficMatrix:
+    return TrafficMatrix(header["bs_ids"], values, header["start_hour"])
 
 
 def _read_chunks(fh, path: str, ids: dict[str, int]):
@@ -655,7 +653,7 @@ def save_corpus(t: TrafficMatrix, path: str) -> None:
         raise InconsistentHours(f"hours {t.start_hour}..{last} reach outside 0..2**63-1")
     blocks = _csv_blocks(t)  # checks the rest before any file is touched
     csv_digest = sidecar.digest()
-    atomic_write_text(path, _encoded(blocks, csv_digest))
+    atomic_write_text(path, _fed((b.encode("utf-8") for b in blocks), csv_digest))
     sidecar.save(path, t, csv_digest.hexdigest())
 
 
@@ -663,75 +661,115 @@ def clean_file(source: str, path: str) -> tuple[TrafficMatrix, TrafficMatrix]:
     """`clean` the corpus CSV at ``source`` and save the result to ``path``
     as `save_corpus` does; returns the loaded and the cleaned corpus.
 
-    If the sidecar of ``source`` vouched for its bytes when it was loaded,
-    the CSV is what `corpus_to_csv` writes for the loaded matrix, so the
-    kept station blocks are copied from it instead of rendered again. Should
-    the CSV have changed since the load, even part way through the copy, the
-    copy is discarded and the CSV rendered, so the bytes are always those of
-    `corpus_to_csv`.
+    With a sidecar at ``source`` (see `with_sidecar`), the kept station
+    blocks are copied from the CSV in the one pass that checks its digest,
+    instead of rendered again: the sidecar vouches that the CSV is what
+    `corpus_to_csv` writes for its matrix. Should that check fail, the copy
+    is discarded and the CSV loaded, cleaned and rendered, so the bytes and
+    errors are always those of `save_corpus`.
     """
     from .modelio import atomic_write_text
 
-    raw, source_hex = _load(source)
-    t = clean(raw)
-    if source_hex is not None:
+    def copy(raw: TrafficMatrix, header: dict):
+        t = clean(raw)
         # Both are in bs_id order, the order of the source's station blocks.
         ids = set(t.bs_ids)
-        kept = np.array([bs_id in ids for bs_id in raw.bs_ids])
-        # A copy of every station is the source, whose digest the copy checks.
-        csv_digest = None if t.n_bs == raw.n_bs else sidecar.digest()
-        try:
-            atomic_write_text(
-                path, _copied_csv(source, t.n_hours, source_hex, kept, csv_digest))
-        except _StaleSource:
-            pass
+        kept = np.flatnonzero([bs_id in ids for bs_id in raw.bs_ids])
+        starts = np.append(0, 1 + kept * raw.n_hours)  # line 0 is the header
+        stops = np.append(1, starts[1:] + raw.n_hours)
+        pieces = (piece for _, piece in _csv_lines(source, header, starts, stops))
+        if t.n_bs == raw.n_bs:
+            # A copy of every station is the source, whose digest the pass
+            # checks; its sidecar holds the matrix whose digest the read checked.
+            atomic_write_text(path, pieces)
+            sidecar.save(path, t, header["csv_blake2b"], header["matrix_blake2b"])
         else:
-            sidecar.save(path, t, csv_digest.hexdigest() if csv_digest else source_hex)
-            return raw, t
-    save_corpus(t, path)
-    return raw, t
+            csv_digest = sidecar.digest()
+            atomic_write_text(path, _fed(pieces, csv_digest))
+            sidecar.save(path, t, csv_digest.hexdigest())
+        return raw, t
+
+    def render(raw: TrafficMatrix):
+        t = clean(raw)
+        save_corpus(t, path)
+        return raw, t
+
+    return with_sidecar(source, copy, render)
+
+
+def with_sidecar(path: str, copy, render):
+    """``copy(t, header)`` on the matrix and header that the sidecar of the
+    CSV at ``path`` holds (see `sidecar.read`), else ``render(load_corpus(path))``.
+
+    Until the CSV's digest is checked, the matrix is unverified: ``copy``
+    checks it by reading the CSV's text through `_csv_lines`, once. If
+    there is no usable sidecar, or ``copy`` returns None, or raises a
+    BlockregError or finds the CSV changed before that pass completes,
+    whatever ``copy`` wrote must be discarded, and ``render`` runs on
+    `load_corpus`. So the result and the errors are those of ``render``.
+    """
+    cached = sidecar.read(path)
+    if cached is not None:
+        try:
+            result = copy(_matrix(*cached), cached[0])
+        except (BlockregError, _StaleSource):
+            result = None
+        if result is not None:
+            return result
+    return render(load_corpus(path))
 
 
 class _StaleSource(Exception):
     """The CSV to copy from is not the one its sidecar was written with."""
 
 
-def _encoded(blocks: Iterator[str], csv_digest) -> Iterator[bytes]:
-    """The blocks as UTF-8, fed to ``csv_digest`` too."""
-    for block in blocks:
-        data = block.encode("utf-8")
-        csv_digest.update(data)
-        yield data
+def _fed(pieces: Iterator[bytes], csv_digest) -> Iterator[bytes]:
+    """The pieces, fed to ``csv_digest`` too."""
+    for piece in pieces:
+        csv_digest.update(piece)
+        yield piece
 
 
-def _copied_csv(source: str, n_hours: int, csv_hex: str, kept: np.ndarray,
-                csv_digest) -> Iterator[memoryview]:
-    """The header line and the station blocks of the CSV at ``source`` that
-    the mask ``kept`` selects, fed to ``csv_digest`` too unless it is None,
-    in reads of ``CHUNK_BYTES``.
+def block_lines(path: str, header: dict, stations: np.ndarray, lo: int,
+                hi: int) -> Iterator[tuple[int, memoryview]]:
+    """Lines ``lo .. hi - 1`` of the block of each of ``stations`` (rows of
+    the sidecar matrix, increasing) in the CSV at ``path``, whose sidecar
+    has ``header``: pieces of them, each with the number of its station in
+    ``stations``, as `_csv_lines` reads them."""
+    starts = 1 + np.asarray(stations, dtype=np.int64) * header["n_hours"] + lo
+    return _csv_lines(path, header, starts, starts + (hi - lo))
 
-    In the CSV that `save_corpus` writes, station block k is the lines
-    after the header up to its ``(k + 1) * n_hours``-th newline. After the
-    last read, raises _StaleSource unless the whole CSV has the digest
-    ``csv_hex``; so does a read that fails.
+
+def _csv_lines(path: str, header: dict, starts: np.ndarray,
+               stops: np.ndarray) -> Iterator[tuple[int, memoryview]]:
+    """Pieces of lines ``starts[r] .. stops[r] - 1`` of the CSV at ``path``,
+    each with its ``r``, reading and digesting the whole CSV once, in reads
+    of ``sidecar.READ_BYTES``. Lines count from 0, the header line, and
+    each range starts at or after the stop of the one before.
+
+    In the CSV that `save_corpus` writes, station block k is lines
+    ``1 + k * n_hours`` through ``(k + 1) * n_hours``. After the last read,
+    raises _StaleSource unless the whole CSV has the digest of the
+    sidecar ``header``; so does a read that fails.
     """
+    # Line l starts after the l-th newline, counting from 1; even edges
+    # start a range, odd ones end it.
+    edges = np.column_stack([starts, stops]).ravel()
     source_digest = sidecar.digest()
-    station, lines = -1, 0  # at the start of the next read; -1: the header
+    lines, i = 0, int(np.searchsorted(edges, 0, side="right"))  # at the next read
     try:
-        with open(source, "rb") as fh:
-            while chunk := fh.read(CHUNK_BYTES):
+        with open(path, "rb") as fh:
+            while chunk := fh.read(sidecar.READ_BYTES):
                 source_digest.update(chunk)
                 ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
-                cuts = (ends[-lines % n_hours::n_hours] + 1).tolist()
-                lines += len(ends)
-                view, edges = memoryview(chunk), [0, *cuts, len(chunk)]
-                for k, (a, b) in enumerate(zip(edges, edges[1:]), station):
-                    if k < 0 or k < len(kept) and kept[k]:
-                        if csv_digest is not None:
-                            csv_digest.update(view[a:b])
-                        yield view[a:b]
-                station += len(cuts)
+                j = int(np.searchsorted(edges, lines + len(ends), side="right"))
+                cuts = (ends[edges[i:j] - lines - 1] + 1).tolist()
+                view, pos = memoryview(chunk), [0, *cuts, len(chunk)]
+                for n, (a, b) in enumerate(zip(pos, pos[1:]), i):
+                    if n % 2 and a < b:  # between a start and its stop
+                        yield n // 2, view[a:b]
+                lines, i = lines + len(ends), j
     except OSError:
         raise _StaleSource from None
-    if source_digest.hexdigest() != csv_hex:
+    if source_digest.hexdigest() != header["csv_blake2b"]:
         raise _StaleSource

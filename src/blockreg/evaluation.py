@@ -158,13 +158,18 @@ def forecast_fleet(
 
     Rows follow corpus order. Stations whose SA fit failed have no
     coefficients and get no row. Raises UncleanCorpus if the corpus has a
-    missing entry, and Overflow if a forecast is not finite.
+    missing entry, Overflow if a forecast is not finite, and InvalidConfig
+    if a recursive horizon does not fit in memory.
     """
     t.require_clean()
-    if isinstance(model, SaModel):
-        fs = forecast_sa(model, t, start, k, mode)
-    else:
-        fs = forecast_horizon(model, t, start, k, mode)
+    try:
+        if isinstance(model, SaModel):
+            fs = forecast_sa(model, t, start, k, mode)
+        else:
+            fs = forecast_horizon(model, t, start, k, mode)
+    except MemoryError:
+        raise InvalidConfig(
+            f"a {k}-hour horizon of {t.n_bs} stations does not fit in memory") from None
     if not np.isfinite(fs.forecast).all():
         raise Overflow("forecasts overflow the float range")
     return fs

@@ -134,14 +134,16 @@ def forecast_one(model: BlockModel, history: np.ndarray) -> float | np.ndarray:
     return value
 
 
-def check_horizon(n_hours: int, start: int, k: int, mode: str, need: int) -> None:
-    """Check a k-hour horizon from column ``start`` of an ``n_hours`` corpus.
+def check_horizon(t: TrafficMatrix, start: int, k: int, mode: str, need: int) -> None:
+    """Check a k-hour horizon from column ``start`` of the corpus ``t``.
 
     Every forecast reads the ``need`` hours before ``start``. one_step reads
     recorded actuals in every column, so the corpus must cover the whole
     horizon; a recursive horizon may extend past the end of the corpus, but
-    may not start past it.
+    may not start past it, and the ``need + k`` hours of every station must
+    fit in the address space.
     """
+    n_hours = t.n_hours
     if mode not in MODES:
         raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
     if k < 1:
@@ -158,6 +160,9 @@ def check_horizon(n_hours: int, start: int, k: int, mode: str, need: int) -> Non
         raise InsufficientHistory(
             f"one_step horizon [{start}, {start + k}) exceeds corpus length {n_hours}"
         )
+    if t.n_bs * (need + k) * 8 > np.iinfo(np.intp).max:
+        raise InvalidConfig(
+            f"a {k}-hour horizon of {t.n_bs} stations exceeds the address space")
 
 
 def horizon_series(
@@ -208,7 +213,7 @@ def forecast_horizon(
     extend past the end of the corpus.
     """
     need = model.seasonality_m + model.window_w
-    check_horizon(t.n_hours, start, k, mode, need)
+    check_horizon(t, start, k, mode, need)
     if mode == "one_step":
         working = t.values[:, start - need:start + k]
         working.flags.writeable = False

@@ -9,12 +9,16 @@ format version, the blake2b digest of the CSV, the blake2b digest of the
 matrix (`_body` followed by the volumes), ``start_hour``, ``n_hours`` and
 ``bs_ids``.
 
-`corpus.clean_file` copies the kept station blocks of a CSV whose sidecar
-vouched for its bytes when it was loaded, checked against the CSV digest
-`load` returns, instead of rendering them. So a sidecar also vouches that
-its CSV is what `corpus.corpus_to_csv` renders for its matrix: a change to
-the bytes `corpus_to_csv` writes for any matrix must bump ``VERSION``,
-which leaves every older sidecar unused.
+A load reads the header and the matrix (`read`), then checks the CSV's
+digest (`load`). `corpus.clean_file` and the `forecast` command check it
+instead in the one pass that copies text from the CSV
+(`corpus._csv_lines`): `clean` copies the kept station blocks, and
+`forecast` each station's ``bs_id,hour,actual`` lines of the horizon,
+taking them for what `corpus.corpus_to_csv` writes for the matrix. So a
+sidecar also vouches that its CSV is what `corpus_to_csv` renders for its
+matrix, and ``VERSION`` pins those bytes: a change to the bytes
+`corpus_to_csv` writes for any matrix must bump ``VERSION``, which leaves
+every older sidecar unused.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ if TYPE_CHECKING:
 
 SUFFIX = ".matrix"
 VERSION = 1
-# load digests the CSV in reads of this many bytes.
+# load, and the pass that copies from the CSV, read it this many bytes at a time.
 READ_BYTES = 256 * 1024
 
 
@@ -45,46 +49,69 @@ def digest(data: bytes = b"") -> blake2b:
     return blake2b(data, digest_size=32)
 
 
-def save(path: str, t: TrafficMatrix, csv_hex: str) -> None:
+def save(path: str, t: TrafficMatrix, csv_hex: str, matrix_hex: str | None = None) -> None:
     """Write the sidecar of the CSV at ``path``, whose bytes have the digest
     ``csv_hex`` and parse to ``t`` with its rows sorted by bs_id.
 
-    A sidecar that cannot be written is skipped: the CSV is already there.
+    ``matrix_hex`` is the matrix digest of ``t`` if a `read` of a sidecar
+    holding ``t`` has verified it; then the rows are in bs_id order, and the
+    header takes it and the matrix follows whole, neither digested nor
+    copied again. A sidecar that cannot be written is skipped: the CSV is
+    already there.
     """
     from .modelio import atomic_write_text
 
+    if matrix_hex is None:
+        pieces = _pieces(t, csv_hex)
+    else:
+        header = _header_line(csv_hex, matrix_hex, int(t.start_hour), t.n_hours, t.bs_ids)
+        pieces = [header, np.asarray(t.values, dtype="<f8")]
     try:
-        atomic_write_text(path + SUFFIX, _pieces(t, csv_hex))
+        atomic_write_text(path + SUFFIX, pieces)
     except InvalidConfig:
         pass
 
 
-def load(path: str) -> tuple[list[str], np.ndarray, int, str] | None:
-    """``(bs_ids, values, start_hour, csv_blake2b)`` from the sidecar of the
-    CSV at ``path``, or None if it cannot be used.
+def read(path: str) -> tuple[dict, np.ndarray] | None:
+    """The header and the matrix of the sidecar of the CSV at ``path``, or
+    None if it cannot be used.
 
-    It is used only if its header is valid (see `_header`), the CSV's
-    digest equals the header's ``csv_blake2b``, and the digest of the
-    matrix equals ``matrix_blake2b``. Any other sidecar, or one that cannot
-    be read, gives None.
+    It is used only if its header is valid (see `_header`) and the digest
+    of the matrix equals ``matrix_blake2b``. Any other sidecar, or one that
+    cannot be read, gives None. The CSV's own digest is not checked here:
+    `load` checks it, and so does the pass that copies the CSV's text
+    (`corpus._csv_lines`). Until then the matrix is unverified.
     """
     try:
-        with open(path + SUFFIX, "rb") as side, open(path, "rb") as fh:
-            header = _header(side, os.fstat(fh.fileno()).st_size)
-            if header is None or header["csv_blake2b"] != _file_digest(fh):
+        with open(path + SUFFIX, "rb") as side:
+            header = _header(side, os.stat(path).st_size)
+            if header is None:
                 return None
             bs_ids, n_hours = header["bs_ids"], header["n_hours"]
             values = np.empty((len(bs_ids), n_hours), dtype="<f8")
             if side.readinto(values) != values.nbytes:
                 return None
+        matrix_digest = digest(_body(header["start_hour"], n_hours, bs_ids))
     except (OSError, ValueError, RecursionError):  # ValueError: bad UTF-8 or JSON
         return None
-    start = header["start_hour"]
-    matrix_digest = digest(_body(start, n_hours, bs_ids))
     matrix_digest.update(values)
     if matrix_digest.hexdigest() != header["matrix_blake2b"]:
         return None
-    return bs_ids, values.astype(np.float64, copy=False), start, header["csv_blake2b"]
+    return header, values.astype(np.float64, copy=False)
+
+
+def load(path: str) -> tuple[dict, np.ndarray] | None:
+    """`read`, if the digest of the CSV at ``path`` equals the header's
+    ``csv_blake2b``; else None."""
+    cached = read(path)
+    if cached is None:
+        return None
+    try:
+        with open(path, "rb") as fh:
+            csv_hex = _file_digest(fh)
+    except OSError:
+        return None
+    return cached if csv_hex == cached[0]["csv_blake2b"] else None
 
 
 def _header(side, csv_size: int) -> dict | None:
@@ -149,16 +176,21 @@ def _pieces(t: TrafficMatrix, csv_hex: str) -> Iterator[str | np.ndarray]:
     matrix_digest = digest(_body(start, t.n_hours, bs_ids))
     for row in _rows(t, order):
         matrix_digest.update(row)
+    yield _header_line(csv_hex, matrix_digest.hexdigest(), start, t.n_hours, bs_ids)
+    yield from _rows(t, order)
+
+
+def _header_line(csv_hex: str, matrix_hex: str, start: int, n_hours: int,
+                 bs_ids: list[str]) -> str:
     header = {
         "version": VERSION,
         "csv_blake2b": csv_hex,
-        "matrix_blake2b": matrix_digest.hexdigest(),
+        "matrix_blake2b": matrix_hex,
         "start_hour": start,
-        "n_hours": t.n_hours,
+        "n_hours": n_hours,
         "bs_ids": bs_ids,
     }
-    yield json.dumps(header, ensure_ascii=False) + "\n"
-    yield from _rows(t, order)
+    return json.dumps(header, ensure_ascii=False) + "\n"
 
 
 def _file_digest(fh) -> str:

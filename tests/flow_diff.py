@@ -10,7 +10,10 @@ That is 25 files, and the two corpus sidecars (``<csv>.matrix``). Then a
 copy of the synth CSV with an NA or a negative volume in a few stations
 (`DIRTY`, the same text edit on both sides) is saved with its sidecar and
 cleaned, so that clean copies the kept station blocks of its source and
-leaves the others out. For each
+leaves the others out. Each model then forecasts, in both modes, the
+cleaned ``dropped.csv`` and ``bare.csv``, a copy of ``corpus.csv`` without
+its sidecar, so that forecast copies a subset of stations and renders
+without a sidecar too. For each
 file it prints "identical", or, when the text around the numbers agrees,
 the largest relative difference among the file's numbers and the largest
 difference over the file's largest number. A ``--synth-config`` JSON
@@ -59,6 +62,13 @@ with open("dirty.csv", encoding="utf-8", newline="") as fh:
     assert fh.read() == text, "the save changed the edited CSV"
 """
 
+# Writes bare.csv, a copy of corpus.csv without a sidecar, which every load
+# parses.
+BARE = """
+import shutil
+shutil.copyfile("corpus.csv", "bare.csv")
+"""
+
 
 def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
     """The arguments of each python command of the flow, with the files it
@@ -86,6 +96,13 @@ def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
     steps.append((["-c", DIRTY], ["dirty.csv", "dirty.csv.matrix"]))
     steps.append((["clean", "--input", "dirty.csv", "--output", "dropped.csv"],
                   ["dropped.csv", "dropped.csv.matrix"]))
+    steps.append((["-c", BARE], []))
+    for corpus in ("dropped", "bare"):
+        for kind in KINDS:
+            for mode in MODES:
+                out = f"forecast_{corpus}_{kind}_{mode}.csv"
+                steps.append((["forecast", "--input", f"{corpus}.csv", "--model",
+                               f"{kind}.json", "--mode", mode, "--output", out], [out]))
     return [(argv if argv[0] == "-c" else ["-m", "blockreg", *argv], written)
             for argv, written in steps]
 

@@ -1,9 +1,9 @@
 """`clean_file(source, path)` copies the kept station blocks from ``source``.
 
-The copy must give the very CSV and sidecar bytes that saving `clean` of
-the loaded corpus gives. It is taken only when the source's sidecar vouched
-for the CSV at the load; a CSV that changes after the load, even part way
-through the copy, is rendered instead.
+The copy must give the very CSV and sidecar bytes, or the error, that
+loading, cleaning and saving the source gives. It is kept only when the
+pass that copies the CSV finds the digest that the source's sidecar gives;
+a CSV that changes after the sidecar is read is loaded and rendered instead.
 """
 
 from pathlib import Path
@@ -19,7 +19,7 @@ import blockreg.sidecar
 from blockreg import TrafficMatrix, clean, corpus_to_csv, load_corpus, save_corpus
 from blockreg.cli import main
 from blockreg.corpus import CHUNK_BYTES, clean_file
-from blockreg.errors import EmptyCorpus
+from blockreg.errors import DataError
 
 from conftest import make_corpus
 
@@ -41,9 +41,10 @@ volumes = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, 1e-310])
 faults = st.sampled_from([np.nan, *ODD_NANS.view(np.float64).tolist(), -5e-324, -2.5])
 
-# After the source is loaded, before its blocks are copied: None leaves the
-# source alone, so the blocks are copied. A changed CSV makes clean_file
-# render it; a changed sidecar alone does not, since the load has read it.
+# After the source's sidecar is read, before its blocks are copied: None
+# leaves the source alone, so the blocks are copied. A changed CSV makes
+# clean_file load, clean and render it; a changed sidecar alone does not,
+# since the read has taken its matrix.
 DEFECTS = {
     None: lambda src, other: None,
     "csv_edited": lambda src, other: flip(src, src.stat().st_size - 2),
@@ -64,7 +65,7 @@ CSV_CHANGED = {"csv_edited", "csv_row_appended", "csv_replaced", "other_corpus",
 
 @st.composite
 def sources(draw):
-    """A raw corpus, whether its sidecar is gone before the load, and a
+    """A raw corpus, whether its sidecar is gone before the read, and a
     defect."""
     ids = draw(st.lists(st.sampled_from(["b", "a", "c", "é", "a0", "z"]),
                         min_size=1, max_size=5, unique=True))
@@ -84,40 +85,53 @@ def sources(draw):
     return t, parsed, defect
 
 
+def saved_clean(src: Path, out: Path):
+    """What loading, cleaning and saving ``src`` gives: the CSV and sidecar
+    bytes, or the error."""
+    try:
+        save_corpus(clean(load_corpus(str(src))), str(out))
+    except DataError as exc:
+        return type(exc), str(exc)
+    return out.read_bytes(), sidecar(out).read_bytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(sources(), st.sampled_from([1, 7, 64, CHUNK_BYTES]))
 def test_clean_file_gives_the_rendered_bytes(tmp_path_factory, case, chunk_bytes):
     t, parsed, defect = case
     directory = tmp_path_factory.mktemp("copy")
     src, copied, rendered = (directory / name for name in ("src.csv", "c.csv", "r.csv"))
+    # Clean; where t has stations that clean drops, the stale sidecar holds
+    # them, so a copy that trusted it would give the wrong bytes.
     other = TrafficMatrix(t.bs_ids, np.full_like(t.values, 12345.0), t.start_hour)
     assume(defect is None or not np.array_equal(t.values, other.values))
-    piece, load, loaded = blockreg.corpus._csv_piece, blockreg.corpus._load, []
+    piece, read, broken = blockreg.corpus._csv_piece, blockreg.sidecar.read, []
 
-    def load_then_break(path):
-        result = load(path)
-        loaded.append(result[0])
-        with mock.patch.object(blockreg.corpus, "_csv_piece", piece):
-            DEFECTS[defect](src, other)
+    def read_then_break(path):
+        result = read(path)
+        if not broken:  # the first read only, not that of a fallback load
+            broken.append(path)
+            with mock.patch.object(blockreg.corpus, "_csv_piece", piece):
+                DEFECTS[defect](src, other)
         return result
 
     render = mock.Mock(wraps=piece)
-    with mock.patch.object(blockreg.corpus, "CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(blockreg.corpus, "CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(blockreg.sidecar, "READ_BYTES", chunk_bytes):
         save_corpus(t, str(src))
         if parsed:
             sidecar(src).unlink()
-        with mock.patch.object(blockreg.corpus, "_load", load_then_break), \
+        with mock.patch.object(blockreg.sidecar, "read", read_then_break), \
                 mock.patch.object(blockreg.corpus, "_csv_piece", render):
             try:
                 clean_file(str(src), str(copied))
-            except EmptyCorpus:
-                assert not np.any(np.all(t.values >= 0, axis=1))
+                result = copied.read_bytes(), sidecar(copied).read_bytes()
+            except DataError as exc:
                 assert not copied.exists() and not sidecar(copied).exists()
-                return
-        assert render.called == (parsed or defect in CSV_CHANGED)
-        save_corpus(clean(loaded[0]), str(rendered))
-    assert copied.read_bytes() == rendered.read_bytes()
-    assert sidecar(copied).read_bytes() == sidecar(rendered).read_bytes()
+                result = type(exc), str(exc)
+        assert render.called == (parsed or defect in CSV_CHANGED) or (
+            type(result[0]) is type)
+        assert result == saved_clean(src, rendered)
     assert not list(directory.glob("*.tmp"))
 
 
@@ -173,10 +187,10 @@ def matrix_fed(t: TrafficMatrix) -> int:
 
 @pytest.mark.parametrize("drop", [False, True], ids=["all_kept", "some_dropped"])
 def test_clean_digests_each_csv_once_per_check(tmp_path, drop, monkeypatch):
-    # The load checks the source CSV and its matrix against the sidecar,
-    # and the copy checks the CSV again as it reads it. A copy of every
-    # station is then the source, so its digest is not taken a third time;
-    # a copy that leaves stations out is digested as it is written. The
+    # The read checks the source's matrix against its sidecar, and the copy
+    # checks the CSV as it reads it, once. A copy of every station is the
+    # source, so neither its CSV nor its matrix is digested again; a copy
+    # that leaves stations out is digested as it is written, and the
     # sidecar written digests the kept matrix once.
     t = make_corpus(n_bs=30, n_hours=48)
     if drop:
@@ -187,13 +201,13 @@ def test_clean_digests_each_csv_once_per_check(tmp_path, drop, monkeypatch):
     monkeypatch.setattr(blockreg.sidecar, "digest", CountingDigest)
     assert main(["clean", "--input", str(raw), "--output", str(corpus)]) == 0
     fed = [d.fed for d in CountingDigest.made]
-    assert fed.count(raw.stat().st_size) == 2
+    assert fed.count(raw.stat().st_size) == 1
     if drop:
         assert fed.count(matrix_fed(t)) == 1
         assert fed.count(corpus.stat().st_size) == 1
         assert fed.count(matrix_fed(clean(t))) == 1
     else:
-        assert fed.count(matrix_fed(t)) == 2  # the load's and the sidecar's
+        assert fed.count(matrix_fed(t)) == 1
         assert sidecar(corpus).read_bytes() == sidecar(raw).read_bytes()
     monkeypatch.undo()
     assert corpus.read_bytes() == corpus_to_csv(clean(t)).encode()
@@ -202,8 +216,9 @@ def test_clean_digests_each_csv_once_per_check(tmp_path, drop, monkeypatch):
 
 
 def test_corpus_to_csv_golden_bytes():
-    # clean_file copies the blocks of a CSV whose sidecar vouched for it,
-    # trusting that corpus_to_csv would write the same bytes. Changing the
+    # clean_file copies the blocks, and forecast the horizon lines, of a CSV
+    # whose sidecar vouches for it, trusting that corpus_to_csv would write
+    # the same bytes. Changing the
     # bytes below therefore requires bumping sidecar.VERSION, and then this
     # test, so that no older sidecar is used.
     values = np.array([[np.nan, -0.0, 1e-300], [1e22, 0.1, 2.0]])

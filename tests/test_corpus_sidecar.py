@@ -205,6 +205,10 @@ DEFECTS = {
     "string_hours": lambda p: edit_header(p, lambda d: d.update(n_hours="48")),
     "huge_shape": lambda p: edit_header(p, lambda d: d.update(n_hours=2**62)),
     "ids_not_strings": lambda p: edit_header(p, lambda d: d.update(bs_ids=[1] * 5)),
+    # A lone surrogate, which no UTF-8 CSV holds, so the matrix digest of
+    # the header cannot be taken.
+    "unencodable_id": lambda p: edit_header(
+        p, lambda d: d["bs_ids"].__setitem__(0, "\ud800")),
     "fewer_ids": lambda p: edit_header(p, lambda d: d["bs_ids"].pop()),
     "no_matrix_digest": lambda p: edit_header(p, lambda d: d.pop("matrix_blake2b")),
     "directory": lambda p: sidecar(p).unlink() or sidecar(p).mkdir(),

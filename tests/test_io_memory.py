@@ -3,9 +3,10 @@
 Each I/O bound is the matrix bytes plus a fixed number of ``CHUNK_BYTES``,
 measured with ``tracemalloc`` as the peak above what was allocated before
 the call. The corpus writer holds at most 512 hours of one station's rows
-at a time; `clean_file` holds the loaded and the cleaned matrix and,
+at a time; `clean_file` holds the read and the cleaned matrix and,
 copying from its source CSV, one read of it; the forecast writer holds one
-station block. The parser holds one chunk at a time, as lines, rows and
+station block, and `forecast`, copying the actuals from the CSV, the
+matrix, the forecasts and one read. The parser holds one chunk at a time, as lines, rows and
 fields, and each short Python string takes several times its characters,
 hence its larger slack; a load through the sidecar holds the matrix and
 one digest read. The CSV text of these matrices is over three times the
@@ -21,6 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import blockreg.cli
 import blockreg.corpus
 from blockreg import (
     SynthConfig,
@@ -29,6 +31,7 @@ from blockreg import (
     load_corpus,
     pipeline,
     save_corpus,
+    sidecar,
     synthesize,
 )
 from blockreg.baselines import forecast_sa, train_sa
@@ -36,7 +39,8 @@ from blockreg.cli import _forecast_csv
 from blockreg.corpus import CHUNK_BYTES, TrafficMatrix, clean_file
 from blockreg.evaluation import Split, evaluate
 from blockreg.forecaster import ForecastSeries, forecast_horizon, train_block_regression
-from blockreg.modelio import atomic_write_text
+from blockreg.cli import main
+from blockreg.modelio import atomic_write_text, save_model
 from blockreg.pipeline import DifferencedMatrix
 
 READ_SLACK = 16 * CHUNK_BYTES
@@ -70,8 +74,9 @@ def test_save_and_load_corpus_bounded(tmp_path, monkeypatch, n_bs, n_hours):
         patch.setattr(blockreg.corpus, "_csv_piece", None)  # copy, never render
         _, peak = traced_peak(clean_file, str(path), str(tmp_path / "d.csv"))
     assert (tmp_path / "d.csv").read_bytes() == path.read_bytes()
-    # A load through the sidecar, and the kept rows that clean makes of it.
-    assert peak < 2 * t.values.nbytes + READ_SLACK
+    # A read through the sidecar, the kept rows that clean makes of it, and
+    # one read of the CSV with its newline mask.
+    assert peak < 2 * t.values.nbytes + 2 * sidecar.READ_BYTES + READ_SLACK
     path.with_name("c.csv.matrix").unlink()
     back, peak = traced_peak(load_corpus, str(path))  # through the parser
     assert np.array_equal(back.values, t.values)
@@ -223,6 +228,29 @@ def test_evaluate_bounded(scored, kind, mode, bound):
     report, peak = traced_peak(evaluate, models[kind], t, Split(), mode)
     assert len(report.per_bs) == 300
     assert peak < bound * t.values.nbytes
+
+
+@pytest.mark.parametrize("mode", ["one_step", "recursive"])
+@pytest.mark.parametrize("kind", ["br", "lr", "sa"])
+def test_forecast_command_bounded(scored, tmp_path, monkeypatch, kind, mode):
+    # The sidecar's matrix, the forecasts, and one read of the CSV with its
+    # newline mask: never the CSV's text, which is over three times the
+    # matrix, nor a second matrix. A recursive horizon also holds its
+    # working matrix, the m + w hours before it and the horizon.
+    t, models = scored
+    corpus, model = str(tmp_path / "c.csv"), str(tmp_path / "model.json")
+    save_corpus(t, corpus)
+    save_model(models[kind], model)
+    monkeypatch.setattr(blockreg.cli, "_forecast_csv", None)  # copy, never render
+    argv = ["forecast", "--input", corpus, "--model", model, "--mode", mode,
+            "--output", str(tmp_path / "fc.csv")]
+    code, peak = traced_peak(main, argv)
+    assert code == 0
+    forecast = t.n_bs * 96 * 8
+    need = {"br": 27, "lr": 72, "sa": 0}[kind] if mode == "recursive" else 0
+    working = t.n_bs * (need + 96) * 8 if need else 0
+    bound = t.values.nbytes + forecast + working + 2 * sidecar.READ_BYTES + READ_SLACK
+    assert peak < bound
 
 
 def test_clean_bounded():
