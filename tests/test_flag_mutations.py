@@ -75,6 +75,7 @@ def inputs(tmp_path_factory):
 
 @pytest.fixture()
 def workspace(inputs):
+    restore(inputs)
     return inputs[0]
 
 
@@ -155,11 +156,13 @@ def test_mutated_flags_meet_the_error_contract(inputs, name, data):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_unmutated_flags_succeed(inputs, name):
-    workspace = inputs[0]
-    restore(inputs)
+def test_unmutated_flags_succeed(workspace, name):
     tokens = [token for pair in COMMANDS[name] for token in pair]
     assert run_cli(argv_of(name, tokens, workspace), [workspace / "out"], FAMILIES) == 0
+
+
+def double_dash(argv: list[str]) -> str:
+    return next(token for token in argv if token.endswith("=--"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -169,21 +172,19 @@ def test_unmutated_flags_succeed(inputs, name):
     ["synth", "--output", "@/out", "--seed=--"],
     ["eval", "--input", "@/corpus.csv", "--model", "@/br.json", "--output", "@/out",
      "--mode=--"],
-], ids=lambda argv: argv[0] + argv[-1])
-def test_flag_equals_double_dash_exits_2(inputs, argv):
+], ids=lambda argv: argv[0] + " " + double_dash(argv))
+def test_flag_equals_double_dash_exits_2(workspace, argv):
     # argparse takes `--flag=--` for an empty list, which no type or choice
     # checks; it ended in a traceback, or trained a br model for --kind.
-    workspace = inputs[0]
-    restore(inputs)
     out = workspace / "out"
     out.unlink(missing_ok=True)
     stderr = io.StringIO()
     with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
         assert main([token.replace("@", str(workspace)) for token in argv]) == 2
     err = json.loads(stderr.getvalue())
-    flag = argv[-1] if argv[0] != "clean" else argv[1]
     assert err["error"] == "InvalidConfig"
-    assert f"argument {flag.removesuffix('=--')}: expected one argument" in err["message"]
+    flag = double_dash(argv).removesuffix("=--")
+    assert f"argument {flag}: expected one argument" in err["message"]
     assert not out.exists()
 
 
