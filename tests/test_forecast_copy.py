@@ -51,7 +51,8 @@ def flip(path: Path, offset: int) -> None:
 
 @pytest.fixture(scope="module")
 def models(tmp_path_factory):
-    """A br, an lr and an sa model, trained on a corpus with the ids IDS."""
+    """The br and lr model files and the sa model, trained on a corpus with
+    the ids IDS."""
     t = make_corpus(n_bs=len(IDS), n_hours=336)
     t = TrafficMatrix(list(IDS), t.values, 0)
     ws = tmp_path_factory.mktemp("forecast_models")
@@ -217,3 +218,35 @@ def test_forecast_gives_the_rendered_bytes(tmp_path_factory, models, case):
         assert not render.called
     lines = result.decode().splitlines()
     assert lines[0] == "bs_id,hour,actual,forecast,mode"
+
+
+@pytest.mark.parametrize("mode", ["one_step", "recursive"])
+def test_forecast_digests_the_csv_once(tmp_path, models, monkeypatch, mode):
+    # The sidecar read checks the matrix; the pass that copies the actuals
+    # is the one read of the CSV, and digests it once.
+    t = make_corpus(n_bs=4, n_hours=336)
+    src, out = tmp_path / "c.csv", tmp_path / "fc.csv"
+    save_corpus(t, str(src))
+    fed, digest = [], blockreg.sidecar.digest
+
+    class Counting:
+        def __init__(self, data=b""):
+            self.hash, self.fed = digest(data), len(data)
+            fed.append(self)
+
+        def update(self, data):
+            self.hash.update(data)
+            self.fed += len(memoryview(data).cast("B"))
+
+        def hexdigest(self):
+            return self.hash.hexdigest()
+
+    monkeypatch.setattr(blockreg.sidecar, "digest", Counting)
+    monkeypatch.setattr(blockreg.cli, "_forecast_csv", None)  # copy, never render
+    argv = ["forecast", "--input", str(src), "--model", str(models["br"]),
+            "--mode", mode, "--output", str(out)]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert [d.fed for d in fed].count(src.stat().st_size) == 1
+    assert len(fed) == 2  # the matrix's and the CSV's
+
