@@ -12,13 +12,17 @@ produce byte-identical files. `synth` and `clean` also write the corpus
 matrix next to the CSV (`<output>.matrix`), which later loads of that CSV
 read instead of parsing it. Errors print one machine-readable JSON line
 to stderr and exit with the family code: configuration 2, data 3,
-numerical 4.
+numerical 4. `run` is the process entry (`blockreg`, `python -m
+blockreg`); `main` is the same command for in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import re
+import reprlib
 import sys
 from collections.abc import Iterator
 from dataclasses import fields
@@ -183,7 +187,7 @@ def _cmd_forecast(args, opts: dict) -> int:
 
     def copy(t, header):
         if start + k > t.n_hours:
-            return None  # no actuals to copy
+            return None  # no actuals to copy: render, before any read of the CSV
         fs = forecasts(t)
         index = dict(zip(t.bs_ids, range(t.n_bs)))
         stations = [index[bs] for bs in fs.bs_ids]
@@ -257,7 +261,10 @@ FILES = {"input": "input corpus CSV", "model": "model JSON path",
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise InvalidConfig, so that
     they print the same JSON line as every other error; its subcommand
-    parsers are of this class too."""
+    parsers are of this class too. A flag must be spelled in full."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise InvalidConfig(f"{self.prog}: {message}")
@@ -270,6 +277,19 @@ class _Parser(argparse.ArgumentParser):
             if isinstance(value, list):
                 self.error(f"argument --{key.replace('_', '-')}: expected one argument")
         return parsed, extras
+
+
+def _int_flag(text: str) -> int:
+    """The value of an int flag: ASCII digits with an optional sign and
+    nothing else, as strict as a JSON int in a config file. int() alone
+    would also take surrounding spaces, "_" between digits and the
+    digits of other scripts."""
+    try:
+        if re.fullmatch(r"[+-]?[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {reprlib.repr(text)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         for key, kind, default, help_, _ in rows:
             if help_ is None:
                 continue
-            typing = ({"choices": kind} if isinstance(kind, tuple)
-                      else {"type": float if kind is float else int})
+            # Every flag with help is a choice or an int.
+            typing = {"choices": kind} if isinstance(kind, tuple) else {"type": _int_flag}
             shown = "none" if default is None else default
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, **typing,
                            help=f"{help_} (default {shown})")
@@ -331,5 +351,19 @@ def _family_name(exc: BlockregError) -> str:
     return "BlockregError"
 
 
+def run() -> None:
+    """The process entry: `main` on the command line, then exit with its code.
+
+    Before the exit, `gc.freeze` moves every object alive into the
+    permanent generation, which the interpreter's exit-time collections
+    skip: they would only walk and free the reference cycles that the
+    imports built. Streams are still flushed and atexit handlers still
+    run; every output file is closed before `main` returns.
+    """
+    code = main(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

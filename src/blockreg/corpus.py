@@ -703,19 +703,24 @@ def with_sidecar(path: str, copy, render):
 
     Until the CSV's digest is checked, the matrix is unverified: ``copy``
     checks it by reading the CSV's text through `_csv_lines`, once. If
-    there is no usable sidecar, or ``copy`` returns None, or raises a
-    BlockregError or finds the CSV changed before that pass completes,
-    whatever ``copy`` wrote must be discarded, and ``render`` runs on
-    `load_corpus`. So the result and the errors are those of ``render``.
+    ``copy`` raises a BlockregError or finds the CSV changed before that
+    pass completes, whatever it wrote must be discarded, and ``render``
+    runs on `load_corpus`, as it does without a usable sidecar. ``copy``
+    may also return None before it reads the CSV; then ``render`` runs on
+    the matrix once the CSV's digest is checked (`sidecar.vouches`), else
+    on `load_corpus`. So the result and the errors are those of ``render``.
     """
     cached = sidecar.read(path)
     if cached is not None:
+        t = _matrix(*cached)
         try:
-            result = copy(_matrix(*cached), cached[0])
+            result = copy(t, cached[0])
         except (BlockregError, _StaleSource):
-            result = None
+            result = cached = None
         if result is not None:
             return result
+        if cached is not None and sidecar.vouches(path, cached[0]):
+            return render(t)
     return render(load_corpus(path))
 
 

@@ -10,8 +10,8 @@ matrix (`_body` followed by the volumes), ``start_hour``, ``n_hours`` and
 ``bs_ids``.
 
 A load reads the header and the matrix (`read`), then checks the CSV's
-digest (`load`). `corpus.clean_file` and the `forecast` command check it
-instead in the one pass that copies text from the CSV
+digest (`load`, `vouches`). `corpus.clean_file` and the `forecast`
+command check it instead in the one pass that copies text from the CSV
 (`corpus._csv_lines`): `clean` copies the kept station blocks, and
 `forecast` each station's ``bs_id,hour,actual`` lines of the horizon,
 taking them for what `corpus.corpus_to_csv` writes for the matrix. So a
@@ -101,17 +101,19 @@ def read(path: str) -> tuple[dict, np.ndarray] | None:
 
 
 def load(path: str) -> tuple[dict, np.ndarray] | None:
-    """`read`, if the digest of the CSV at ``path`` equals the header's
-    ``csv_blake2b``; else None."""
+    """`read`, if the CSV at ``path`` is the one it `vouches` for; else None."""
     cached = read(path)
-    if cached is None:
-        return None
+    return cached if cached is not None and vouches(path, cached[0]) else None
+
+
+def vouches(path: str, header: dict) -> bool:
+    """True if the digest of the CSV at ``path`` equals ``header``'s
+    ``csv_blake2b``, which makes the matrix `read` gave with it verified."""
     try:
         with open(path, "rb") as fh:
-            csv_hex = _file_digest(fh)
+            return _file_digest(fh) == header["csv_blake2b"]
     except OSError:
-        return None
-    return cached if csv_hex == cached[0]["csv_blake2b"] else None
+        return False
 
 
 def _header(side, csv_size: int) -> dict | None:

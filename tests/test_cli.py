@@ -256,10 +256,16 @@ def test_corpus_defect_exits_3(tmp_path, rows, error):
 
 
 def test_argparse_errors_exit_2(workspace):
-    # A bad choice, a missing flag, a bad int, an unknown and no command.
+    # A bad choice, a missing flag, bad ints, an abbreviated flag, an
+    # unknown and no command.
+    train = ("train", "--input", "corpus.csv", "--model", "m.json")
     for argv in (("eval", "--mode", "bogus"),
                  ("train", "--input", "corpus.csv"),
-                 ("train", "--input", "corpus.csv", "--model", "m.json", "--m", "x"),
+                 (*train, "--m", "x"),
+                 (*train, "--m", " 24 "),
+                 (*train, "--m", "2_4"),
+                 (*train, "--m", "\uff12\uff14"),
+                 (*train, "--train-h", "240"),
                  ("frobnicate",),
                  ()):
         r = run(*argv, cwd=workspace)

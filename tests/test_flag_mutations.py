@@ -5,7 +5,8 @@ forecast, eval or sweep, unknown or repeated, without a value, spelled
 ``--flag=value``, of the wrong type or an out-of-range int, `cli.main`
 either succeeds or exits with its family's code (2 config, 3 data, 4
 numerical) and one JSON line on stderr, without a traceback and without
-writing an output file.
+writing an output file. An abbreviated flag, or an int value that a
+config file would refuse, always exits 2.
 """
 
 import io
@@ -52,6 +53,12 @@ UNKNOWN = ["--bogus", "--x", "-x", "--train_hours", "--M", "---m", "--", "junk",
 OTHER_FILES = ["@/missing.csv", "@", "@/br.json", "@/corpus.csv", "@/out2"]
 WRONG_TYPES = ["", "abc", "1.5", "1e3", "0x10", "nan", "inf", "--", "one_step",
                "br", " ", "2 4", "None", "[24]"]
+# The flags that take an int, and the zero digit of other scripts, whose
+# digits int() takes: fullwidth, Arabic-Indic, Devanagari, Bengali and
+# mathematical bold.
+INT_FLAGS = {"--seed", "--m", "--w", "--ar", "--ma", "--train-hours", "--test-hours",
+             "--threads"}
+OTHER_ZEROS = ["\uff10", "\u0660", "\u0966", "\u09e6", "\U0001d7ce"]
 # Out-of-range ints refused before any work. Ints beyond the address space
 # only: a large but addressable horizon is legitimate, if slow, work.
 OUT_OF_RANGE = ["-1", "0", "-0", str(-2**63), str(2**61), str(2**63), str(2**64),
@@ -129,6 +136,37 @@ def mutated_argv(draw, name):
     return [token for pair in pairs for token in pair]
 
 
+@st.composite
+def lax_argv(draw, name):
+    """The argv of ``name`` with one flag abbreviated, or one int value
+    spelled as int() takes it and a JSON int never is: with whitespace
+    around it, "_" between its digits or digits of another script."""
+    pairs = [list(pair) for pair in COMMANDS[name]]
+    ints = [pair for pair in pairs if pair[0] in INT_FLAGS]
+    if ints and draw(st.booleans()):
+        pair = draw(st.sampled_from(ints))
+        value = pair[1]
+        how = draw(st.sampled_from(["space", "underscore", "digits"]))
+        if how == "space":
+            pad = draw(st.sampled_from([" ", "\t", "\n", "\u00a0", "\u3000"]))
+            pair[1] = draw(st.sampled_from([pad + value, value + pad, pad + value + pad]))
+        elif how == "underscore":
+            cut = draw(st.integers(1, len(value) - 1)) if len(value) > 1 else 0
+            pair[1] = (value[:cut] or "0") + "_" + value[cut:]
+        else:
+            zero = ord(draw(st.sampled_from(OTHER_ZEROS)))
+            pair[1] = "".join(chr(zero + int(c)) for c in value)
+    else:
+        flags = {flag for flag, _ in pairs}
+        prefixes = {flag: [flag[:n] for n in range(3, len(flag)) if flag[:n] not in flags]
+                    for flag in flags}
+        pair = draw(st.sampled_from([pair for pair in pairs if prefixes[pair[0]]]))
+        pair[0] = draw(st.sampled_from(prefixes[pair[0]]))
+        if draw(st.booleans()):
+            pair[:] = ["=".join(pair)]
+    return [token for pair in pairs for token in pair]
+
+
 def argv_of(name: str, tokens: list[str], ws) -> list[str]:
     command = name.split("_")[0]
     return [command, *(token.replace("@", str(ws)) for token in tokens)]
@@ -153,6 +191,20 @@ def test_mutated_flags_meet_the_error_contract(inputs, name, data):
     for path in made:
         path.unlink()
     event(f"exit {code}")
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lax_flag_spellings_exit_2(inputs, name, data):
+    # A config file takes only a JSON int under its exact key; a flag took
+    # any unique prefix of its name, and any value that int() takes.
+    workspace = inputs[0]
+    restore(inputs)
+    tokens = data.draw(lax_argv(name))
+    with chdir(workspace):
+        assert run_cli(argv_of(name, tokens, workspace), [workspace / "out"],
+                       FAMILIES) == 2
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

@@ -220,13 +220,8 @@ def test_forecast_gives_the_rendered_bytes(tmp_path_factory, models, case):
     assert lines[0] == "bs_id,hour,actual,forecast,mode"
 
 
-@pytest.mark.parametrize("mode", ["one_step", "recursive"])
-def test_forecast_digests_the_csv_once(tmp_path, models, monkeypatch, mode):
-    # The sidecar read checks the matrix; the pass that copies the actuals
-    # is the one read of the CSV, and digests it once.
-    t = make_corpus(n_bs=4, n_hours=336)
-    src, out = tmp_path / "c.csv", tmp_path / "fc.csv"
-    save_corpus(t, str(src))
+def count_digests(monkeypatch) -> list:
+    """The digests taken from now on, each with the bytes fed to it."""
     fed, digest = [], blockreg.sidecar.digest
 
     class Counting:
@@ -242,6 +237,17 @@ def test_forecast_digests_the_csv_once(tmp_path, models, monkeypatch, mode):
             return self.hash.hexdigest()
 
     monkeypatch.setattr(blockreg.sidecar, "digest", Counting)
+    return fed
+
+
+@pytest.mark.parametrize("mode", ["one_step", "recursive"])
+def test_forecast_digests_the_csv_once(tmp_path, models, monkeypatch, mode):
+    # The sidecar read checks the matrix; the pass that copies the actuals
+    # is the one read of the CSV, and digests it once.
+    t = make_corpus(n_bs=4, n_hours=336)
+    src, out = tmp_path / "c.csv", tmp_path / "fc.csv"
+    save_corpus(t, str(src))
+    fed = count_digests(monkeypatch)
     monkeypatch.setattr(blockreg.cli, "_forecast_csv", None)  # copy, never render
     argv = ["forecast", "--input", str(src), "--model", str(models["br"]),
             "--mode", mode, "--output", str(out)]
@@ -250,3 +256,26 @@ def test_forecast_digests_the_csv_once(tmp_path, models, monkeypatch, mode):
     assert [d.fed for d in fed].count(src.stat().st_size) == 1
     assert len(fed) == 2  # the matrix's and the CSV's
 
+
+def test_forecast_past_the_corpus_end_reads_the_sidecar_once(tmp_path, models,
+                                                             monkeypatch):
+    # A recursive horizon past the corpus end has no actuals to copy: the
+    # matrix of the one sidecar read is rendered once the CSV's digest is
+    # checked, not read and digested again by load_corpus.
+    t = make_corpus(n_bs=4, n_hours=336)
+    src, out = tmp_path / "c.csv", tmp_path / "fc.csv"
+    save_corpus(t, str(src))
+    fs = forecast_fleet(load_model(str(models["br"])), load_corpus(str(src)), 300, 96,
+                        "recursive")
+    expected = "".join(_forecast_csv(fs)).encode()
+    fed = count_digests(monkeypatch)
+    read = mock.Mock(wraps=blockreg.sidecar.read)
+    monkeypatch.setattr(blockreg.sidecar, "read", read)
+    argv = ["forecast", "--input", str(src), "--model", str(models["br"]),
+            "--mode", "recursive", "--train-hours", "300", "--output", str(out)]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert read.call_count == 1
+    assert [d.fed for d in fed].count(src.stat().st_size) == 1
+    assert len(fed) == 2  # the matrix's and the CSV's
+    assert out.read_bytes() == expected
