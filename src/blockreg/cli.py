@@ -119,7 +119,7 @@ def _width(opts: dict) -> int:
 
 
 def _cmd_synth(args, opts: dict) -> int:
-    t = synthesize(SynthConfig.from_dict(opts))
+    t = synthesize(SynthConfig(**opts))
     save_corpus(t, args.output)
     print(f"synth: wrote {args.output} ({t.n_bs} stations x {t.n_hours} hours)")
     return 0

@@ -11,7 +11,7 @@ import math
 import re
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 
@@ -29,7 +29,6 @@ from .errors import (
     ParseError,
     UncleanCorpus,
     UnknownBs,
-    typed_value,
 )
 
 CSV_HEADER = ["bs_id", "hour", "volume"]
@@ -136,21 +135,6 @@ class SynthConfig:
             raise InvalidConfig("noise_std must be >= 0")
         if not 0.0 <= self.burst_probability <= 1.0:
             raise InvalidConfig("burst_probability must be in [0, 1]")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthConfig":
-        """Build from a JSON document; unknown keys are rejected.
-
-        Each value must have the type of its field's default, as checked
-        by `typed_value`; a float field also takes an int.
-        """
-        types = {f.name: type(f.default) for f in fields(cls)}
-        unknown = set(doc) - set(types)
-        if unknown:
-            raise InvalidConfig(f"unknown SynthConfig fields: {sorted(unknown)}")
-        cfg = cls(**{k: typed_value(k, v, types[k]) for k, v in doc.items()})
-        cfg.validate()
-        return cfg
 
 
 def synthesize(cfg: SynthConfig) -> TrafficMatrix:
@@ -269,8 +253,17 @@ def load_corpus(path: str) -> TrafficMatrix:
     have a record for every hour of that span.
 
     If ``path`` has a sidecar that `save_corpus` wrote along with these
-    very bytes (see `sidecar`), its matrix is returned unparsed. Otherwise
-    the file is read in chunks of whole lines, each parsed by `_parse_rows`
+    very bytes (see `sidecar`), its matrix is returned unparsed; otherwise
+    the CSV is parsed (see `_parse`).
+    """
+    return with_sidecar(path, lambda t, header: None, lambda t: t)
+
+
+def _parse(path: str) -> TrafficMatrix:
+    """The corpus that the CSV at ``path`` holds, parsed as `load_corpus`
+    describes.
+
+    The file is read in chunks of whole lines, each parsed by `_parse_rows`
     into numpy columns (station code, hour, volume), and a chunk's strings
     are dropped before the next chunk is read. While the parsed rows keep
     the layout that `save_corpus` writes (see `_Layout`), only their
@@ -280,9 +273,6 @@ def load_corpus(path: str) -> TrafficMatrix:
     ParseError (InconsistentHours for a duplicate record or an unfilled
     span) naming the first bad line in file order.
     """
-    cached = sidecar.load(path)
-    if cached is not None:
-        return _matrix(*cached)
     # "\n" + bs_id -> code, in order of first appearance (see _parse_rows)
     ids: dict[str, int] = {}
     try:
@@ -321,10 +311,6 @@ def load_corpus(path: str) -> TrafficMatrix:
     return TrafficMatrix(
         bs_ids=[names[i] for i in order], values=values, start_hour=start
     )
-
-
-def _matrix(header: dict, values: np.ndarray) -> TrafficMatrix:
-    return TrafficMatrix(header["bs_ids"], values, header["start_hour"])
 
 
 def _read_chunks(fh, path: str, ids: dict[str, int]):
@@ -675,9 +661,10 @@ def clean_file(source: str, path: str) -> tuple[TrafficMatrix, TrafficMatrix]:
         # Both are in bs_id order, the order of the source's station blocks.
         ids = set(t.bs_ids)
         kept = np.flatnonzero([bs_id in ids for bs_id in raw.bs_ids])
-        starts = np.append(0, 1 + kept * raw.n_hours)  # line 0 is the header
-        stops = np.append(1, starts[1:] + raw.n_hours)
-        pieces = (piece for _, piece in _csv_lines(source, header, starts, stops))
+        lines = block_lines(source, header, kept, 0, raw.n_hours)
+        # The sidecar vouches that the source starts with this header line.
+        pieces = chain([(",".join(CSV_HEADER) + "\n").encode()],
+                       (piece for _, piece in lines))
         if t.n_bs == raw.n_bs:
             # A copy of every station is the source, whose digest the pass
             # checks; its sidecar holds the matrix whose digest the read checked.
@@ -699,29 +686,35 @@ def clean_file(source: str, path: str) -> tuple[TrafficMatrix, TrafficMatrix]:
 
 def with_sidecar(path: str, copy, render):
     """``copy(t, header)`` on the matrix and header that the sidecar of the
-    CSV at ``path`` holds (see `sidecar.read`), else ``render(load_corpus(path))``.
+    CSV at ``path`` holds (see `sidecar.read`); else ``render(t)`` on that
+    matrix once the CSV's digest is checked; else ``render(_parse(path))``.
 
     Until the CSV's digest is checked, the matrix is unverified: ``copy``
-    checks it by reading the CSV's text through `_csv_lines`, once. If
-    ``copy`` raises a BlockregError or finds the CSV changed before that
-    pass completes, whatever it wrote must be discarded, and ``render``
-    runs on `load_corpus`, as it does without a usable sidecar. ``copy``
-    may also return None before it reads the CSV; then ``render`` runs on
-    the matrix once the CSV's digest is checked (`sidecar.vouches`), else
-    on `load_corpus`. So the result and the errors are those of ``render``.
+    checks it by reading the CSV's text through `_csv_lines`, once, or
+    returns None before it reads the CSV. If ``copy`` raises a
+    BlockregError or finds the CSV changed before that pass completes,
+    whatever it wrote must be discarded. Unless ``copy`` gave a result, a
+    pass of `_csv_lines` over no lines checks the CSV's digest. So the
+    sidecar is read once, and the result and the errors are those of
+    ``render``.
     """
     cached = sidecar.read(path)
     if cached is not None:
-        t = _matrix(*cached)
+        header, values = cached
+        t = TrafficMatrix(header["bs_ids"], values, header["start_hour"])
         try:
-            result = copy(t, cached[0])
+            result = copy(t, header)
         except (BlockregError, _StaleSource):
-            result = cached = None
+            result = None
         if result is not None:
             return result
-        if cached is not None and sidecar.vouches(path, cached[0]):
+        try:
+            next(_csv_lines(path, header, (), ()), None)  # yields nothing: digests
+        except _StaleSource:
+            pass
+        else:
             return render(t)
-    return render(load_corpus(path))
+    return render(_parse(path))
 
 
 class _StaleSource(Exception):
@@ -740,7 +733,11 @@ def block_lines(path: str, header: dict, stations: np.ndarray, lo: int,
     """Lines ``lo .. hi - 1`` of the block of each of ``stations`` (rows of
     the sidecar matrix, increasing) in the CSV at ``path``, whose sidecar
     has ``header``: pieces of them, each with the number of its station in
-    ``stations``, as `_csv_lines` reads them."""
+    ``stations``, as `_csv_lines` reads them.
+
+    In the CSV that `save_corpus` writes, station block k is lines
+    ``1 + k * n_hours`` through ``(k + 1) * n_hours``.
+    """
     starts = 1 + np.asarray(stations, dtype=np.int64) * header["n_hours"] + lo
     return _csv_lines(path, header, starts, starts + (hi - lo))
 
@@ -750,10 +747,8 @@ def _csv_lines(path: str, header: dict, starts: np.ndarray,
     """Pieces of lines ``starts[r] .. stops[r] - 1`` of the CSV at ``path``,
     each with its ``r``, reading and digesting the whole CSV once, in reads
     of ``sidecar.READ_BYTES``. Lines count from 0, the header line, and
-    each range starts at or after the stop of the one before.
-
-    In the CSV that `save_corpus` writes, station block k is lines
-    ``1 + k * n_hours`` through ``(k + 1) * n_hours``. After the last read,
+    each range starts at or after the stop of the one before; once the last
+    range is copied, the reads are only digested. After the last read,
     raises _StaleSource unless the whole CSV has the digest of the
     sidecar ``header``; so does a read that fails.
     """
@@ -766,6 +761,8 @@ def _csv_lines(path: str, header: dict, starts: np.ndarray,
         with open(path, "rb") as fh:
             while chunk := fh.read(sidecar.READ_BYTES):
                 source_digest.update(chunk)
+                if i == len(edges):  # past the last range
+                    continue
                 ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
                 j = int(np.searchsorted(edges, lines + len(ends), side="right"))
                 cuts = (ends[edges[i:j] - lines - 1] + 1).tolist()

@@ -1,24 +1,24 @@
 """The matrix sidecar of a corpus CSV: its parsed matrix, stored next to it.
 
 `corpus.save_corpus` and `corpus.clean_file` write ``<csv>.matrix`` after
-every CSV they write, and `corpus.load_corpus` returns its matrix instead of
-parsing the CSV when the sidecar was written along with the very bytes the
-CSV now holds. The file is one JSON header line, then the ``(N, n_hours)``
-matrix as little-endian float64, rows in bs_id order. The header holds the
-format version, the blake2b digest of the CSV, the blake2b digest of the
-matrix (`_body` followed by the volumes), ``start_hour``, ``n_hours`` and
-``bs_ids``.
+every CSV they write, and every read of a corpus CSV
+(`corpus.with_sidecar`) uses its matrix instead of parsing the CSV when the
+sidecar was written along with the very bytes the CSV now holds. The file
+is one JSON header line, then the ``(N, n_hours)`` matrix as little-endian
+float64, rows in bs_id order. The header holds the format version, the
+blake2b digest of the CSV, the blake2b digest of the matrix (`_body`
+followed by the volumes), ``start_hour``, ``n_hours`` and ``bs_ids``.
 
-A load reads the header and the matrix (`read`), then checks the CSV's
-digest (`load`, `vouches`). `corpus.clean_file` and the `forecast`
-command check it instead in the one pass that copies text from the CSV
-(`corpus._csv_lines`): `clean` copies the kept station blocks, and
-`forecast` each station's ``bs_id,hour,actual`` lines of the horizon,
-taking them for what `corpus.corpus_to_csv` writes for the matrix. So a
-sidecar also vouches that its CSV is what `corpus_to_csv` renders for its
-matrix, and ``VERSION`` pins those bytes: a change to the bytes
-`corpus_to_csv` writes for any matrix must bump ``VERSION``, which leaves
-every older sidecar unused.
+A read takes the header and the matrix (`read`), then checks the CSV's
+digest in the one pass over the CSV (`corpus._csv_lines`). That pass also
+copies text from the CSV for `corpus.clean_file` and the `forecast`
+command: `clean` copies the kept station blocks, and `forecast` each
+station's ``bs_id,hour,actual`` lines of the horizon, taking them for what
+`corpus.corpus_to_csv` writes for the matrix. So a sidecar also vouches
+that its CSV is what `corpus_to_csv` renders for its matrix, and
+``VERSION`` pins those bytes: a change to the bytes `corpus_to_csv` writes
+for any matrix must bump ``VERSION``, which leaves every older sidecar
+unused.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ if TYPE_CHECKING:
 
 SUFFIX = ".matrix"
 VERSION = 1
-# load, and the pass that copies from the CSV, read it this many bytes at a time.
+# The pass over a corpus CSV (`corpus._csv_lines`) reads it this many bytes at a time.
 READ_BYTES = 256 * 1024
 
 
@@ -78,9 +78,9 @@ def read(path: str) -> tuple[dict, np.ndarray] | None:
 
     It is used only if its header is valid (see `_header`) and the digest
     of the matrix equals ``matrix_blake2b``. Any other sidecar, or one that
-    cannot be read, gives None. The CSV's own digest is not checked here:
-    `load` checks it, and so does the pass that copies the CSV's text
-    (`corpus._csv_lines`). Until then the matrix is unverified.
+    cannot be read, gives None. The CSV's own digest is not checked here,
+    but in the pass over the CSV (`corpus._csv_lines`); until then the
+    matrix is unverified.
     """
     try:
         with open(path + SUFFIX, "rb") as side:
@@ -98,22 +98,6 @@ def read(path: str) -> tuple[dict, np.ndarray] | None:
     if matrix_digest.hexdigest() != header["matrix_blake2b"]:
         return None
     return header, values.astype(np.float64, copy=False)
-
-
-def load(path: str) -> tuple[dict, np.ndarray] | None:
-    """`read`, if the CSV at ``path`` is the one it `vouches` for; else None."""
-    cached = read(path)
-    return cached if cached is not None and vouches(path, cached[0]) else None
-
-
-def vouches(path: str, header: dict) -> bool:
-    """True if the digest of the CSV at ``path`` equals ``header``'s
-    ``csv_blake2b``, which makes the matrix `read` gave with it verified."""
-    try:
-        with open(path, "rb") as fh:
-            return _file_digest(fh) == header["csv_blake2b"]
-    except OSError:
-        return False
 
 
 def _header(side, csv_size: int) -> dict | None:
@@ -193,13 +177,3 @@ def _header_line(csv_hex: str, matrix_hex: str, start: int, n_hours: int,
         "bs_ids": bs_ids,
     }
     return json.dumps(header, ensure_ascii=False) + "\n"
-
-
-def _file_digest(fh) -> str:
-    """The blake2b hex digest of the rest of a binary file."""
-    file_digest = digest()
-    buffer = bytearray(READ_BYTES)
-    view = memoryview(buffer)
-    while n := fh.readinto(buffer):
-        file_digest.update(view[:n])
-    return file_digest.hexdigest()

@@ -13,11 +13,14 @@ cleaned, so that clean copies the kept station blocks of its source and
 leaves the others out. Each model then forecasts, in both modes, the
 cleaned ``dropped.csv`` and ``bare.csv``, a copy of ``corpus.csv`` without
 its sidecar, so that forecast copies a subset of stations and renders
-without a sidecar too. For each
-file it prints "identical", or, when the text around the numbers agrees,
-the largest relative difference among the file's numbers and the largest
-difference over the file's largest number. A ``--synth-config`` JSON
-file goes to synth, for example ``{"n_bs": 2000}`` for a wide fleet.
+without a sidecar too. Last come the fallbacks (`STALE`): ``stale.csv``, a
+copy of ``corpus.csv`` and its sidecar whose CSV is edited afterwards, and
+``damaged.csv``, a copy whose sidecar is cut short. Each is cleaned, and
+forecast by each model in both modes. For each file it prints
+"identical", or, when the text around the numbers agrees, the largest
+relative difference among the file's numbers and the largest difference
+over the file's largest number. A ``--synth-config`` JSON file goes to
+synth, for example ``{"n_bs": 2000}`` for a wide fleet.
 
 Exits 0 when every command of both flows exited 0, else 1. Uses only the
 standard library and numpy.
@@ -69,6 +72,23 @@ import shutil
 shutil.copyfile("corpus.csv", "bare.csv")
 """
 
+# Writes stale.csv, corpus.csv with its sidecar and then one volume edited
+# (a digit appended, which keeps it a number), and damaged.csv, corpus.csv
+# with its sidecar less its last byte.
+STALE = """
+import shutil
+for name in ("stale", "damaged"):
+    shutil.copyfile("corpus.csv", name + ".csv")
+    shutil.copyfile("corpus.csv.matrix", name + ".csv.matrix")
+with open("stale.csv", encoding="utf-8", newline="") as fh:
+    lines = fh.read().split("\\n")
+lines[18] += "1"
+with open("stale.csv", "w", encoding="utf-8", newline="") as fh:
+    fh.write("\\n".join(lines))
+with open("damaged.csv.matrix", "r+b") as fh:
+    fh.truncate(fh.seek(0, 2) - 1)
+"""
+
 
 def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
     """The arguments of each python command of the flow, with the files it
@@ -97,7 +117,13 @@ def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
     steps.append((["clean", "--input", "dirty.csv", "--output", "dropped.csv"],
                   ["dropped.csv", "dropped.csv.matrix"]))
     steps.append((["-c", BARE], []))
-    for corpus in ("dropped", "bare"):
+    steps.append((["-c", STALE], ["stale.csv", "stale.csv.matrix", "damaged.csv",
+                                  "damaged.csv.matrix"]))
+    for corpus in ("stale", "damaged"):
+        steps.append((["clean", "--input", f"{corpus}.csv", "--output",
+                       f"{corpus}_clean.csv"],
+                      [f"{corpus}_clean.csv", f"{corpus}_clean.csv.matrix"]))
+    for corpus in ("dropped", "bare", "stale", "damaged"):
         for kind in KINDS:
             for mode in MODES:
                 out = f"forecast_{corpus}_{kind}_{mode}.csv"

@@ -4,7 +4,8 @@ The mutations are a dropped key, a value of another JSON type, a
 non-finite number, a huge int, deep nesting, and a key or list entry given
 twice. `run_cli` runs `cli.main` in-process and checks the error contract:
 exit 0 with nothing on stderr, or a family exit code with one JSON line on
-stderr that names the error and its family, and no output file.
+stderr that names the error and its family, and no output file;
+`cli_outcome` also returns what the command printed.
 """
 
 import copy
@@ -100,17 +101,22 @@ def run_cli(argv, outputs, allowed) -> int:
     reports. A failure must leave none of ``outputs``, which are removed
     before the run.
     """
+    return cli_outcome(argv, outputs, allowed)[0]
+
+
+def cli_outcome(argv, outputs, allowed) -> tuple[int, str, str]:
+    """`run_cli`, returning the exit code, stdout and stderr."""
     for path in outputs:
         path.unlink(missing_ok=True)
-    stderr = io.StringIO()
-    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(stdout):
         code = main(argv)
     if code == 0:
         assert stderr.getvalue() == ""
-        return code
+        return code, stdout.getvalue(), ""
     lines = stderr.getvalue().splitlines()
     assert len(lines) == 1, lines
     err = json.loads(lines[0])
     assert allowed.get(code) == err["family"], (code, err)
     assert err["error"] and not any(path.exists() for path in outputs), err
-    return code
+    return code, stdout.getvalue(), lines[0]

@@ -218,14 +218,16 @@ def test_bad_flag_value_exits_2(workspace, tmp_path):
     assert err["family"] == "ConfigError"
 
 
-def test_unknown_config_key_exits_2(workspace, tmp_path):
+@pytest.mark.parametrize("command", ["eval", "synth"])
+def test_unknown_config_key_exits_2(workspace, tmp_path, command):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"wat": 1}))
-    r = run("eval", "--input", workspace / "corpus.csv",
-            "--model", workspace / "br.json", "--output", tmp_path / "r.json",
-            "--config", cfg)
+    files = ["--input", workspace / "corpus.csv", "--model", workspace / "br.json"]
+    r = run(command, *files[:4 if command == "eval" else 0],
+            "--output", tmp_path / "r.out", "--config", cfg)
     assert r.returncode == 2
     assert "wat" in json.loads(r.stderr)["message"]
+    assert not list(tmp_path.glob("r.out*"))
 
 
 def test_unclean_corpus_exits_3(workspace, tmp_path):

@@ -119,14 +119,6 @@ def test_synth_config_validation():
         SynthConfig(seed=-1).validate()
 
 
-def test_synth_config_from_dict_rejects_unknown():
-    with pytest.raises(InvalidConfig, match="unknown"):
-        SynthConfig.from_dict({"n_bs": 5, "bogus": 1})
-    cfg = SynthConfig.from_dict({"n_bs": 5, "seed": 9})
-    assert cfg.n_bs == 5 and cfg.seed == 9
-    assert cfg.n_hours == 336  # untouched fields keep defaults
-
-
 def test_csv_round_trip_exact(tmp_path):
     t = make_corpus(n_bs=5, n_hours=30)
     path = tmp_path / "c.csv"

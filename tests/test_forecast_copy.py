@@ -279,3 +279,41 @@ def test_forecast_past_the_corpus_end_reads_the_sidecar_once(tmp_path, models,
     assert [d.fed for d in fed].count(src.stat().st_size) == 1
     assert len(fed) == 2  # the matrix's and the CSV's
     assert out.read_bytes() == expected
+
+
+# Paths that leave the copy: the model file fails to load, the history is
+# too short, clean keeps no station, or the sidecar's matrix fails its digest.
+READ_ONCE = {
+    "forecast_model_unloadable": 3,
+    "forecast_too_little_history": 3,
+    "clean_every_station_na": 3,
+    "forecast_matrix_damaged": 0,
+    "clean_matrix_damaged": 0,
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_ONCE))
+def test_every_path_reads_the_sidecar_once(tmp_path, models, monkeypatch, case):
+    t = make_corpus(n_bs=4, n_hours=336)
+    if case == "clean_every_station_na":
+        t.values[:, 5] = np.nan
+    src, out, model = tmp_path / "c.csv", tmp_path / "out.csv", models["br"]
+    save_corpus(t, str(src))
+    if case.endswith("matrix_damaged"):
+        flip(sidecar(src), sidecar(src).stat().st_size - 1)
+    if case == "forecast_model_unloadable":
+        model = tmp_path / "m.json"
+        model.write_text("{}")
+    fed = count_digests(monkeypatch)
+    read = mock.Mock(wraps=blockreg.sidecar.read)
+    monkeypatch.setattr(blockreg.sidecar, "read", read)
+    argv = ["forecast", "--input", str(src), "--model", str(model), "--output", str(out)]
+    if case.startswith("clean"):
+        argv = ["clean", "--input", str(src), "--output", str(out)]
+    elif case == "forecast_too_little_history":
+        argv += ["--train-hours", "5"]
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        assert main(argv) == READ_ONCE[case], stderr.getvalue()
+    assert read.call_count == 1
+    assert [d.fed for d in fed].count(src.stat().st_size) <= 1
