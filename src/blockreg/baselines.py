@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,25 +41,28 @@ class SaCoefficients:
     """Fitted ARMA coefficients for one station's differenced series.
 
     `hannan_rissanen` on a stack of series returns one of these whose
-    fields are arrays with the stack's leading axes.
+    fields are arrays with the stack's leading axes, one row per series.
     """
 
     phi: np.ndarray
     psi: np.ndarray
-    intercept: float
-    sigma2: float
+    intercept: float | np.ndarray
+    sigma2: float | np.ndarray
 
 
 @dataclass
 class SaModel:
     """Per-station seasonal ARIMA fleet model.
 
-    Stations whose fit failed are listed in ``failed_bs`` and carry no
-    coefficients; parameter accounting covers fitted stations only, at
-    ar + ma + 2 each (coefficients, intercept, innovation variance).
+    Row i of ``coef`` (``phi`` (n, ar), ``psi`` (n, ma), and ``intercept``
+    and ``sigma2`` (n,)) belongs to station ``bs_ids[i]``. Stations whose
+    fit failed are listed in ``failed_bs`` and have no row; parameter
+    accounting covers fitted stations only, at ar + ma + 2 each
+    (coefficients, intercept, innovation variance).
     """
 
-    per_bs: dict[str, SaCoefficients]
+    bs_ids: list[str]
+    coef: SaCoefficients
     seasonality: int
     ar_order: int
     ma_order: int
@@ -66,7 +70,7 @@ class SaModel:
 
     @property
     def n_params(self) -> int:
-        return (self.ar_order + self.ma_order + 2) * len(self.per_bs)
+        return (self.ar_order + self.ma_order + 2) * len(self.bs_ids)
 
 
 def train_lr(t: TrafficMatrix, w: int = 72, train_hours: int = 240) -> BlockModel:
@@ -134,6 +138,9 @@ def hannan_rissanen(z: np.ndarray, ar: int, ma: int) -> SaCoefficients:
     are not finite (its series is not) has NaN coefficients. A 1-D ``z``
     gives one fit with a float intercept and sigma2, and raises
     `SingularSystem` if its coefficients are not finite.
+
+    The series are fitted a block of rows at a time; a block holds as many
+    rows as fit their stage-1 designs into `CHUNK_BYTES`, and at least one.
     """
     if ar < 0 or ma < 0:
         raise InvalidConfig(f"orders must be >= 0, got ar={ar} ma={ma}")
@@ -146,7 +153,13 @@ def hannan_rissanen(z: np.ndarray, ar: int, ma: int) -> SaCoefficients:
             f"series of length {n} too short for ARMA({ar}, {ma}) estimation"
         )
     lead = z.shape[:-1]
-    beta, sigma2 = _fit_rows(z.reshape(-1, n), ar, ma, h)
+    rows = z.reshape(-1, n)
+    # A row's stage-1 design (see _design) is n - h by h + 2 floats.
+    step = max(1, CHUNK_BYTES // ((n - h) * (h + 2) * 8))
+    fits = [_fit_rows(rows[lo:lo + step], ar, ma, h)
+            for lo in range(0, len(rows) or 1, step)]
+    beta = np.concatenate([b for b, _ in fits])
+    sigma2 = np.concatenate([v for _, v in fits])
     # beta is intercept, psi_ma .. psi_1, phi_ar .. phi_1 (see _design).
     phi = beta[:, :ma:-1]
     psi, sigma2 = _reflect_ma_roots(beta[:, ma:0:-1], sigma2)
@@ -264,7 +277,7 @@ def _well_conditioned(g: np.ndarray) -> np.ndarray:
     it fails gets `np.linalg.eigvalsh`.
     """
     shifted = g.copy()
-    diagonal = shifted.reshape(len(g), -1)[:, ::g.shape[1] + 1]
+    diagonal = shifted.reshape(-1, g.shape[1] ** 2)[:, ::g.shape[1] + 1]
     limit = GRAM_RCOND * diagonal.sum(axis=1)
     diagonal -= limit[:, None]
     try:
@@ -283,10 +296,8 @@ def train_sa(
 ) -> SaModel:
     """Fit one ARMA(ar, ma) per station on traffic differenced at lag s.
 
-    The differenced fleet is fitted a chunk of stations per
-    `hannan_rissanen` call; a chunk holds as many stations as fit their
-    stage-1 designs into `CHUNK_BYTES`, and at least one. Stations whose
-    coefficients are not finite are recorded in ``failed_bs`` and
+    The differenced fleet is fitted by one `hannan_rissanen` call. Stations
+    whose coefficients are not finite are recorded in ``failed_bs`` and
     excluded, not fatal to the run.
     """
     train = training_slice(t, train_hours)
@@ -295,35 +306,21 @@ def train_sa(
             f"training range {train_hours} shorter than s + ar + ma + 20 = "
             f"{s + ar + ma + 20}"
         )
-    d = seasonal_difference(train, s)
-    n = d.n_cols
-    h = ar_long_order(n)
-    step = max(1, CHUNK_BYTES // ((n - h) * (h + 2) * 8))
-    per_bs: dict[str, SaCoefficients] = {}
-    failed: list[str] = []
-    for lo in range(0, d.n_bs, step):
-        c = hannan_rissanen(d.values[lo:lo + step], ar, ma)
-        fitted = (
-            np.isfinite(c.phi).all(axis=1)
-            & np.isfinite(c.psi).all(axis=1)
-            & np.isfinite(c.intercept)
-        )
-        for i, bs_id in enumerate(t.bs_ids[lo:lo + step]):
-            if not fitted[i]:
-                failed.append(bs_id)
-                continue
-            per_bs[bs_id] = SaCoefficients(
-                phi=c.phi[i].copy(),
-                psi=c.psi[i].copy(),
-                intercept=float(c.intercept[i]),
-                sigma2=float(c.sigma2[i]),
-            )
+    c = hannan_rissanen(seasonal_difference(train, s).values, ar, ma)
+    fitted = (
+        np.isfinite(c.phi).all(axis=1)
+        & np.isfinite(c.psi).all(axis=1)
+        & np.isfinite(c.intercept)
+    )
     return SaModel(
-        per_bs=per_bs,
+        bs_ids=list(compress(t.bs_ids, fitted)),
+        coef=SaCoefficients(
+            c.phi[fitted], c.psi[fitted], c.intercept[fitted], c.sigma2[fitted]
+        ),
         seasonality=s,
         ar_order=ar,
         ma_order=ma,
-        failed_bs=failed,
+        failed_bs=list(compress(t.bs_ids, ~fitted)),
     )
 
 
@@ -342,21 +339,19 @@ def forecast_sa(
     stations. Stations whose fit failed get no row. With all coefficients
     and intercept zero this is exactly the seasonal-naive forecast t_{l-s}.
     """
+    index = dict(zip(model.bs_ids, range(len(model.bs_ids))))  # bs_id -> model row
     failed = set(model.failed_bs)
-    missing = [bs for bs in t.bs_ids if bs not in model.per_bs and bs not in failed]
+    missing = [bs for bs in t.bs_ids if bs not in index and bs not in failed]
     if missing:
         raise UnknownBs(f"no fitted model for {missing[0]!r}")
     ids, rows = t.bs_ids, None
     if any(bs in failed for bs in ids):
-        rows = np.array([i for i, bs in enumerate(ids) if bs in model.per_bs],
-                        dtype=np.intp)
+        rows = np.array([i for i, bs in enumerate(ids) if bs in index], dtype=np.intp)
         ids = [ids[i] for i in rows]
-    coefs = [model.per_bs[bs] for bs in ids]
+    at, c = np.array([index[bs] for bs in ids], dtype=np.intp), model.coef
+    phi, psi, intercept = c.phi[at], c.psi[at], c.intercept[at]
     s, ar, ma = model.seasonality, model.ar_order, model.ma_order
-    n = len(coefs)
-    phi = np.array([c.phi for c in coefs], dtype=float).reshape(n, ar)
-    psi = np.array([c.psi for c in coefs], dtype=float).reshape(n, ma)
-    intercept = np.array([c.intercept for c in coefs], dtype=float)
+    n = len(at)
 
     check_horizon(t, start, k, mode, s + ar)
     base = start - s  # index of the first horizon hour on the differenced scale

@@ -205,13 +205,12 @@ def _synthesize(cfg: SynthConfig) -> TrafficMatrix:
     # Bursts only in the last quarter so they fall inside a standard
     # train/test split's test period.
     u = rng.random(n_bs)
-    for i in range(n_bs):
-        if u[i] < cfg.burst_probability:
-            lo = int(n_hours * 0.75)
-            start = int(rng.integers(lo, max(lo + 1, n_hours - 8)))
-            dur = int(rng.integers(12, 37))
-            factor = float(rng.uniform(2.0, 5.0))
-            values[i, start:start + dur] *= factor
+    lo = int(n_hours * 0.75)
+    for i in np.flatnonzero(u < cfg.burst_probability).tolist():
+        start = int(rng.integers(lo, max(lo + 1, n_hours - 8)))
+        dur = int(rng.integers(12, 37))
+        factor = float(rng.uniform(2.0, 5.0))
+        values[i, start:start + dur] *= factor
     # A NaN makes the minimum NaN and an infinity the maximum, so no mask
     # of the matrix is built.
     if not (np.isfinite(values.min()) and np.isfinite(values.max())):
@@ -693,19 +692,21 @@ def with_sidecar(path: str, copy, render):
     checks it by reading the CSV's text through `_csv_lines`, once, or
     returns None before it reads the CSV. If ``copy`` raises a
     BlockregError or finds the CSV changed before that pass completes,
-    whatever it wrote must be discarded. Unless ``copy`` gave a result, a
-    pass of `_csv_lines` over no lines checks the CSV's digest. So the
-    sidecar is read once, and the result and the errors are those of
-    ``render``.
+    whatever it wrote must be discarded. ``copy`` may raise only what
+    ``render`` would raise on the same matrix. Unless ``copy`` gave a
+    result, a pass of `_csv_lines` over no lines checks the CSV's digest;
+    once it has, ``copy``'s error stands. So the sidecar is read once, no
+    step that failed runs again on the same matrix, and the result and the
+    errors are those of ``render``.
     """
     cached = sidecar.read(path)
     if cached is not None:
         header, values = cached
         t = TrafficMatrix(header["bs_ids"], values, header["start_hour"])
         try:
-            result = copy(t, header)
-        except (BlockregError, _StaleSource):
-            result = None
+            result, error = copy(t, header), None
+        except (BlockregError, _StaleSource) as exc:
+            result, error = None, exc
         if result is not None:
             return result
         try:
@@ -713,6 +714,8 @@ def with_sidecar(path: str, copy, render):
         except _StaleSource:
             pass
         else:
+            if isinstance(error, BlockregError):
+                raise error
             return render(t)
     return render(_parse(path))
 

@@ -111,6 +111,7 @@ def model_doc(model) -> dict:
             "params": model.n_params,
         }
     if isinstance(model, SaModel):
+        c = model.coef
         return {
             "format_version": FORMAT_VERSION,
             "kind": "sa",
@@ -119,12 +120,12 @@ def model_doc(model) -> dict:
             "ma": model.ma_order,
             "per_bs": {
                 bs: {
-                    "phi": _floats(c.phi),
-                    "psi": _floats(c.psi),
-                    "intercept": c.intercept,
-                    "sigma2": c.sigma2,
+                    "phi": _floats(c.phi[i]),
+                    "psi": _floats(c.psi[i]),
+                    "intercept": float(c.intercept[i]),
+                    "sigma2": float(c.sigma2[i]),
                 }
-                for bs, c in sorted(model.per_bs.items())
+                for bs, i in sorted(zip(model.bs_ids, range(len(model.bs_ids))))
             },
             "failed_bs": sorted(model.failed_bs),
             "params": model.n_params,
@@ -182,7 +183,7 @@ def _sa_model(doc: dict, path: str) -> SaModel:
         raise ParseError(f"{path}: per_bs must be an object")
     ar = _field(doc, "ar", int, path, low=0)
     ma = _field(doc, "ma", int, path, low=0)
-    per_bs = {}
+    rows = []
     for bs, c in per_bs_doc.items():
         where = f"{path}: station {bs}"
         if not isinstance(c, dict):
@@ -195,12 +196,7 @@ def _sa_model(doc: dict, path: str) -> SaModel:
         sigma2 = _field(c, "sigma2", float, where)
         if sigma2 < 0:
             raise ParseError(f"{where}: sigma2 must be >= 0")
-        per_bs[bs] = SaCoefficients(
-            phi=phi,
-            psi=psi,
-            intercept=_field(c, "intercept", float, where),
-            sigma2=sigma2,
-        )
+        rows.append((phi, psi, _field(c, "intercept", float, where), sigma2))
     failed_bs = doc.get("failed_bs", [])
     if not isinstance(failed_bs, list) or not all(
         isinstance(bs, str) for bs in failed_bs
@@ -208,11 +204,15 @@ def _sa_model(doc: dict, path: str) -> SaModel:
         raise ParseError(f"{path}: failed_bs must be a list of station ids")
     if len(set(failed_bs)) != len(failed_bs):
         raise ParseError(f"{path}: failed_bs lists a station more than once")
-    both = sorted(per_bs.keys() & set(failed_bs))
+    both = sorted(per_bs_doc.keys() & set(failed_bs))
     if both:
         raise ParseError(f"{path}: station {both[0]} is in both per_bs and failed_bs")
+    phi, psi, intercept, sigma2 = (np.array([r[j] for r in rows], dtype=float)
+                                   for j in range(4))
     return SaModel(
-        per_bs=per_bs,
+        bs_ids=list(per_bs_doc),
+        coef=SaCoefficients(phi.reshape(len(rows), ar), psi.reshape(len(rows), ma),
+                            intercept, sigma2),
         seasonality=_field(doc, "seasonality", int, path, low=1),
         ar_order=ar,
         ma_order=ma,

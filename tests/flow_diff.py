@@ -16,7 +16,11 @@ its sidecar, so that forecast copies a subset of stations and renders
 without a sidecar too. Last come the fallbacks (`STALE`): ``stale.csv``, a
 copy of ``corpus.csv`` and its sidecar whose CSV is edited afterwards, and
 ``damaged.csv``, a copy whose sidecar is cut short. Each is cleaned, and
-forecast by each model in both modes. For each file it prints
+forecast by each model in both modes. ``sa_failed.json`` (`SA_FAILED`) is
+``sa.json`` with one station moved to ``failed_bs``; it is evaluated in both
+modes to .json and .csv, and forecasts ``corpus.csv`` and ``dropped.csv`` in
+both modes, so the sa model has a corpus station it did not fit. For each
+file it prints
 "identical", or, when the text around the numbers agrees, the largest
 relative difference among the file's numbers and the largest difference
 over the file's largest number. A ``--synth-config`` JSON file goes to
@@ -90,6 +94,22 @@ with open("damaged.csv.matrix", "r+b") as fh:
 """
 
 
+# Writes sa_failed.json: sa.json with its second station moved from per_bs
+# to failed_bs, which every corpus of the flow keeps, and params lowered by
+# that station's ar + ma + 2 = 5.
+SA_FAILED = """
+import json
+with open("sa.json", encoding="utf-8") as fh:
+    doc = json.load(fh)
+bs = sorted(doc["per_bs"])[1]
+del doc["per_bs"][bs]
+doc["failed_bs"] = sorted(doc["failed_bs"] + [bs])
+doc["params"] -= 5
+with open("sa_failed.json", "w", encoding="utf-8") as fh:
+    fh.write(json.dumps(doc, indent=2) + "\\n")
+"""
+
+
 def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
     """The arguments of each python command of the flow, with the files it
     writes."""
@@ -129,6 +149,16 @@ def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
                 out = f"forecast_{corpus}_{kind}_{mode}.csv"
                 steps.append((["forecast", "--input", f"{corpus}.csv", "--model",
                                f"{kind}.json", "--mode", mode, "--output", out], [out]))
+    steps.append((["-c", SA_FAILED], ["sa_failed.json"]))
+    for mode in MODES:
+        for ext in ("json", "csv"):
+            out = f"eval_sa_failed_{mode}.{ext}"
+            steps.append((["eval", "--input", "corpus.csv", "--model", "sa_failed.json",
+                           "--mode", mode, "--output", out], [out]))
+        for corpus in ("corpus", "dropped"):
+            out = f"forecast_{corpus}_sa_failed_{mode}.csv"
+            steps.append((["forecast", "--input", f"{corpus}.csv", "--model",
+                           "sa_failed.json", "--mode", mode, "--output", out], [out]))
     return [(argv if argv[0] == "-c" else ["-m", "blockreg", *argv], written)
             for argv, written in steps]
 

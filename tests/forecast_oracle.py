@@ -8,6 +8,8 @@ the fleet functions.
 
 import numpy as np
 
+from sa_oracle import station
+
 
 def block_forecast_one(model, history):
     """Forecast the hour after a 1-D ``history`` with scalar arithmetic."""
@@ -42,7 +44,7 @@ def block_forecast(model, t, bs, start, k, mode):
 
 def sa_forecast(model, t, bs, start, k, mode):
     """One station's ARMA forecasts for k hours from column ``start``."""
-    coef = model.per_bs[bs]
+    coef = station(model, bs)
     s, ar, ma = model.seasonality, model.ar_order, model.ma_order
     series = t.values[t.bs_index(bs)].astype(float)
     base = start - s  # index of the first horizon hour on the differenced scale

@@ -5,9 +5,15 @@ This is one ``hannan_rissanen`` call per station, each with two
 ``blockreg.baselines.hannan_rissanen`` and ``train_sa`` against. Its MA
 reflection multiplies the innovation variance by 1/|r|^2 for each reflected
 root r, which keeps the autocovariance.
+
+`fleet_model`, `station` and `without` are the per-station view of an
+SaModel, for tests that build or read one station at a time.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from itertools import compress
 
 import numpy as np
 
@@ -91,6 +97,40 @@ def train_sa(t, ar=2, ma=1, s=24, train_hours=240) -> SaModel:
             per_bs[bs_id] = hannan_rissanen(z, ar, ma)
         except NumericalError:
             failed.append(bs_id)
+    return fleet_model(per_bs, s, ar, ma, failed)
+
+
+def fleet_model(per_bs: dict[str, SaCoefficients], s: int, ar: int, ma: int,
+                failed_bs=()) -> SaModel:
+    """The SaModel whose rows are the coefficients of each station of
+    ``per_bs``, in its order."""
+    coefs, n = list(per_bs.values()), len(per_bs)
     return SaModel(
-        per_bs=per_bs, seasonality=s, ar_order=ar, ma_order=ma, failed_bs=failed
+        bs_ids=list(per_bs),
+        coef=SaCoefficients(
+            phi=np.array([c.phi for c in coefs], dtype=float).reshape(n, ar),
+            psi=np.array([c.psi for c in coefs], dtype=float).reshape(n, ma),
+            intercept=np.array([c.intercept for c in coefs], dtype=float),
+            sigma2=np.array([c.sigma2 for c in coefs], dtype=float),
+        ),
+        seasonality=s, ar_order=ar, ma_order=ma, failed_bs=list(failed_bs),
+    )
+
+
+def station(model: SaModel, bs: str) -> SaCoefficients:
+    """The coefficients of station ``bs`` of ``model``: its row."""
+    i, c = model.bs_ids.index(bs), model.coef
+    return SaCoefficients(c.phi[i], c.psi[i], float(c.intercept[i]), float(c.sigma2[i]))
+
+
+def without(model: SaModel, stations) -> SaModel:
+    """``model`` less the rows of ``stations``; its ``failed_bs`` is a copy
+    of the model's, with no station added."""
+    keep = np.array([bs not in stations for bs in model.bs_ids], dtype=bool)
+    c = model.coef
+    return replace(
+        model,
+        bs_ids=list(compress(model.bs_ids, keep)),
+        coef=SaCoefficients(c.phi[keep], c.psi[keep], c.intercept[keep], c.sigma2[keep]),
+        failed_bs=list(model.failed_bs),
     )

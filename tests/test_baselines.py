@@ -6,7 +6,6 @@ import pytest
 import blockreg.baselines as baselines
 from blockreg import (
     SaCoefficients,
-    SaModel,
     TrafficMatrix,
     ar_long_order,
     forecast_horizon,
@@ -52,12 +51,7 @@ def zero_sa_model(bs_ids, s=24, ar=2, ma=1):
     coef = SaCoefficients(
         phi=np.zeros(ar), psi=np.zeros(ma), intercept=0.0, sigma2=1.0
     )
-    return SaModel(
-        per_bs={bs: coef for bs in bs_ids},
-        seasonality=s,
-        ar_order=ar,
-        ma_order=ma,
-    )
+    return sa_oracle.fleet_model({bs: coef for bs in bs_ids}, s, ar, ma)
 
 
 # ---------------------------------------------------------------- LR
@@ -213,7 +207,7 @@ def test_hannan_rissanen_too_short():
 
 def test_sa_param_count(small_corpus):
     model = train_sa(small_corpus, ar=2, ma=1, s=24, train_hours=240)
-    assert len(model.per_bs) == small_corpus.n_bs
+    assert len(model.bs_ids) == small_corpus.n_bs
     assert model.n_params == 5 * small_corpus.n_bs
 
 
@@ -227,25 +221,21 @@ def test_sa_train_validation(small_corpus):
 
 
 def test_sa_failed_station_is_excluded(small_corpus, monkeypatch):
-    # train_sa fits chunks of stations per call; poison the coefficients of
-    # fleet row bad_index in whichever chunk holds it.
+    # train_sa fits the whole fleet in one call; poison the coefficients of
+    # fleet row bad_index.
     real = baselines.hannan_rissanen
     bad_index = 2
-    seen = {"rows": 0}
 
     def poisoned(z, ar, ma):
         coef = real(z, ar, ma)
-        row = bad_index - seen["rows"]
-        if 0 <= row < len(z):
-            coef.phi[row] = np.nan
-        seen["rows"] += len(z)
+        coef.phi[bad_index] = np.nan
         return coef
 
     monkeypatch.setattr(baselines, "hannan_rissanen", poisoned)
     model = train_sa(small_corpus, train_hours=240)
     bad_bs = small_corpus.bs_ids[bad_index]
     assert model.failed_bs == [bad_bs]
-    assert bad_bs not in model.per_bs
+    assert bad_bs not in model.bs_ids
     assert model.n_params == 5 * (small_corpus.n_bs - 1)
     fs = forecast_sa(model, small_corpus, 240, 4)
     assert fs.bs_ids == [bs for bs in small_corpus.bs_ids if bs != bad_bs]
@@ -276,11 +266,9 @@ def test_sa_one_step_hand_example():
         values=np.array([[1.0, 2.0, 4.0, 7.0, 11.0, 16.0]]),
         start_hour=0,
     )
-    model = SaModel(
-        per_bs={"a": SaCoefficients(np.array([0.5]), np.zeros(0), 0.1, 1.0)},
-        seasonality=1,
-        ar_order=1,
-        ma_order=0,
+    model = sa_oracle.fleet_model(
+        {"a": SaCoefficients(np.array([0.5]), np.zeros(0), 0.1, 1.0)},
+        s=1, ar=1, ma=0,
     )
     fs = forecast_sa(model, t, 5, 1, "one_step")
     assert fs.forecast[0, 0] == pytest.approx(13.1)
@@ -308,7 +296,7 @@ def test_sa_forecast_validation(small_corpus):
     with pytest.raises(InsufficientHistory, match="past the corpus end"):
         forecast_sa(model, small_corpus, 337, 4, "recursive")
     # a corpus station the model neither fitted nor lists as failed
-    model.per_bs.pop(small_corpus.bs_ids[0])
+    model = sa_oracle.without(model, [small_corpus.bs_ids[0]])
     with pytest.raises(UnknownBs):
         forecast_sa(model, small_corpus, 240, 4)
 

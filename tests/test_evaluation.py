@@ -29,6 +29,7 @@ from blockreg.errors import (
 )
 
 from conftest import make_corpus
+from sa_oracle import without
 
 
 def test_nrmse_perfect_forecast():
@@ -115,8 +116,7 @@ def test_evaluate_scores_match_per_station_loop(kind, mode):
     t = make_corpus(n_bs=12)
     t.values[[3, 7], 240:] = 0.0  # silent stations in the test window
     if kind == "sa":
-        model = train_sa(t, train_hours=240)
-        model.per_bs.pop(t.bs_ids[0])
+        model = without(train_sa(t, train_hours=240), [t.bs_ids[0]])
         model.failed_bs.append(t.bs_ids[0])
     else:
         model, _ = train_block_regression(
@@ -201,8 +201,7 @@ def test_evaluate_negative_mean_station_excluded():
 
 def test_evaluate_sa_failed_stations_counted():
     t = make_corpus(n_bs=6)
-    model = train_sa(t, train_hours=240)
-    model.per_bs.pop(t.bs_ids[0])
+    model = without(train_sa(t, train_hours=240), [t.bs_ids[0]])
     model.failed_bs.append(t.bs_ids[0])
     report = evaluate(model, t)
     assert report.excluded_count == 1

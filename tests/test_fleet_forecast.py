@@ -17,7 +17,6 @@ from blockreg import (
     BlockModel,
     NormalizationStats,
     SaCoefficients,
-    SaModel,
     TrafficMatrix,
     forecast_horizon,
     forecast_sa,
@@ -26,6 +25,7 @@ from blockreg import (
 )
 
 from forecast_oracle import block_forecast, fleet_forecast, sa_forecast
+from sa_oracle import fleet_model, without
 
 MODES = ("one_step", "recursive")
 REL_TOL = 1e-12
@@ -43,7 +43,7 @@ def assert_block_rows_match(model, t, start, k, mode):
 
 def assert_sa_rows_identical(model, t, start, k, mode):
     fs = forecast_sa(model, t, start, k, mode)
-    assert fs.bs_ids == [bs for bs in t.bs_ids if bs in model.per_bs]
+    assert fs.bs_ids == [bs for bs in t.bs_ids if bs in model.bs_ids]
     assert fs.forecast.shape == (len(fs.bs_ids), k)
     for row, bs in zip(fs.forecast, fs.bs_ids):
         np.testing.assert_array_equal(row, sa_forecast(model, t, bs, start, k, mode))
@@ -67,7 +67,7 @@ def test_block_recursive_past_corpus_end_matches_oracle(small_corpus, m, w):
 def test_sa_fleet_matches_oracle_with_failed_station(small_corpus, mode):
     model = train_sa(small_corpus, train_hours=240)
     failed = small_corpus.bs_ids[3]
-    model.per_bs.pop(failed)
+    model = without(model, [failed])
     model.failed_bs.append(failed)
     assert_sa_rows_identical(model, small_corpus, 240, 96, mode)
 
@@ -114,19 +114,21 @@ def test_fleet_matches_oracle_property(case):
     assert_block_rows_match(block, t, start, k, mode)
 
     ar, ma = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-    sa = SaModel(
-        per_bs={
-            bs: SaCoefficients(rng.uniform(-0.4, 0.4, ar), rng.uniform(-0.4, 0.4, ma),
-                               float(rng.normal()), 1.0)
-            for bs in t.bs_ids
+    # The model lists its stations in an order of their own, not the corpus's.
+    sa = fleet_model(
+        {
+            t.bs_ids[i]: SaCoefficients(rng.uniform(-0.4, 0.4, ar),
+                                        rng.uniform(-0.4, 0.4, ma),
+                                        float(rng.normal()), 1.0)
+            for i in rng.permutation(n).tolist()
         },
-        seasonality=int(rng.integers(1, 25)),
-        ar_order=ar,
-        ma_order=ma,
+        s=int(rng.integers(1, 25)),
+        ar=ar,
+        ma=ma,
     )
     if n > 1:
         dropped = t.bs_ids[int(rng.integers(0, n))]
-        sa.per_bs.pop(dropped)
+        sa = without(sa, [dropped])
         sa.failed_bs.append(dropped)
     assert_sa_rows_identical(sa, t, start, k, mode)
     fs = forecast_horizon(block, t, start, k, mode)

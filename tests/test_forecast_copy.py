@@ -12,6 +12,7 @@ import io
 import json
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +25,7 @@ import blockreg.cli
 import blockreg.corpus
 import blockreg.sidecar
 from blockreg import TrafficMatrix, corpus_to_csv, load_corpus, save_corpus
-from blockreg.baselines import SaModel, train_sa
+from blockreg.baselines import train_sa
 from blockreg.cli import _forecast_csv, main
 from blockreg.errors import BlockregError
 from blockreg.evaluation import forecast_fleet
@@ -32,6 +33,7 @@ from blockreg.forecaster import train_block_regression
 from blockreg.modelio import atomic_write_text, load_model, save_model
 
 from conftest import make_corpus
+from sa_oracle import without
 
 # Sorted, and not all ASCII: the copy must give back any bs_id's bytes.
 IDS = ["a", "b", "z0", "é", "ü"]
@@ -155,9 +157,7 @@ def test_forecast_gives_the_rendered_bytes(tmp_path_factory, models, case):
     if case["kind"] == "sa":
         sa, failed = model, case["failed"]
         model = ws / "sa.json"
-        save_model(SaModel({bs: c for bs, c in sa.per_bs.items() if bs not in failed},
-                           sa.seasonality, sa.ar_order, sa.ma_order, sorted(failed)),
-                   str(model))
+        save_model(replace(without(sa, failed), failed_bs=sorted(failed)), str(model))
     save_corpus(t, str(src))
     if case["corpus"] == "parsed":
         sidecar(src).unlink()
@@ -283,6 +283,8 @@ def test_forecast_past_the_corpus_end_reads_the_sidecar_once(tmp_path, models,
 
 # Paths that leave the copy: the model file fails to load, the history is
 # too short, clean keeps no station, or the sidecar's matrix fails its digest.
+# Each reads the sidecar once, and loads the model or cleans the corpus once:
+# a step that failed in the copy does not run again on the verified matrix.
 READ_ONCE = {
     "forecast_model_unloadable": 3,
     "forecast_too_little_history": 3,
@@ -308,12 +310,17 @@ def test_every_path_reads_the_sidecar_once(tmp_path, models, monkeypatch, case):
     read = mock.Mock(wraps=blockreg.sidecar.read)
     monkeypatch.setattr(blockreg.sidecar, "read", read)
     argv = ["forecast", "--input", str(src), "--model", str(model), "--output", str(out)]
+    step = mock.Mock(wraps=blockreg.cli.load_model)
+    monkeypatch.setattr(blockreg.cli, "load_model", step)
     if case.startswith("clean"):
         argv = ["clean", "--input", str(src), "--output", str(out)]
+        step = mock.Mock(wraps=blockreg.corpus.clean)
+        monkeypatch.setattr(blockreg.corpus, "clean", step)
     elif case == "forecast_too_little_history":
         argv += ["--train-hours", "5"]
     stderr = io.StringIO()
     with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
         assert main(argv) == READ_ONCE[case], stderr.getvalue()
     assert read.call_count == 1
+    assert step.call_count == 1
     assert [d.fed for d in fed].count(src.stat().st_size) <= 1

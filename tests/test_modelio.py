@@ -17,6 +17,7 @@ from blockreg import (
 )
 from blockreg.errors import Overflow
 from blockreg.modelio import atomic_write_text, dump_json, model_doc
+from sa_oracle import fleet_model, station
 
 
 def br_model(w=3, m=24):
@@ -36,6 +37,7 @@ def br_model(w=3, m=24):
 
 
 def sa_model(n=3):
+    """``n`` fitted stations, listed in reverse bs_id order, and one failed."""
     rng = np.random.default_rng(1)
     per_bs = {
         f"bs_{i}": SaCoefficients(
@@ -44,10 +46,9 @@ def sa_model(n=3):
             intercept=float(rng.normal()),
             sigma2=float(rng.uniform(0.1, 2.0)),
         )
-        for i in range(n)
+        for i in reversed(range(n))
     }
-    return SaModel(per_bs=per_bs, seasonality=24, ar_order=2, ma_order=1,
-                   failed_bs=["bs_zz"])
+    return fleet_model(per_bs, s=24, ar=2, ma=1, failed_bs=["bs_zz"])
 
 
 def test_br_round_trip_exact(tmp_path):
@@ -86,14 +87,17 @@ def test_sa_round_trip(tmp_path):
     model = sa_model()
     path = str(tmp_path / "m.json")
     save_model(model, path)
+    with open(path, encoding="utf-8") as fh:
+        assert list(json.load(fh)["per_bs"]) == ["bs_0", "bs_1", "bs_2"]
     back = load_model(path)
     assert isinstance(back, SaModel)
-    assert set(back.per_bs) == set(model.per_bs)
-    for bs, coef in model.per_bs.items():
-        np.testing.assert_array_equal(back.per_bs[bs].phi, coef.phi)
-        np.testing.assert_array_equal(back.per_bs[bs].psi, coef.psi)
-        assert back.per_bs[bs].intercept == coef.intercept
-        assert back.per_bs[bs].sigma2 == coef.sigma2
+    assert sorted(back.bs_ids) == sorted(model.bs_ids)
+    for bs in model.bs_ids:
+        got, coef = station(back, bs), station(model, bs)
+        np.testing.assert_array_equal(got.phi, coef.phi)
+        np.testing.assert_array_equal(got.psi, coef.psi)
+        assert got.intercept == coef.intercept
+        assert got.sigma2 == coef.sigma2
     assert back.failed_bs == ["bs_zz"]
     assert back.seasonality == 24
 

@@ -20,6 +20,7 @@ from blockreg import (
 )
 
 from conftest import make_corpus
+from sa_oracle import fleet_model
 
 
 def per_day_nrmse(model, t) -> list[float]:
@@ -36,7 +37,7 @@ def per_day_nrmse(model, t) -> list[float]:
 
 def seasonal_naive(t, tmp_path) -> SaModel:
     zero = SaCoefficients(phi=np.zeros(0), psi=np.zeros(0), intercept=0.0, sigma2=1.0)
-    model = SaModel({bs: zero for bs in t.bs_ids}, seasonality=24, ar_order=0, ma_order=0)
+    model = fleet_model({bs: zero for bs in t.bs_ids}, s=24, ar=0, ma=0)
     save_model(model, str(tmp_path / "naive.json"))
     return load_model(str(tmp_path / "naive.json"))
 

@@ -107,26 +107,26 @@ def test_train_sa_matches_oracle_one_station_per_chunk(monkeypatch):
     t = synthesize(SynthConfig(n_bs=12, n_hours=336, seed=5))
     whole = train_sa(t, train_hours=240)
     calls = {"n": 0}
-    real = baselines.hannan_rissanen
+    real = baselines._fit_rows
 
-    def counted(z, ar, ma):
+    def counted(z, ar, ma, h):
         calls["n"] += 1
-        return real(z, ar, ma)
+        return real(z, ar, ma, h)
 
     monkeypatch.setattr(baselines, "CHUNK_BYTES", 1)
-    monkeypatch.setattr(baselines, "hannan_rissanen", counted)
+    monkeypatch.setattr(baselines, "_fit_rows", counted)
     single = train_sa(t, train_hours=240)
     assert calls["n"] == t.n_bs
     oracle = sa_oracle.train_sa(t, train_hours=240)
     z = t.values[:, 24:240] - t.values[:, :216]
-    assert single.per_bs.keys() == whole.per_bs.keys() == oracle.per_bs.keys()
+    assert single.bs_ids == whole.bs_ids == oracle.bs_ids
+    # Chunking does not change a station's digits.
+    for name in ("phi", "psi", "intercept", "sigma2"):
+        np.testing.assert_array_equal(getattr(single.coef, name), getattr(whole.coef, name))
     for i, bs in enumerate(t.bs_ids):
-        # Chunking does not change a station's digits.
-        for name in ("phi", "psi", "intercept", "sigma2"):
-            np.testing.assert_array_equal(
-                getattr(single.per_bs[bs], name), getattr(whole.per_bs[bs], name)
-            )
-        assert_matches_oracle(z[i], whole.per_bs[bs], oracle.per_bs[bs])
+        assert_matches_oracle(
+            z[i], sa_oracle.station(whole, bs), sa_oracle.station(oracle, bs)
+        )
 
 
 def test_periodic_corpus_gets_minimum_norm_answer():
@@ -134,9 +134,8 @@ def test_periodic_corpus_gets_minimum_norm_answer():
     t = periodic_corpus(n_bs=40)
     model = train_sa(t, train_hours=240)
     assert not model.failed_bs
-    for coef in model.per_bs.values():
-        assert not coef.phi.any() and not coef.psi.any()
-        assert coef.intercept == 0.0 and coef.sigma2 == 0.0
+    assert not model.coef.phi.any() and not model.coef.psi.any()
+    assert (model.coef.intercept == 0.0).all() and (model.coef.sigma2 == 0.0).all()
 
 
 def test_huge_series_keep_finite_coefficients():

@@ -3,8 +3,9 @@
 ``train_oracle`` holds the path that materializes every sample at once;
 the chunked path must give the same normalization stats and the same
 (w+1)^2 normal system to 1e-12 relative, for any split of the stations into
-chunks. Each comparison also runs with ``CHUNK_BYTES`` cut to 1, so every
-station is its own chunk.
+chunks. Each comparison also runs with ``forecaster.CHUNK_BYTES`` and
+``pipeline.CHUNK_BYTES`` cut to 1, so every station is its own chunk and
+the normalization stats are read one row at a time.
 """
 
 import tracemalloc
@@ -22,6 +23,7 @@ from blockreg import (
     apply_normalization,
     fit_normalization,
     forecaster,
+    pipeline,
     slide_windows,
     train_block_regression,
     train_cg,
@@ -47,6 +49,7 @@ def assert_rel(actual, expected, rel=REL):
 def chunk_bytes(request, monkeypatch):
     if request.param != "default":
         monkeypatch.setattr(forecaster, "CHUNK_BYTES", request.param)
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", request.param)
     return request.param
 
 
