@@ -119,6 +119,16 @@ def _width(opts: dict) -> int:
 
 
 def _cmd_synth(args, opts: dict) -> int:
+    if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
+        # numpy.random imports hashlib and hmac (through secrets), which load
+        # OpenSSL's libcrypto, about 3 MB of RSS, though synth takes no digest.
+        # With _hashlib marked absent they use CPython's builtin hashes, as on
+        # a CPython built without OpenSSL; the RNG stream does not use them.
+        sys.modules["_hashlib"] = None
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            del sys.modules["_hashlib"]
     t = synthesize(SynthConfig(**opts))
     save_corpus(t, args.output)
     print(f"synth: wrote {args.output} ({t.n_bs} stations x {t.n_hours} hours)")

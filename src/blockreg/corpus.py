@@ -228,17 +228,20 @@ def clean(raw: TrafficMatrix) -> TrafficMatrix:
     """Drop every station row containing a missing or negative entry.
 
     Surviving rows are kept bit-for-bit unchanged, in their original order.
+    When no row is dropped, the result shares ``raw``'s matrix. A NaN makes
+    a row's minimum NaN and an infinity its minimum or maximum, so no mask
+    of the matrix is built.
     """
     if raw.n_bs < 1:
         raise EmptyCorpus("corpus has no rows")
     v = raw.values
-    ok = np.all(np.isfinite(v) & (v >= 0), axis=1)
+    ok = (v.min(axis=1, initial=0.0) >= 0) & np.isfinite(v.max(axis=1, initial=0.0))
     if not ok.any():
         raise EmptyCorpus("every row contains a missing or negative entry")
     keep = np.flatnonzero(ok)
     return TrafficMatrix(
         bs_ids=[raw.bs_ids[i] for i in keep],
-        values=v[keep],
+        values=v if len(keep) == len(v) else v[keep],
         start_hour=raw.start_hour,
     )
 

@@ -92,8 +92,9 @@ def _accumulate(
     step = max(1, CHUNK_BYTES // station_bytes)
     system = NormalSystem.empty(w)
     for lo in range(0, d.n_bs, step):
-        f = slide_windows(d.rows(lo, lo + step), w)
-        system.add(apply_normalization(f, stats))
+        # No name holds a chunk's windows, so they are freed before the next
+        # chunk is windowed.
+        system.add(apply_normalization(slide_windows(d.rows(lo, lo + step), w), stats))
     return system
 
 

@@ -23,8 +23,11 @@ both modes, so the sa model has a corpus station it did not fit. For each
 file it prints
 "identical", or, when the text around the numbers agrees, the largest
 relative difference among the file's numbers and the largest difference
-over the file's largest number. A ``--synth-config`` JSON file goes to
-synth, for example ``{"n_bs": 2000}`` for a wide fleet.
+over the file's largest number. Then it prints each blockreg command's own
+peak RSS (``ru_maxrss``, MiB), old against new: every command is started
+by `LAUNCHER`, a small process, because a child's ``ru_maxrss`` counts the
+memory of the process it was forked from. A ``--synth-config`` JSON file
+goes to synth, for example ``{"n_bs": 2000}`` for a wide fleet.
 
 Exits 0 when every command of both flows exited 0, else 1. Uses only the
 standard library and numpy.
@@ -163,18 +166,31 @@ def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
             for argv, written in steps]
 
 
-def run_flow(src: str, work: Path, steps) -> bool:
+# Runs the command in its arguments and prints its exit code and its own
+# ru_maxrss (KiB on Linux); the command's stderr passes through.
+LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def run_flow(src: str, work: Path, steps) -> tuple[bool, list[int]]:
+    """Whether every step exited 0, and each step's peak RSS in KiB."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    ok = True
+    ok, peaks = True, []
     for argv, _ in steps:
-        done = subprocess.run([sys.executable, *argv], cwd=work,
-                              env=env, capture_output=True, text=True)
-        if done.returncode != 0:
-            print(f"{src}: {' '.join(argv)[:80]} exited {done.returncode}: "
+        done = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, *argv],
+                              cwd=work, env=env, capture_output=True, text=True)
+        code, kib = map(int, done.stdout.split())
+        if code != 0:
+            print(f"{src}: {' '.join(argv)[:80]} exited {code}: "
                   f"{done.stderr.strip()}", file=sys.stderr)
             ok = False
-    return ok
+        peaks.append(kib)
+    return ok, peaks
 
 
 def split_numbers(text: str) -> tuple[list[str], np.ndarray]:
@@ -230,12 +246,19 @@ def main(argv=None) -> int:
         old, new = Path(tmp, "old"), Path(tmp, "new")
         old.mkdir()
         new.mkdir()
-        ok = run_flow(args.old_src, old, steps) & run_flow(args.new_src, new, steps)
+        ok_old, peaks_old = run_flow(args.old_src, old, steps)
+        ok_new, peaks_new = run_flow(args.new_src, new, steps)
         files = [f for _, written in steps for f in written]
         width = max(map(len, files))
         for name in files:
             print(f"{name:<{width}}  {compare(old / name, new / name)}")
-    return 0 if ok else 1
+    commands = [(" ".join(argv[2:]), a, b) for (argv, _), a, b
+                in zip(steps, peaks_old, peaks_new) if argv[0] == "-m"]
+    width = max(len(c) for c, _, _ in commands)
+    print(f"\n{'peak RSS (MiB)':<{width}}  {'old':>7}  {'new':>7}")
+    for command, a, b in commands:
+        print(f"{command:<{width}}  {a / 1024:7.2f}  {b / 1024:7.2f}")
+    return 0 if ok_old and ok_new else 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """CLI behavior through real subprocess invocations."""
 
+import hashlib
+import hmac
 import json
 import subprocess
 import sys
@@ -174,7 +176,9 @@ def test_sweep_default_grid_has_seven_points(workspace, tmp_path):
 
 def test_commands_do_not_load_openssl(workspace, tmp_path):
     # hashlib would load OpenSSL's libcrypto, several MB of RSS per command.
-    # synth is left out: numpy.random imports hashlib.
+    # synth is left out: it keeps OpenSSL out only in a process that has
+    # not imported numpy.random yet; test_synth_does_not_load_openssl
+    # checks it in one.
     corpus = workspace / "corpus.csv"
     commands = [
         ("clean", "--input", corpus, "--output", tmp_path / "clean.csv"),
@@ -200,6 +204,27 @@ def test_commands_do_not_load_openssl(workspace, tmp_path):
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1].split() == ["False", "False"]
     assert (tmp_path / "sweep.json").exists()
+
+
+def test_synth_does_not_load_openssl(tmp_path):
+    # numpy.random imports hashlib and hmac; synth imports it with _hashlib
+    # marked absent, so both work afterwards on CPython's builtin hashes.
+    code = (
+        "import sys\n"
+        "from blockreg.cli import main\n"
+        "assert main(['synth', '--output', sys.argv[1]]) == 0\n"
+        "print('_hashlib' in sys.modules, 'numpy.random' in sys.modules)\n"
+        "import hashlib, hmac\n"
+        "print(hashlib.sha256(b'blockreg').hexdigest())\n"
+        "print(hmac.new(b'key', b'blockreg', 'sha256').hexdigest())\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded, sha, mac = r.stdout.splitlines()[-3:]
+    assert loaded.split() == ["False", "True"]
+    assert sha == hashlib.sha256(b"blockreg").hexdigest()
+    assert mac == hmac.new(b"key", b"blockreg", "sha256").hexdigest()
 
 
 def test_missing_input_exits_3(tmp_path):

@@ -3,11 +3,12 @@
 Each I/O bound is the matrix bytes plus a fixed number of ``CHUNK_BYTES``,
 measured with ``tracemalloc`` as the peak above what was allocated before
 the call. The corpus writer holds at most 512 hours of one station's rows
-at a time; `clean_file` holds the read and the cleaned matrix and,
-copying from its source CSV, one read of it; the forecast writer holds one
-station block, and `forecast`, copying the actuals from the CSV, the
-matrix, the forecasts and one read. The parser holds one chunk at a time, as lines, rows and
-fields, and each short Python string takes several times its characters,
+at a time; `clean_file` holds the read and the cleaned matrix (the read
+itself when no station is dropped) and, copying from its source CSV, one
+read of it; the forecast writer holds one station block, and `forecast`,
+copying the actuals from the CSV, the matrix, the forecasts and one read.
+The parser holds one chunk at a time, as lines, rows and fields, and each
+short Python string takes several times its characters,
 hence its larger slack; a load through the sidecar holds the matrix and
 one digest read. The CSV text of these matrices is over three times the
 matrix, so building it whole breaks every bound. The other bounds are
@@ -42,6 +43,7 @@ from blockreg.forecaster import ForecastSeries, forecast_horizon, train_block_re
 from blockreg.cli import main
 from blockreg.modelio import atomic_write_text, save_model
 from blockreg.pipeline import DifferencedMatrix
+from flow_diff import LAUNCHER
 
 READ_SLACK = 16 * CHUNK_BYTES
 WRITE_SLACK = 4 * CHUNK_BYTES
@@ -74,8 +76,9 @@ def test_save_and_load_corpus_bounded(tmp_path, monkeypatch, n_bs, n_hours):
         patch.setattr(blockreg.corpus, "_csv_piece", None)  # copy, never render
         _, peak = traced_peak(clean_file, str(path), str(tmp_path / "d.csv"))
     assert (tmp_path / "d.csv").read_bytes() == path.read_bytes()
-    # A read through the sidecar, the kept rows that clean makes of it, and
-    # one read of the CSV with its newline mask.
+    # A read through the sidecar, the kept rows that clean makes of it (here
+    # the read itself: every station is kept), and one read of the CSV with
+    # its newline mask.
     assert peak < 2 * t.values.nbytes + 2 * sidecar.READ_BYTES + READ_SLACK
     path.with_name("c.csv.matrix").unlink()
     back, peak = traced_peak(load_corpus, str(path))  # through the parser
@@ -90,34 +93,48 @@ def test_save_corpus_builds_no_mask_of_the_matrix(tmp_path):
     assert peak < t.values.size
 
 
-# A child's ru_maxrss counts the memory of the process it was forked
-# from, so each command is started by this small launcher, not by pytest.
-LAUNCHER = (
-    "import os, subprocess, sys\n"
-    "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-    "_, status, usage = os.wait4(child.pid, 0)\n"
-    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-)
+def peak_rss(cwd, *argv) -> int:
+    """The own peak RSS in bytes of ``python *argv``, which must exit 0.
+
+    A child's ru_maxrss counts the memory of the process it was forked
+    from, so the command is started by a small launcher, not by pytest.
+    """
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    r = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, *argv],
+                       cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    code, kib = map(int, r.stdout.split())
+    assert code == 0, argv
+    return kib * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_clean_peaks_below_synth(tmp_path):
-    # clean holds the loaded corpus and its kept rows, two matrices; synth
-    # holds one matrix and one noise block, but imports numpy.random. At
-    # the benchmark's wide size clean must stay clear of synth, so that its
-    # second matrix does not set the benchmark's peak RSS.
+    # clean of a corpus with no bad station holds the loaded matrix only, as
+    # its result shares it; synth holds one matrix and one noise block, and
+    # imports numpy.random (without OpenSSL). At the benchmark's wide size
+    # clean must stay clear of synth, so that clean does not set the
+    # benchmark's peak RSS.
     (tmp_path / "cfg.json").write_text('{"n_bs": 2000}')
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    peaks = []
-    for argv in (("synth", "--config", "cfg.json", "--output", "raw.csv"),
-                 ("clean", "--input", "raw.csv", "--output", "c.csv")):
-        r = subprocess.run(
-            [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "blockreg", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
-        code, kib = map(int, r.stdout.split())
-        assert code == 0, argv
-        peaks.append(kib * 1024)  # ru_maxrss is in KiB on Linux
-    synth_peak, clean_peak = peaks
+    synth_peak = peak_rss(tmp_path, "-m", "blockreg", "synth", "--config", "cfg.json",
+                          "--output", "raw.csv")
+    clean_peak = peak_rss(tmp_path, "-m", "blockreg", "clean", "--input", "raw.csv",
+                          "--output", "c.csv")
     assert clean_peak < synth_peak - 2**20
+
+
+def test_synth_without_openssl_peaks_lower(tmp_path):
+    # synth imports numpy.random with _hashlib marked absent, so OpenSSL's
+    # libcrypto (about 3 MB) is never loaded; a process that holds it
+    # already, here through hashlib, runs synth as before. Both write the
+    # same bytes.
+    peaks = {}
+    for name, first in (("fresh", ""), ("openssl", "import hashlib\n")):
+        code = first + "from blockreg.cli import run\nrun()\n"
+        peaks[name] = peak_rss(tmp_path, "-c", code, "synth", "--seed", "1",
+                               "--output", f"{name}.csv")
+    for suffix in (".csv", ".csv.matrix"):
+        fresh = (tmp_path / f"fresh{suffix}").read_bytes()
+        assert fresh == (tmp_path / f"openssl{suffix}").read_bytes()
+    assert peaks["fresh"] < peaks["openssl"] - 2 * 2**20
 
 
 def test_forecast_csv_write_bounded(tmp_path):
@@ -251,6 +268,14 @@ def test_forecast_command_bounded(scored, tmp_path, monkeypatch, kind, mode):
     working = t.n_bs * (need + 96) * 8 if need else 0
     bound = t.values.nbytes + forecast + working + 2 * sidecar.READ_BYTES + READ_SLACK
     assert peak < bound
+
+
+def test_clean_keeping_every_station_copies_nothing():
+    # The result shares the loaded matrix, and the row check builds no mask.
+    t = synthesize(SynthConfig(n_bs=300, n_hours=336, seed=3))
+    kept, peak = traced_peak(clean, t)
+    assert kept.n_bs == t.n_bs
+    assert peak < 0.1 * t.values.nbytes
 
 
 def test_clean_bounded():

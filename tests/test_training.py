@@ -31,6 +31,7 @@ from blockreg import (
 )
 from blockreg.errors import InvalidConfig
 from conftest import make_corpus
+from test_io_memory import traced_peak
 from train_oracle import differenced
 
 REL = 1e-12
@@ -173,3 +174,13 @@ def test_lr_training_memory_is_bounded_by_chunks():
     finally:
         tracemalloc.stop()
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_accumulate_holds_one_chunk_at_a_time():
+    # A chunk's windows, its provenance and their normalized copy take about
+    # 2.5 MiB for br; had a name kept them while the next chunk is
+    # windowed, two chunks would be alive at once.
+    m, w = KINDS["br"]
+    d = differenced(make_corpus(n_bs=2000), m, 240)
+    _, peak = traced_peak(forecaster._accumulate, d, w, fit_normalization(d, w))
+    assert peak < 3 * forecaster.CHUNK_BYTES, f"peak {peak / 2**20:.2f} MiB"
