@@ -34,10 +34,10 @@ import numpy as np
 from .baselines import train_sa
 from .corpus import (
     SynthConfig,
-    block_lines,
     clean_file,
     load_corpus,
     save_corpus,
+    station_lines,
     synthesize,
     with_sidecar,
 )
@@ -146,41 +146,33 @@ def _cmd_train(args, opts: dict) -> int:
     kind, m, train_hours = opts["kind"], opts["m"], opts["train_hours"]
     if kind == "sa":
         model = train_sa(t, ar=opts["ar"], ma=opts["ma"], s=m, train_hours=train_hours)
-        save_model(model, args.model)
-        print(
-            f"train: sa model with {model.n_params} parameters "
-            f"(failed={len(model.failed_bs)}) -> {args.model}"
+        detail = f"failed={len(model.failed_bs)}"
+    else:
+        # lr is the br pipeline without differencing.
+        model, diag = train_block_regression(
+            t, m=0 if kind == "lr" else m, w=_width(opts), train_hours=train_hours
         )
-        return 0
-    # lr is the br pipeline without differencing.
-    model, diag = train_block_regression(
-        t, m=0 if kind == "lr" else m, w=_width(opts), train_hours=train_hours
-    )
+        kind = model.kind  # lr too for br with m = 0
+        detail = (f"iterations={diag.iterations} converged={str(diag.converged).lower()} "
+                  f"samples={diag.n_samples}")
     save_model(model, args.model)
-    print(
-        f"train: {model.kind} model with {model.n_params} parameters "
-        f"(iterations={diag.iterations} converged={str(diag.converged).lower()} "
-        f"samples={diag.n_samples}) -> {args.model}"
-    )
+    print(f"train: {kind} model with {model.n_params} parameters ({detail}) -> {args.model}")
     return 0
 
 
-def _forecast_csv(fs) -> Iterator[str]:
-    """The forecast CSV: the header line, then one block of lines per station."""
-    yield FORECAST_HEADER
-    hours = list(map(str, fs.hours.tolist()))
-    for i, bs in enumerate(fs.bs_ids):  # forecast_fleet guarantees k >= 1
-        actual = repeat("") if fs.actual is None else map(repr, fs.actual[i].tolist())
-        forecast = map(repr, fs.forecast[i].tolist())
-        rows = zip(repeat(bs), hours, actual, forecast, repeat(fs.mode))
-        yield "\n".join(map(",".join, rows)) + "\n"
+def _forecast_csv(fs, lines) -> Iterator[str | bytes]:
+    """The forecast CSV: the header line, then one block of lines per station.
 
-
-def _copied_forecast_csv(fs, lines) -> Iterator[str | bytes]:
-    """`_forecast_csv`, with each station's ``bs_id,hour,actual`` text copied
-    from the corpus CSV's own lines of the horizon, which ``lines`` gives
-    in pieces numbered by row of ``fs`` (see `corpus.block_lines`)."""
+    ``lines`` gives each station's ``bs_id,hour,actual`` lines of the
+    horizon, in pieces numbered by row of ``fs`` (see
+    `corpus.station_lines`); None, past the corpus end, leaves the actual
+    column empty.
+    """
     yield FORECAST_HEADER
+    if lines is None:
+        hours = fs.hours.tolist()
+        lines = ((i, "".join(f"{bs},{h},\n" for h in hours).encode())
+                 for i, bs in enumerate(fs.bs_ids))
     for i, pieces in groupby(lines, key=itemgetter(0)):
         # Latin-1 gives back every byte as it was, whatever the bs_id.
         text = b"".join(piece for _, piece in pieces).decode("latin-1")
@@ -191,26 +183,21 @@ def _copied_forecast_csv(fs, lines) -> Iterator[str | bytes]:
 def _cmd_forecast(args, opts: dict) -> int:
     start, k, mode = opts["train_hours"], opts["test_hours"], opts["mode"]
 
-    def forecasts(t):
-        # load_corpus sorts stations by id, so the rows come out sorted too.
-        return forecast_fleet(load_model(args.model), t, start, k, mode)
-
-    def copy(t, header):
-        if start + k > t.n_hours:
+    def write(t, header):
+        if header is not None and start + k > t.n_hours:
             return None  # no actuals to copy: render, before any read of the CSV
-        fs = forecasts(t)
-        index = dict(zip(t.bs_ids, range(t.n_bs)))
-        stations = [index[bs] for bs in fs.bs_ids]
-        lines = block_lines(args.input, header, stations, start, start + k)
-        atomic_write_text(args.output, _copied_forecast_csv(fs, lines))
+        # load_corpus sorts stations by id, so the rows come out sorted too.
+        fs = forecast_fleet(load_model(args.model), t, start, k, mode)
+        lines = None
+        if fs.actual is not None:
+            index = dict(zip(t.bs_ids, range(t.n_bs)))
+            stations = [index[bs] for bs in fs.bs_ids]
+            source = None if header is None else (args.input, header)
+            lines = station_lines(t, stations, start, start + k, source)
+        atomic_write_text(args.output, _forecast_csv(fs, lines))
         return fs
 
-    def render(t):
-        fs = forecasts(t)
-        atomic_write_text(args.output, _forecast_csv(fs))
-        return fs
-
-    fs = with_sidecar(args.input, copy, render)
+    fs = with_sidecar(args.input, write)
     print(
         f"forecast: {len(fs.bs_ids)} stations x {opts['test_hours']} hours "
         f"({opts['mode']}) -> {args.output}"
@@ -218,15 +205,17 @@ def _cmd_forecast(args, opts: dict) -> int:
     return 0
 
 
+def _write_result(path: str, result, csv, doc) -> None:
+    """Write ``csv(result)`` to a ``.csv`` path, else the JSON of ``doc(result)``."""
+    atomic_write_text(path, csv(result) if path.endswith(".csv") else dump_json(doc(result)))
+
+
 def _cmd_eval(args, opts: dict) -> int:
     t = load_corpus(args.input)
     model = load_model(args.model)
     split = Split(opts["train_hours"], opts["test_hours"])
     report = evaluate(model, t, split, opts["mode"], opts["seed"])
-    if args.output.endswith(".csv"):
-        atomic_write_text(args.output, report_csv(report))
-    else:
-        atomic_write_text(args.output, dump_json(report_doc(report)))
+    _write_result(args.output, report, report_csv, report_doc)
     print(
         f"eval: average_nrmse={report.average:.6f} "
         f"excluded={report.excluded_count} stations={len(report.per_bs)} "
@@ -244,10 +233,7 @@ def _cmd_sweep(args, opts: dict) -> int:
     best_value = next(
         p.average_nrmse for p in result.points if p.seasonality_m == best
     )
-    if args.output.endswith(".csv"):
-        atomic_write_text(args.output, sweep_csv(result))
-    else:
-        atomic_write_text(args.output, dump_json(sweep_doc(result)))
+    _write_result(args.output, result, sweep_csv, sweep_doc)
     print(f"sweep: best_m={best} average_nrmse={best_value:.6f} -> {args.output}")
     return 0
 

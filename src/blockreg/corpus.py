@@ -258,7 +258,7 @@ def load_corpus(path: str) -> TrafficMatrix:
     very bytes (see `sidecar`), its matrix is returned unparsed; otherwise
     the CSV is parsed (see `_parse`).
     """
-    return with_sidecar(path, lambda t, header: None, lambda t: t)
+    return with_sidecar(path, lambda t, header: t if header is None else None)
 
 
 def _parse(path: str) -> TrafficMatrix:
@@ -576,18 +576,17 @@ def corpus_to_csv(t: TrafficMatrix) -> str:
     one with a comma, a quote or a line break; and InfiniteVolume for an
     infinite volume, which load_corpus would reject. NaN is written as NA.
     """
-    return "".join(_csv_blocks(t))
+    return b"".join(_csv_blocks(t)).decode()
 
 
-def _csv_blocks(t: TrafficMatrix) -> Iterator[str]:
-    """The text of `corpus_to_csv`: the header line, then each station's
-    rows in pieces of at most ``CHUNK_BYTES // 128`` hours, so the text
-    held at a time does not grow with the rows. The checks run on the
-    whole corpus before this returns."""
+def _csv_blocks(t: TrafficMatrix) -> Iterator[bytes]:
+    """The bytes of `corpus_to_csv`: the header line, then each station's
+    lines (see `station_lines`). The checks run on the whole corpus before
+    this returns."""
     for bs_id in t.bs_ids:
         if not bs_id or _UNWRITABLE_ID.search(bs_id):
             raise InvalidBsId(f"bs_id {bs_id!r} cannot be written to a corpus CSV")
-    values = np.asarray(t.values, dtype=float)  # repr "1.0", never "1"
+    values = np.asarray(t.values, dtype=float)
     # fmin and fmax skip NaN, so only an infinite volume makes an extreme
     # infinite; only then are the rows scanned, each with its own mask.
     extremes = [f.reduce(values, axis=None) for f in (np.fmin, np.fmax) if values.size]
@@ -600,16 +599,42 @@ def _csv_blocks(t: TrafficMatrix) -> Iterator[str]:
                     f"{t.bs_ids[i]} hour {t.start_hour + j}: volume "
                     f"{float(row[j])!r} cannot be written to a corpus CSV"
                 )
-    start, n_hours, piece = t.start_hour, t.n_hours, max(1, CHUNK_BYTES // 128)
+    order = sorted(range(t.n_bs), key=t.bs_ids.__getitem__)
+    return _with_header(station_lines(t, order, 0, t.n_hours))
+
+
+def _with_header(lines: Iterator[tuple[int, bytes | memoryview]]) -> Iterator[bytes]:
+    """The CSV header line, then the pieces of ``lines``."""
+    return chain([(",".join(CSV_HEADER) + "\n").encode()], (piece for _, piece in lines))
+
+
+def station_lines(t: TrafficMatrix, stations, lo: int, hi: int,
+                  source: tuple[str, dict] | None = None
+                  ) -> Iterator[tuple[int, bytes | memoryview]]:
+    """Lines ``lo .. hi - 1`` of the block of each of ``stations`` (rows of
+    ``t``), as `corpus_to_csv` writes them: pieces of bytes, each with the
+    number of its station in ``stations``.
+
+    With ``source = (path, header)``, where ``header`` is that of the
+    sidecar of the CSV at ``path`` and ``t`` holds its matrix, the pieces
+    are copied from the CSV in the one pass that digests it (`_csv_lines`),
+    and ``stations`` must increase: in the CSV that `save_corpus` writes,
+    station block k is lines ``1 + k * n_hours`` through ``(k + 1) *
+    n_hours``. Otherwise they are rendered, at most ``CHUNK_BYTES // 128``
+    hours a piece, so the text held at a time does not grow with the rows.
+    """
+    if source is not None:
+        starts = 1 + np.asarray(stations, dtype=np.int64) * t.n_hours + lo
+        return _csv_lines(*source, starts, starts + (hi - lo))
+    values = np.asarray(t.values, dtype=float)  # repr "1.0", never "1"
+    piece = max(1, CHUNK_BYTES // 128)
 
     @lru_cache(maxsize=1)  # a row of one piece builds its hour strings once
     def hours(j: int) -> list[str]:
-        return list(map(str, range(start + j, start + min(j + piece, n_hours))))
+        return list(map(str, range(t.start_hour + j, t.start_hour + min(j + piece, hi))))
 
-    order = sorted(range(t.n_bs), key=t.bs_ids.__getitem__)
-    pieces = (_csv_piece(t.bs_ids[i], hours(j), values[i, j:j + piece])
-              for i in order for j in range(0, n_hours, piece))
-    return chain([",".join(CSV_HEADER) + "\n"], pieces)
+    return ((r, _csv_piece(t.bs_ids[i], hours(j), values[i, j:min(j + piece, hi)]).encode())
+            for r, i in enumerate(stations) for j in range(lo, hi, piece))
 
 
 def _csv_piece(bs_id: str, hours: list[str], row: np.ndarray) -> str:
@@ -628,8 +653,6 @@ def save_corpus(t: TrafficMatrix, path: str) -> None:
     station or no hour, InvalidBsId for a repeated bs_id and
     InconsistentHours for hours outside 0..2**63 - 1.
     """
-    from .modelio import atomic_write_text
-
     if t.n_bs < 1 or t.n_hours < 1:
         raise EmptyCorpus(f"{t.n_bs} stations x {t.n_hours} hours: no rows to write")
     ids = sorted(t.bs_ids)
@@ -639,9 +662,22 @@ def save_corpus(t: TrafficMatrix, path: str) -> None:
     last = t.start_hour + t.n_hours - 1
     if t.start_hour < 0 or last > _INT64_MAX:
         raise InconsistentHours(f"hours {t.start_hour}..{last} reach outside 0..2**63-1")
-    blocks = _csv_blocks(t)  # checks the rest before any file is touched
+    _save(path, t, _csv_blocks(t))  # checks the rest before any file is touched
+
+
+def _save(path: str, t: TrafficMatrix, pieces: Iterator[bytes]) -> None:
+    """Write ``pieces``, the CSV of ``t``, atomically to ``path``, digesting
+    them as they go, then its sidecar."""
+    from .modelio import atomic_write_text
+
     csv_digest = sidecar.digest()
-    atomic_write_text(path, _fed((b.encode("utf-8") for b in blocks), csv_digest))
+
+    def fed():
+        for piece in pieces:
+            csv_digest.update(piece)
+            yield piece
+
+    atomic_write_text(path, fed())
     sidecar.save(path, t, csv_digest.hexdigest())
 
 
@@ -652,62 +688,53 @@ def clean_file(source: str, path: str) -> tuple[TrafficMatrix, TrafficMatrix]:
     With a sidecar at ``source`` (see `with_sidecar`), the kept station
     blocks are copied from the CSV in the one pass that checks its digest,
     instead of rendered again: the sidecar vouches that the CSV is what
-    `corpus_to_csv` writes for its matrix. Should that check fail, the copy
-    is discarded and the CSV loaded, cleaned and rendered, so the bytes and
-    errors are always those of `save_corpus`.
+    `corpus_to_csv` writes for its matrix. Neither path takes
+    `save_corpus`'s refusals, which cannot fire: the corpus loaded from a
+    CSV, whose ids and hours the schema bounds, and `clean` keeps a station.
     """
     from .modelio import atomic_write_text
 
-    def copy(raw: TrafficMatrix, header: dict):
+    def write(raw: TrafficMatrix, header: dict | None):
         t = clean(raw)
         # Both are in bs_id order, the order of the source's station blocks.
         ids = set(t.bs_ids)
         kept = np.flatnonzero([bs_id in ids for bs_id in raw.bs_ids])
-        lines = block_lines(source, header, kept, 0, raw.n_hours)
-        # The sidecar vouches that the source starts with this header line.
-        pieces = chain([(",".join(CSV_HEADER) + "\n").encode()],
-                       (piece for _, piece in lines))
-        if t.n_bs == raw.n_bs:
-            # A copy of every station is the source, whose digest the pass
-            # checks; its sidecar holds the matrix whose digest the read checked.
+        source_csv = None if header is None else (source, header)
+        pieces = _with_header(station_lines(raw, kept, 0, raw.n_hours, source_csv))
+        if header is not None and t.n_bs == raw.n_bs:
+            # A copy of every station is the source (the sidecar vouches for
+            # its header line too), whose digest the pass checks; its sidecar
+            # holds the matrix whose digest the read checked.
             atomic_write_text(path, pieces)
             sidecar.save(path, t, header["csv_blake2b"], header["matrix_blake2b"])
         else:
-            csv_digest = sidecar.digest()
-            atomic_write_text(path, _fed(pieces, csv_digest))
-            sidecar.save(path, t, csv_digest.hexdigest())
+            _save(path, t, pieces)
         return raw, t
 
-    def render(raw: TrafficMatrix):
-        t = clean(raw)
-        save_corpus(t, path)
-        return raw, t
-
-    return with_sidecar(source, copy, render)
+    return with_sidecar(source, write)
 
 
-def with_sidecar(path: str, copy, render):
-    """``copy(t, header)`` on the matrix and header that the sidecar of the
-    CSV at ``path`` holds (see `sidecar.read`); else ``render(t)`` on that
-    matrix once the CSV's digest is checked; else ``render(_parse(path))``.
+def with_sidecar(path: str, write):
+    """``write(t, header)`` on the matrix and header that the sidecar of the
+    CSV at ``path`` holds (see `sidecar.read`); else ``write(t, None)`` on
+    that matrix once the CSV's digest is checked; else ``write(_parse(path),
+    None)``.
 
-    Until the CSV's digest is checked, the matrix is unverified: ``copy``
-    checks it by reading the CSV's text through `_csv_lines`, once, or
-    returns None before it reads the CSV. If ``copy`` raises a
+    Until the CSV's digest is checked, the matrix is unverified: ``write``
+    checks it by reading the CSV through `_csv_lines` once (`station_lines`
+    with a source), or returns None before it reads the CSV. If it raises a
     BlockregError or finds the CSV changed before that pass completes,
-    whatever it wrote must be discarded. ``copy`` may raise only what
-    ``render`` would raise on the same matrix. Unless ``copy`` gave a
-    result, a pass of `_csv_lines` over no lines checks the CSV's digest;
-    once it has, ``copy``'s error stands. So the sidecar is read once, no
-    step that failed runs again on the same matrix, and the result and the
-    errors are those of ``render``.
+    whatever it wrote must be discarded. Unless it gave a result, a pass of
+    `_csv_lines` over no lines checks the CSV's digest; once it has, the
+    error stands. So the sidecar is read once and no step that failed runs
+    again on the same matrix. The parse runs without the sidecar's matrix.
     """
     cached = sidecar.read(path)
     if cached is not None:
         header, values = cached
         t = TrafficMatrix(header["bs_ids"], values, header["start_hour"])
         try:
-            result, error = copy(t, header), None
+            result, error = write(t, header), None
         except (BlockregError, _StaleSource) as exc:
             result, error = None, exc
         if result is not None:
@@ -719,33 +746,13 @@ def with_sidecar(path: str, copy, render):
         else:
             if isinstance(error, BlockregError):
                 raise error
-            return render(t)
-    return render(_parse(path))
+            return write(t, None)
+        del cached, values, t, error
+    return write(_parse(path), None)
 
 
 class _StaleSource(Exception):
     """The CSV to copy from is not the one its sidecar was written with."""
-
-
-def _fed(pieces: Iterator[bytes], csv_digest) -> Iterator[bytes]:
-    """The pieces, fed to ``csv_digest`` too."""
-    for piece in pieces:
-        csv_digest.update(piece)
-        yield piece
-
-
-def block_lines(path: str, header: dict, stations: np.ndarray, lo: int,
-                hi: int) -> Iterator[tuple[int, memoryview]]:
-    """Lines ``lo .. hi - 1`` of the block of each of ``stations`` (rows of
-    the sidecar matrix, increasing) in the CSV at ``path``, whose sidecar
-    has ``header``: pieces of them, each with the number of its station in
-    ``stations``, as `_csv_lines` reads them.
-
-    In the CSV that `save_corpus` writes, station block k is lines
-    ``1 + k * n_hours`` through ``(k + 1) * n_hours``.
-    """
-    starts = 1 + np.asarray(stations, dtype=np.int64) * header["n_hours"] + lo
-    return _csv_lines(path, header, starts, starts + (hi - lo))
 
 
 def _csv_lines(path: str, header: dict, starts: np.ndarray,

@@ -10,12 +10,12 @@ blake2b digest of the CSV, the blake2b digest of the matrix (`_body`
 followed by the volumes), ``start_hour``, ``n_hours`` and ``bs_ids``.
 
 A read takes the header and the matrix (`read`), then checks the CSV's
-digest in the one pass over the CSV (`corpus._csv_lines`). That pass also
-copies text from the CSV for `corpus.clean_file` and the `forecast`
-command: `clean` copies the kept station blocks, and `forecast` each
-station's ``bs_id,hour,actual`` lines of the horizon, taking them for what
-`corpus.corpus_to_csv` writes for the matrix. So a sidecar also vouches
-that its CSV is what `corpus_to_csv` renders for its matrix, and
+digest in the one pass over the CSV (`corpus._csv_lines`). Every file
+derived from a corpus takes its lines from `corpus.station_lines`, which
+copies them from the CSV in that pass instead of rendering them again,
+taking them for what `corpus.corpus_to_csv` writes for the matrix. So a
+sidecar also vouches that its CSV is what `corpus_to_csv` renders for
+its matrix, and
 ``VERSION`` pins those bytes: a change to the bytes `corpus_to_csv` writes
 for any matrix must bump ``VERSION``, which leaves every older sidecar
 unused.

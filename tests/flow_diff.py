@@ -16,7 +16,10 @@ its sidecar, so that forecast copies a subset of stations and renders
 without a sidecar too. Last come the fallbacks (`STALE`): ``stale.csv``, a
 copy of ``corpus.csv`` and its sidecar whose CSV is edited afterwards, and
 ``damaged.csv``, a copy whose sidecar is cut short. Each is cleaned, and
-forecast by each model in both modes. ``sa_failed.json`` (`SA_FAILED`) is
+forecast by each model in both modes. Each model also forecasts
+``corpus.csv`` and ``bare.csv`` recursively from hour 300, a horizon past
+the corpus end of the default 336 hours, which has no actuals to copy.
+``sa_failed.json`` (`SA_FAILED`) is
 ``sa.json`` with one station moved to ``failed_bs``; it is evaluated in both
 modes to .json and .csv, and forecasts ``corpus.csv`` and ``dropped.csv`` in
 both modes, so the sa model has a corpus station it did not fit. For each
@@ -152,6 +155,14 @@ def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
                 out = f"forecast_{corpus}_{kind}_{mode}.csv"
                 steps.append((["forecast", "--input", f"{corpus}.csv", "--model",
                                f"{kind}.json", "--mode", mode, "--output", out], [out]))
+    # A recursive horizon past the corpus end (300 + 96 > 336 hours) has no
+    # actuals: corpus.csv takes the digest pass, then renders; bare.csv parses.
+    for corpus in ("corpus", "bare"):
+        for kind in KINDS:
+            out = f"forecast_past_end_{corpus}_{kind}.csv"
+            steps.append((["forecast", "--input", f"{corpus}.csv", "--model",
+                           f"{kind}.json", "--mode", "recursive", "--train-hours", "300",
+                           "--output", out], [out]))
     steps.append((["-c", SA_FAILED], ["sa_failed.json"]))
     for mode in MODES:
         for ext in ("json", "csv"):

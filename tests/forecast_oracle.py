@@ -3,8 +3,11 @@
 These are the one-station, one-hour-at-a-time implementations that
 ``forecast_horizon`` and ``forecast_sa`` replaced. They take a station id
 and return that station's k forecasts as a 1-D array; validation is left to
-the fleet functions.
+the fleet functions. `forecast_csv` is the reference for the forecast CSV
+that the `forecast` command writes.
 """
+
+from itertools import repeat
 
 import numpy as np
 
@@ -110,3 +113,15 @@ def fleet_forecast(model, t, start, k, mode):
         if mode == "recursive":
             working[:, need + j] = forecast[:, j]
     return forecast
+
+
+def forecast_csv(fs):
+    """The forecast CSV of a `ForecastSeries`: the header line, then one
+    block of lines per station, each actual written by ``repr``."""
+    yield "bs_id,hour,actual,forecast,mode\n"
+    hours = list(map(str, fs.hours.tolist()))
+    for i, bs in enumerate(fs.bs_ids):
+        actual = repeat("") if fs.actual is None else map(repr, fs.actual[i].tolist())
+        forecast = map(repr, fs.forecast[i].tolist())
+        rows = zip(repeat(bs), hours, actual, forecast, repeat(fs.mode))
+        yield "\n".join(map(",".join, rows)) + "\n"

@@ -18,7 +18,7 @@ import blockreg.corpus
 import blockreg.sidecar
 from blockreg import TrafficMatrix, clean, corpus_to_csv, load_corpus, save_corpus
 from blockreg.cli import main
-from blockreg.corpus import CHUNK_BYTES, clean_file
+from blockreg.corpus import CHUNK_BYTES, clean_file, station_lines
 from blockreg.errors import DataError
 
 from conftest import make_corpus
@@ -213,6 +213,60 @@ def test_clean_digests_each_csv_once_per_check(tmp_path, drop, monkeypatch):
     assert corpus.read_bytes() == corpus_to_csv(clean(t)).encode()
     monkeypatch.setattr(blockreg.corpus, "_read_chunks", None)  # the sidecar serves
     assert load_corpus(str(corpus)).values.tobytes() == clean(t).values.tobytes()
+
+
+@st.composite
+def line_ranges(draw):
+    """A corpus, an increasing subset of its stations and lines ``lo < hi``."""
+    ids = draw(st.lists(st.sampled_from(["b", "a", "c", "é", "a0", "z"]),
+                        min_size=1, max_size=5, unique=True))
+    n_hours = draw(st.integers(1, 6))
+    odd = st.sampled_from([np.nan, -0.0, 1e-300, 1e22, 0.1, 2.0])
+    values = np.array(draw(st.lists(odd | st.floats(0.0, 1e6), min_size=len(ids) * n_hours,
+                                    max_size=len(ids) * n_hours))).reshape(len(ids), n_hours)
+    t = TrafficMatrix(ids, values, draw(st.integers(0, 50)))
+    stations = sorted(draw(st.sets(st.integers(0, len(ids) - 1), min_size=1)))
+    lo = draw(st.integers(0, n_hours - 1))
+    return t, stations, lo, draw(st.integers(lo + 1, n_hours))
+
+
+def joined(lines) -> dict[int, bytes]:
+    """The pieces of ``station_lines`` joined, by station number."""
+    text: dict[int, bytes] = {}
+    for r, piece in lines:
+        text[r] = text.get(r, b"") + bytes(piece)
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_ranges(), st.sampled_from([1, 7, 64, blockreg.sidecar.READ_BYTES]),
+       st.sampled_from([1, 300, 1000, CHUNK_BYTES]), st.data())
+def test_station_lines_copies_what_it_renders(tmp_path_factory, case, read_bytes,
+                                              chunk_bytes, data):
+    t, stations, lo, hi = case
+    src = tmp_path_factory.mktemp("lines") / "src.csv"
+    with mock.patch.object(blockreg.sidecar, "READ_BYTES", read_bytes), \
+            mock.patch.object(blockreg.corpus, "CHUNK_BYTES", chunk_bytes):
+        save_corpus(t, str(src))
+        header, values = blockreg.sidecar.read(str(src))
+        loaded = TrafficMatrix(header["bs_ids"], values, header["start_hour"])
+        rendered = joined(station_lines(loaded, stations, lo, hi))
+        with mock.patch.object(CountingDigest, "made", []), \
+                mock.patch.object(blockreg.sidecar, "digest", CountingDigest):
+            copied = joined(station_lines(loaded, stations, lo, hi, (str(src), header)))
+            assert [d.fed for d in CountingDigest.made] == [src.stat().st_size]
+        # Each station's lines as corpus_to_csv writes them.
+        csv = corpus_to_csv(t).encode().splitlines(keepends=True)
+        n = t.n_hours
+        assert rendered == {r: b"".join(csv[1 + k * n + lo:1 + k * n + hi])
+                            for r, k in enumerate(stations)}
+        assert copied == rendered
+        # A CSV edited after the read: the copy runs to its end, then fails.
+        flip(src, data.draw(st.integers(0, src.stat().st_size - 1)))
+        lines = station_lines(loaded, stations, lo, hi, (str(src), header))
+        with pytest.raises(blockreg.corpus._StaleSource):
+            for _ in lines:
+                pass
 
 
 def test_corpus_to_csv_golden_bytes():

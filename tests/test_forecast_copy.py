@@ -3,7 +3,7 @@
 Whatever the model, the mode, the horizon and the state of the corpus CSV
 and its sidecar, `blockreg forecast` must write the very bytes, or fail
 with the very error, that today's path gives: `load_corpus`, `load_model`,
-`forecast_fleet`, then `cli._forecast_csv`. The copy is kept only when the
+`forecast_fleet`, then the reference writer `forecast_oracle.forecast_csv`. The copy is kept only when the
 one pass over the CSV finds the digest that the sidecar gives; a CSV that
 changes after the sidecar is read is loaded and rendered instead.
 """
@@ -26,13 +26,14 @@ import blockreg.corpus
 import blockreg.sidecar
 from blockreg import TrafficMatrix, corpus_to_csv, load_corpus, save_corpus
 from blockreg.baselines import train_sa
-from blockreg.cli import _forecast_csv, main
+from blockreg.cli import main
 from blockreg.errors import BlockregError
 from blockreg.evaluation import forecast_fleet
 from blockreg.forecaster import train_block_regression
 from blockreg.modelio import atomic_write_text, load_model, save_model
 
 from conftest import make_corpus
+from forecast_oracle import forecast_csv
 from sa_oracle import without
 
 # Sorted, and not all ASCII: the copy must give back any bs_id's bytes.
@@ -120,10 +121,10 @@ def cases(draw):
 
 def todays_path(src: Path, model: Path, start: int, k: int, mode: str, out: Path):
     """The forecast CSV bytes that load_corpus, load_model, forecast_fleet
-    and _forecast_csv give, or the error that they raise."""
+    and forecast_csv give, or the error that they raise."""
     try:
         fs = forecast_fleet(load_model(str(model)), load_corpus(str(src)), start, k, mode)
-        atomic_write_text(str(out), _forecast_csv(fs))
+        atomic_write_text(str(out), forecast_csv(fs))
     except BlockregError as exc:
         return type(exc).__name__, str(exc)
     return out.read_bytes()
@@ -187,13 +188,13 @@ def test_forecast_gives_the_rendered_bytes(tmp_path_factory, models, case):
             if n == 0:
                 breaks()
 
-    render = mock.Mock(wraps=_forecast_csv)
+    render = mock.Mock(wraps=blockreg.corpus._csv_piece)
     argv = ["forecast", "--input", str(src), "--model", str(model), "--mode", mode,
             "--train-hours", str(start), "--test-hours", str(k), "--output", str(out)]
     with mock.patch.object(blockreg.sidecar, "READ_BYTES", case["read_bytes"]), \
             mock.patch.object(blockreg.sidecar, "read", read_then_break), \
             mock.patch.object(blockreg.corpus, "_csv_lines", break_mid_pass), \
-            mock.patch.object(blockreg.cli, "_forecast_csv", render):
+            mock.patch.object(blockreg.corpus, "_csv_piece", render):
         result = cli_forecast(argv, out)
     assert not list(ws.glob("*.tmp"))
 
@@ -210,7 +211,8 @@ def test_forecast_gives_the_rendered_bytes(tmp_path_factory, models, case):
     if not isinstance(result, bytes):
         event(f"error {result[0]}")
         return
-    event("rendered" if render.called else "copied")
+    event("no actuals" if start + k > t.n_hours else "rendered" if render.called
+          else "copied")
     # A clean corpus whose sidecar vouches for its CSV has every line of a
     # horizon within the corpus copied, none rendered.
     copied = case["corpus"] == "sidecar" and start + k <= t.n_hours
@@ -248,7 +250,7 @@ def test_forecast_digests_the_csv_once(tmp_path, models, monkeypatch, mode):
     src, out = tmp_path / "c.csv", tmp_path / "fc.csv"
     save_corpus(t, str(src))
     fed = count_digests(monkeypatch)
-    monkeypatch.setattr(blockreg.cli, "_forecast_csv", None)  # copy, never render
+    monkeypatch.setattr(blockreg.corpus, "_csv_piece", None)  # copy, never render
     argv = ["forecast", "--input", str(src), "--model", str(models["br"]),
             "--mode", mode, "--output", str(out)]
     with redirect_stdout(io.StringIO()):
@@ -267,7 +269,7 @@ def test_forecast_past_the_corpus_end_reads_the_sidecar_once(tmp_path, models,
     save_corpus(t, str(src))
     fs = forecast_fleet(load_model(str(models["br"])), load_corpus(str(src)), 300, 96,
                         "recursive")
-    expected = "".join(_forecast_csv(fs)).encode()
+    expected = "".join(forecast_csv(fs)).encode()
     fed = count_digests(monkeypatch)
     read = mock.Mock(wraps=blockreg.sidecar.read)
     monkeypatch.setattr(blockreg.sidecar, "read", read)

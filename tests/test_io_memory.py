@@ -37,7 +37,7 @@ from blockreg import (
 )
 from blockreg.baselines import forecast_sa, train_sa
 from blockreg.cli import _forecast_csv
-from blockreg.corpus import CHUNK_BYTES, TrafficMatrix, clean_file
+from blockreg.corpus import CHUNK_BYTES, TrafficMatrix, clean_file, station_lines
 from blockreg.evaluation import Split, evaluate
 from blockreg.forecaster import ForecastSeries, forecast_horizon, train_block_regression
 from blockreg.cli import main
@@ -84,6 +84,27 @@ def test_save_and_load_corpus_bounded(tmp_path, monkeypatch, n_bs, n_hours):
     back, peak = traced_peak(load_corpus, str(path))  # through the parser
     assert np.array_equal(back.values, t.values)
     assert peak < t.values.nbytes + READ_SLACK
+
+
+@pytest.mark.parametrize("step", ["load_corpus", "clean_file"])
+def test_stale_sidecar_parses_without_its_matrix(tmp_path, step):
+    # The CSV changed after its sidecar was written, so the sidecar's matrix,
+    # read first, fails the digest pass and the CSV is parsed. The parse
+    # must not run while the sidecar's matrix is still held: that would be a
+    # second matrix (2.2x the matrix).
+    t = synthesize(SynthConfig(n_bs=2000, n_hours=336, seed=3))
+    path = tmp_path / "c.csv"
+    save_corpus(t, str(path))
+    data = bytearray(path.read_bytes())
+    data[-2] = ord("1") if data[-2] != ord("1") else ord("2")  # a digit of the last volume
+    path.write_bytes(bytes(data))
+    if step == "load_corpus":
+        back, peak = traced_peak(load_corpus, str(path))
+    else:
+        (back, _), peak = traced_peak(clean_file, str(path), str(tmp_path / "d.csv"))
+        assert (tmp_path / "d.csv").read_bytes() == bytes(data)
+    assert back.values[-1, -1] != t.values[-1, -1]  # the parse, not the sidecar
+    assert peak < 1.6 * t.values.nbytes
 
 
 def test_save_corpus_builds_no_mask_of_the_matrix(tmp_path):
@@ -147,8 +168,10 @@ def test_forecast_csv_write_bounded(tmp_path):
         actual=rng.lognormal(size=(n, k)),
         mode="recursive",
     )
+    # The actuals rendered as the corpus CSV writes them, one station at a time.
+    lines = station_lines(TrafficMatrix(fs.bs_ids, fs.actual, 240), range(n), 0, k)
     path = tmp_path / "fc.csv"
-    _, peak = traced_peak(atomic_write_text, str(path), _forecast_csv(fs))
+    _, peak = traced_peak(atomic_write_text, str(path), _forecast_csv(fs, lines))
     assert path.stat().st_size > 4 * fs.forecast.nbytes
     assert peak < fs.forecast.nbytes + WRITE_SLACK
     lines = path.read_text().splitlines()
@@ -258,7 +281,7 @@ def test_forecast_command_bounded(scored, tmp_path, monkeypatch, kind, mode):
     corpus, model = str(tmp_path / "c.csv"), str(tmp_path / "model.json")
     save_corpus(t, corpus)
     save_model(models[kind], model)
-    monkeypatch.setattr(blockreg.cli, "_forecast_csv", None)  # copy, never render
+    monkeypatch.setattr(blockreg.corpus, "_csv_piece", None)  # copy, never render
     argv = ["forecast", "--input", corpus, "--model", model, "--mode", mode,
             "--output", str(tmp_path / "fc.csv")]
     code, peak = traced_peak(main, argv)
