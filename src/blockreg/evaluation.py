@@ -87,12 +87,12 @@ class SweepResult:
 
 
 def nrmse(actual: np.ndarray, forecast: np.ndarray, *, rows: bool = False):
-    """sqrt(mean squared error) divided by mean(actual).
+    """sqrt(mean squared error) divided by the signed mean(actual).
 
-    With ``rows``, ``actual`` and ``forecast`` are ``(n, k)`` and the result
-    is the ``(n,)`` array of the rows' scores, each computed as a 1-D call
-    computes it. A zero mean raises ZeroMeanActual, and a score that
-    overflows the float range raises Overflow.
+    A negative mean gives a negative score; `evaluate` scores only stations
+    whose test mean is positive. A zero mean raises ZeroMeanActual, and an
+    overflowing score Overflow. With ``rows``, ``(n, k)`` arrays give the
+    ``(n,)`` scores, each computed as a 1-D call computes it.
     """
     actual = np.asarray(actual, dtype=float)
     forecast = np.asarray(forecast, dtype=float)

@@ -5,10 +5,11 @@ The cost over N_s normalized samples is
     J(theta) = 1/(2 N_s) * sum_i (y_i - theta0 - sum_j theta_j x_ij)^2
 
 a convex quadratic, so linear conjugate gradient on its normal-equations
-system is exact in at most W + 1 steps of exact arithmetic. A direct dense
-solve of the same system serves as an independent oracle. Both solve from
-a `NormalSystem`: the (W+1)^2 sums the cost depends on. Samples are added
-to it a group at a time, so they need never be held all at once.
+system H theta = b is exact in at most W + 1 steps of exact arithmetic.
+Stopped relative to b, it lands within about 1e-11 of lr's least-squares
+optimum as a direct dense solve, the oracle, finds it. Both solve from a
+`NormalSystem`: the (W+1)^2 sums the cost depends on. Samples are added to
+it a group at a time, so they need never be held all at once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, SingularSystem, Underdetermined
 from .pipeline import FeatureSet, NormalizationStats
 
-DEFAULT_TOL = 1e-8
+RTOL = 1e-14
 COND_LIMIT = 1e12
 
 
@@ -162,16 +163,17 @@ def _make_model(
 
 def train_cg(
     f: FeatureSet | NormalSystem,
-    tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
     stats: NormalizationStats | None = None,
     seasonality_m: int = 0,
 ) -> tuple[BlockModel, TrainingDiagnostics]:
     """Minimize the cost by linear conjugate gradient from theta = 0.
 
-    Stops when the gradient norm drops to ``tol`` (default 1e-8) or after
-    ``max_iter`` iterations (default 10 * (W + 1)); exhausting the budget
-    returns the best iterate with ``converged=False`` rather than raising.
+    H = A^T A / n and b = A^T y / n for the design A = [1 | x]. CG works on b
+    scaled by a power of two, so the weights scale exactly with y, and stops
+    with ``converged=True`` once ||H theta - b|| is at most RTOL * ||b||, or
+    after ``max_iter`` iterations (default 10 * (W + 1)) with the last iterate
+    and ``converged=False`` rather than raising.
 
     ``f`` is the samples or their `NormalSystem`. ``stats`` and
     ``seasonality_m`` are recorded on the returned model for forecasting;
@@ -182,15 +184,15 @@ def train_cg(
     if max_iter is None:
         max_iter = 10 * (w + 1)
     h = system.gram / n
-    b = system.aty / n
+    _, k = np.frexp(np.abs(system.aty).max() / n)
+    r = np.ldexp(system.aty / n, -k)  # b / 2^k, the residual at theta = 0
 
     theta = np.zeros(w + 1)
-    r = b - h @ theta
     p = r.copy()
     rs = float(r @ r)
+    stop = RTOL * np.sqrt(rs)  # RTOL * ||b|| / 2^k, compared with norms
     iterations = 0
-    converged = np.sqrt(rs) <= tol
-    while not converged and iterations < max_iter:
+    while np.sqrt(rs) > stop and iterations < max_iter:
         hp = h @ p
         php = float(p @ hp)
         if php <= 0:
@@ -202,16 +204,14 @@ def train_cg(
         r -= alpha * hp
         rs_new = float(r @ r)
         iterations += 1
-        if np.sqrt(rs_new) <= tol:
-            converged = True
-        else:
-            p = r + (rs_new / rs) * p
+        p = r + (rs_new / rs) * p
         rs = rs_new
+    theta = np.ldexp(theta, k)
 
     diag = TrainingDiagnostics(
         final_cost=system.cost(theta),
         iterations=iterations,
-        converged=bool(converged),
+        converged=bool(np.sqrt(rs) <= stop),
         n_samples=n,
     )
     return _make_model(theta, w, stats, seasonality_m), diag

@@ -91,8 +91,8 @@ def test_stale_sidecar_parses_without_its_matrix(tmp_path, step):
     # The CSV changed after its sidecar was written, so the sidecar's matrix,
     # read first, fails the digest pass and the CSV is parsed. The parse
     # must not run while the sidecar's matrix is still held: that would be a
-    # second matrix (2.2x the matrix).
-    t = synthesize(SynthConfig(n_bs=2000, n_hours=336, seed=3))
+    # second matrix (about 2.4x the matrix).
+    t = synthesize(SynthConfig(n_bs=1000, n_hours=336, seed=3))
     path = tmp_path / "c.csv"
     save_corpus(t, str(path))
     data = bytearray(path.read_bytes())

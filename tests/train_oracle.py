@@ -87,6 +87,6 @@ def normalized_samples(
     return apply_normalization(f, stats), stats
 
 
-def train_block_regression(t, m, w, train_hours, tol=1e-8, max_iter=None):
+def train_block_regression(t, m, w, train_hours):
     f_hat, stats = normalized_samples(t, m, w, train_hours)
-    return train_cg(f_hat, tol=tol, max_iter=max_iter, stats=stats, seasonality_m=m)
+    return train_cg(f_hat, stats=stats, seasonality_m=m)
