@@ -18,6 +18,7 @@ from itertools import compress
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import pipeline
 from .corpus import TrafficMatrix
 from .errors import (
     InsufficientHistory,
@@ -32,7 +33,7 @@ from .forecaster import (
     train_block_regression,
     training_slice,
 )
-from .pipeline import CHUNK_BYTES, seasonal_difference
+from .pipeline import seasonal_difference
 from .regressor import BlockModel
 
 
@@ -140,7 +141,8 @@ def hannan_rissanen(z: np.ndarray, ar: int, ma: int) -> SaCoefficients:
     `SingularSystem` if its coefficients are not finite.
 
     The series are fitted a block of rows at a time; a block holds as many
-    rows as fit their stage-1 designs into `CHUNK_BYTES`, and at least one.
+    rows as fit their stage-1 designs into `pipeline.CHUNK_BYTES`, and at
+    least one.
     """
     if ar < 0 or ma < 0:
         raise InvalidConfig(f"orders must be >= 0, got ar={ar} ma={ma}")
@@ -155,7 +157,7 @@ def hannan_rissanen(z: np.ndarray, ar: int, ma: int) -> SaCoefficients:
     lead = z.shape[:-1]
     rows = z.reshape(-1, n)
     # A row's stage-1 design (see _design) is n - h by h + 2 floats.
-    step = max(1, CHUNK_BYTES // ((n - h) * (h + 2) * 8))
+    step = max(1, pipeline.CHUNK_BYTES // ((n - h) * (h + 2) * 8))
     fits = [_fit_rows(rows[lo:lo + step], ar, ma, h)
             for lo in range(0, len(rows) or 1, step)]
     beta = np.concatenate([b for b, _ in fits])

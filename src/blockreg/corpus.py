@@ -28,7 +28,6 @@ from .errors import (
     Overflow,
     ParseError,
     UncleanCorpus,
-    UnknownBs,
 )
 
 CSV_HEADER = ["bs_id", "hour", "volume"]
@@ -78,12 +77,6 @@ class TrafficMatrix:
     @property
     def n_hours(self) -> int:
         return self.values.shape[1]
-
-    def bs_index(self, bs_id: str) -> int:
-        try:
-            return self.bs_ids.index(bs_id)
-        except ValueError:
-            raise UnknownBs(f"base station {bs_id!r} not in corpus") from None
 
     def require_clean(self) -> None:
         """Raise UncleanCorpus if any entry is missing.

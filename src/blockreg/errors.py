@@ -72,8 +72,7 @@ class InvalidBsId(DataError):
 
 
 class UnknownBs(DataError):
-    """A station missing from the corpus, or a corpus station that an sa
-    model neither fitted nor lists as failed."""
+    """A corpus station that an sa model neither fitted nor lists as failed."""
 
 
 class InfiniteVolume(DataError):

@@ -86,19 +86,20 @@ class SweepResult:
         return min(scored, key=lambda p: p.average_nrmse).seasonality_m
 
 
-def nrmse(actual: np.ndarray, forecast: np.ndarray, *, rows: bool = False):
+def nrmse(actual: np.ndarray, forecast: np.ndarray):
     """sqrt(mean squared error) divided by the signed mean(actual).
 
     A negative mean gives a negative score; `evaluate` scores only stations
     whose test mean is positive. A zero mean raises ZeroMeanActual, and an
-    overflowing score Overflow. With ``rows``, ``(n, k)`` arrays give the
-    ``(n,)`` scores, each computed as a 1-D call computes it.
+    overflowing score Overflow. The shape decides, as in `forecast_one`: 1-D
+    arrays give a float, and ``(n, k)`` arrays the ``(n,)`` scores, each
+    computed as a 1-D call computes it.
     """
     actual = np.asarray(actual, dtype=float)
     forecast = np.asarray(forecast, dtype=float)
     if (
         actual.shape != forecast.shape
-        or actual.ndim != 1 + rows
+        or actual.ndim not in (1, 2)
         or actual.shape[-1] == 0
     ):
         raise LengthMismatch(
@@ -112,9 +113,9 @@ def nrmse(actual: np.ndarray, forecast: np.ndarray, *, rows: bool = False):
     score = np.sqrt(np.mean(err, axis=-1)) / mean
     overflow = ~np.isfinite(score)
     if np.any(overflow):
-        worst = float(score[overflow][0] if rows else score)
+        worst = float(score[overflow][0])
         raise Overflow(f"NRMSE is {worst}: the forecast errors overflow the float range")
-    return score if rows else float(score)
+    return score if score.ndim else float(score)
 
 
 def histogram(values: list[float]) -> list[HistogramBin]:
@@ -216,7 +217,7 @@ def evaluate(
     actual, forecast = fs.actual, fs.forecast
     if not scored.all():  # copies the scored rows only when some are left out
         actual, forecast = actual[scored], forecast[scored]
-    scores = nrmse(actual, forecast, rows=True)
+    scores = nrmse(actual, forecast)
     per_bs = dict(zip(compress(fs.bs_ids, scored.tolist()), scores.tolist()))
     excluded = t.n_bs - len(per_bs)
     average = float(np.mean(list(per_bs.values())))

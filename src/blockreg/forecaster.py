@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import pipeline
 from .corpus import TrafficMatrix
 from .errors import InsufficientHistory, InvalidConfig
 from .pipeline import (
-    CHUNK_BYTES,
     DifferencedMatrix,
     NormalizationStats,
     apply_normalization,
@@ -70,7 +70,8 @@ def train_block_regression(
     Differences at lag m (m = 0 skips differencing), fits normalization on
     the training samples only, slides windows of width w over chunks of
     stations, normalizes each chunk and adds it into one `NormalSystem`, and
-    trains by conjugate gradient on that system.
+    trains by conjugate gradient on that system. The model carries the
+    fitted stats and the lag m, which forecasting needs.
     """
     train = training_slice(t, train_hours)
     if m < 0:
@@ -78,7 +79,8 @@ def train_block_regression(
     d = seasonal_difference(train, m) if m > 0 else identity_difference(train)
     stats = fit_normalization(d, w)
     system = _accumulate(d, w, stats)
-    return train_cg(system, stats=stats, seasonality_m=m)
+    model, diag = train_cg(system)
+    return replace(model, stats=stats, seasonality_m=m), diag
 
 
 def _accumulate(
@@ -89,7 +91,7 @@ def _accumulate(
     Each sample is windowed exactly once.
     """
     station_bytes = (d.n_cols - w) * (w + 1) * 8
-    step = max(1, CHUNK_BYTES // station_bytes)
+    step = max(1, pipeline.CHUNK_BYTES // station_bytes)
     system = NormalSystem.empty(w)
     for lo in range(0, d.n_bs, step):
         # No name holds a chunk's windows, so they are freed before the next

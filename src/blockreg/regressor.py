@@ -10,6 +10,10 @@ Stopped relative to b, it lands within about 1e-11 of lr's least-squares
 optimum as a direct dense solve, the oracle, finds it. Both solve from a
 `NormalSystem`: the (W+1)^2 sums the cost depends on. Samples are added to
 it a group at a time, so they need never be held all at once.
+
+The solvers only solve: each returns a model over the windows it was
+given, with identity normalization stats and m = 0. The caller that
+normalized or differenced the windows stamps its stats and lag on.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .errors import DimensionMismatch, SingularSystem, Underdetermined
 from .pipeline import FeatureSet, NormalizationStats
 
 RTOL = 1e-14
+ITERATIONS_PER_WEIGHT = 10
 COND_LIMIT = 1e12
 
 
@@ -78,12 +83,6 @@ class NormalSystem:
     def empty(cls, w: int) -> "NormalSystem":
         return cls(w, np.zeros((w + 1, w + 1)), np.zeros(w + 1))
 
-    @classmethod
-    def from_features(cls, f: FeatureSet) -> "NormalSystem":
-        system = cls.empty(f.window_w)
-        system.add(f)
-        return system
-
     def add(self, f: FeatureSet) -> None:
         """Add the samples of ``f``."""
         if f.x.shape[1] != self.window_w:
@@ -137,52 +136,36 @@ def cost_gradient(model: BlockModel, f: FeatureSet) -> np.ndarray:
 
 
 def _as_system(f: FeatureSet | NormalSystem) -> NormalSystem:
-    system = f if isinstance(f, NormalSystem) else NormalSystem.from_features(f)
+    system = f
+    if not isinstance(f, NormalSystem):
+        system = NormalSystem.empty(f.window_w)
+        system.add(f)
     n, w = system.n_samples, system.window_w
     if n < w + 1:
         raise Underdetermined(f"{n} samples cannot fit {w + 1} parameters")
     return system
 
 
-def _make_model(
-    theta_full: np.ndarray,
-    w: int,
-    stats: NormalizationStats | None,
-    seasonality_m: int,
-) -> BlockModel:
-    if stats is None:
-        stats = NormalizationStats.identity(w)
-    return BlockModel(
-        theta0=float(theta_full[0]),
-        theta=theta_full[1:].copy(),
-        stats=stats,
-        seasonality_m=seasonality_m,
-        window_w=w,
-    )
+def _model(theta_full: np.ndarray) -> BlockModel:
+    """Weights over normalized windows: identity stats, m = 0."""
+    w = len(theta_full) - 1
+    return BlockModel(float(theta_full[0]), theta_full[1:].copy(),
+                      NormalizationStats.identity(w), 0, w)
 
 
-def train_cg(
-    f: FeatureSet | NormalSystem,
-    max_iter: int | None = None,
-    stats: NormalizationStats | None = None,
-    seasonality_m: int = 0,
-) -> tuple[BlockModel, TrainingDiagnostics]:
+def train_cg(f: FeatureSet | NormalSystem) -> tuple[BlockModel, TrainingDiagnostics]:
     """Minimize the cost by linear conjugate gradient from theta = 0.
 
-    H = A^T A / n and b = A^T y / n for the design A = [1 | x]. CG works on b
-    scaled by a power of two, so the weights scale exactly with y, and stops
-    with ``converged=True`` once ||H theta - b|| is at most RTOL * ||b||, or
-    after ``max_iter`` iterations (default 10 * (W + 1)) with the last iterate
-    and ``converged=False`` rather than raising.
-
-    ``f`` is the samples or their `NormalSystem`. ``stats`` and
-    ``seasonality_m`` are recorded on the returned model for forecasting;
-    they do not affect training.
+    ``f`` is the samples or their `NormalSystem`. H = A^T A / n and
+    b = A^T y / n for the design A = [1 | x]. CG works on b scaled by a power
+    of two, so the weights scale exactly with y, and stops with
+    ``converged=True`` once ||H theta - b|| is at most RTOL * ||b||, or after
+    ITERATIONS_PER_WEIGHT * (W + 1) iterations with the last iterate and
+    ``converged=False`` rather than raising. The model has identity stats
+    and m = 0.
     """
     system = _as_system(f)
     n, w = system.n_samples, system.window_w
-    if max_iter is None:
-        max_iter = 10 * (w + 1)
     h = system.gram / n
     _, k = np.frexp(np.abs(system.aty).max() / n)
     r = np.ldexp(system.aty / n, -k)  # b / 2^k, the residual at theta = 0
@@ -192,7 +175,7 @@ def train_cg(
     rs = float(r @ r)
     stop = RTOL * np.sqrt(rs)  # RTOL * ||b|| / 2^k, compared with norms
     iterations = 0
-    while np.sqrt(rs) > stop and iterations < max_iter:
+    while np.sqrt(rs) > stop and iterations < ITERATIONS_PER_WEIGHT * (w + 1):
         hp = h @ p
         php = float(p @ hp)
         if php <= 0:
@@ -214,14 +197,10 @@ def train_cg(
         converged=bool(np.sqrt(rs) <= stop),
         n_samples=n,
     )
-    return _make_model(theta, w, stats, seasonality_m), diag
+    return _model(theta), diag
 
 
-def train_normal_equations(
-    f: FeatureSet | NormalSystem,
-    stats: NormalizationStats | None = None,
-    seasonality_m: int = 0,
-) -> BlockModel:
+def train_normal_equations(f: FeatureSet | NormalSystem) -> BlockModel:
     """Solve the normal equations directly; oracle for train_cg.
 
     Raises SingularSystem when the augmented design is rank deficient,
@@ -238,4 +217,4 @@ def train_normal_equations(
         theta = np.linalg.solve(gram, system.aty)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"normal equations solve failed: {exc}") from exc
-    return _make_model(theta, system.window_w, stats, seasonality_m)
+    return _model(theta)

@@ -29,8 +29,10 @@ relative difference among the file's numbers and the largest difference
 over the file's largest number. Then it prints each blockreg command's own
 peak RSS (``ru_maxrss``, MiB), old against new: every command is started
 by `LAUNCHER`, a small process, because a child's ``ru_maxrss`` counts the
-memory of the process it was forked from. A ``--synth-config`` JSON file
-goes to synth, for example ``{"n_bs": 2000}`` for a wide fleet.
+memory of the process it was forked from. Last comes one line with the
+count of lines in the ``.py`` files of each side's ``blockreg`` package,
+old, new and net. A ``--synth-config`` JSON file goes to synth, for
+example ``{"n_bs": 2000}`` for a wide fleet.
 
 Exits 0 when every command of both flows exited 0, else 1. Uses only the
 standard library and numpy.
@@ -245,6 +247,12 @@ def compare(old: Path, new: Path) -> str:
     return differences(nums_a, nums_b)
 
 
+def package_lines(src: str) -> int:
+    """Lines in the ``.py`` files of the ``blockreg`` package under ``src``."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in Path(src, "blockreg").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
@@ -269,6 +277,9 @@ def main(argv=None) -> int:
     print(f"\n{'peak RSS (MiB)':<{width}}  {'old':>7}  {'new':>7}")
     for command, a, b in commands:
         print(f"{command:<{width}}  {a / 1024:7.2f}  {b / 1024:7.2f}")
+    old_lines, new_lines = package_lines(args.old_src), package_lines(args.new_src)
+    print(f"\nblockreg .py lines: old {old_lines}, new {new_lines}, "
+          f"net {new_lines - old_lines:+d}")
     return 0 if ok_old and ok_new else 1
 
 

@@ -30,7 +30,7 @@ def block_forecast_one(model, history):
 def block_forecast(model, t, bs, start, k, mode):
     """One station's br/lr forecasts for k hours from column ``start``."""
     need = model.seasonality_m + model.window_w
-    series = t.values[t.bs_index(bs)]
+    series = t.values[t.bs_ids.index(bs)]
     forecast = np.empty(k)
     if mode == "one_step":
         for j in range(k):
@@ -49,7 +49,7 @@ def sa_forecast(model, t, bs, start, k, mode):
     """One station's ARMA forecasts for k hours from column ``start``."""
     coef = station(model, bs)
     s, ar, ma = model.seasonality, model.ar_order, model.ma_order
-    series = t.values[t.bs_index(bs)].astype(float)
+    series = t.values[t.bs_ids.index(bs)].astype(float)
     base = start - s  # index of the first horizon hour on the differenced scale
     nz = base + k
     z = np.zeros(nz)

@@ -25,7 +25,6 @@ from blockreg.errors import (
     InfiniteVolume,
     InvalidBsId,
     Overflow,
-    UnknownBs,
 )
 
 import synth_oracle
@@ -302,13 +301,6 @@ def test_clean_empty_results():
         clean(t)
     with pytest.raises(EmptyCorpus):
         clean(TrafficMatrix(bs_ids=[], values=np.empty((0, 6)), start_hour=0))
-
-
-def test_bs_index_unknown():
-    t = make_corpus(n_bs=2, n_hours=24)
-    assert t.bs_index(t.bs_ids[1]) == 1
-    with pytest.raises(UnknownBs):
-        t.bs_index("nope")
 
 
 def test_corpus_to_csv_sorted_by_station_then_hour():

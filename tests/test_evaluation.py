@@ -54,8 +54,6 @@ def test_nrmse_errors():
     with pytest.raises(LengthMismatch):
         nrmse(np.zeros(3), np.zeros(4))
     with pytest.raises(LengthMismatch):
-        nrmse(np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(LengthMismatch):
         nrmse(np.zeros(0), np.zeros(0))
     with pytest.raises(ZeroMeanActual):
         nrmse(np.array([-1.0, 1.0]), np.array([0.0, 0.0]))
@@ -86,28 +84,28 @@ def test_nrmse_rows_match_one_row_at_a_time(rows):
     forecast = np.array([f for _, f in rows])
     if not all(np.mean(a) != 0.0 for a in actual):
         with pytest.raises(ZeroMeanActual):
-            nrmse(actual, forecast, rows=True)
+            nrmse(actual, forecast)
         return
     try:
         expected = [nrmse(a, f) for a, f in zip(actual, forecast)]
     except Overflow:
         with pytest.raises(Overflow):
-            nrmse(actual, forecast, rows=True)
+            nrmse(actual, forecast)
         return
     # Bit for bit, also on a strided view of a wider matrix.
     wide = np.zeros((len(rows), 2 * actual.shape[1]))
     wide[:, 1::2] = actual
     for a in (actual, wide[:, 1::2]):
-        assert nrmse(a, forecast, rows=True).tolist() == expected
+        assert nrmse(a, forecast).tolist() == expected
 
 
 def test_nrmse_rows_errors():
-    with pytest.raises(LengthMismatch):
-        nrmse(np.ones(3), np.ones(3), rows=True)
-    with pytest.raises(LengthMismatch):
-        nrmse(np.ones((2, 0)), np.ones((2, 0)), rows=True)
+    # Only 1-D and 2-D arrays with a non-empty last axis are scored.
+    for shape in ((), (2, 2, 3), (2, 0)):
+        with pytest.raises(LengthMismatch):
+            nrmse(np.ones(shape), np.ones(shape))
     with pytest.raises(Overflow, match="NRMSE is inf"), np.errstate(over="ignore"):
-        nrmse(np.ones((2, 2)), np.array([[1.0, 1.0], [1e300, -1e300]]), rows=True)
+        nrmse(np.ones((2, 2)), np.array([[1.0, 1.0], [1e300, -1e300]]))
 
 
 @pytest.mark.parametrize("mode", ["one_step", "recursive"])

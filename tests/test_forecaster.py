@@ -163,7 +163,7 @@ def test_forecast_adds_back_seasonal_level(small_corpus):
     # the differenced-scale prediction is re-anchored at t_{l-m}
     model, _ = train_block_regression(small_corpus, m=24, w=3, train_hours=240)
     bs = small_corpus.bs_ids[5]
-    i = small_corpus.bs_index(bs)
+    i = small_corpus.bs_ids.index(bs)
     series = small_corpus.values[i]
     got = forecast_one(model, series[:240])
     lags = series[237:240] - series[213:216]  # d_{237}, d_{238}, d_{239}

@@ -31,7 +31,7 @@ def per_day_nrmse(model, t) -> list[float]:
         day = slice(24 * d, 24 * (d + 1))
         actual, forecast = fs.actual[:, day], fs.forecast[:, day]
         scored = actual.mean(axis=1) > 0
-        days.append(float(nrmse(actual[scored], forecast[scored], rows=True).mean()))
+        days.append(float(nrmse(actual[scored], forecast[scored]).mean()))
     return days
 
 

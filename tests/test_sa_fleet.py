@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockreg.baselines as baselines
+import blockreg.pipeline as pipeline
 import sa_oracle
 from blockreg import SynthConfig, ar_long_order, hannan_rissanen, synthesize, train_sa
 from blockreg.errors import SingularSystem
@@ -113,7 +114,7 @@ def test_train_sa_matches_oracle_one_station_per_chunk(monkeypatch):
         calls["n"] += 1
         return real(z, ar, ma, h)
 
-    monkeypatch.setattr(baselines, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 1)
     monkeypatch.setattr(baselines, "_fit_rows", counted)
     single = train_sa(t, train_hours=240)
     assert calls["n"] == t.n_bs

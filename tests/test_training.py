@@ -3,9 +3,9 @@
 ``train_oracle`` holds the path that materializes every sample at once;
 the chunked path must give the same normalization stats and the same
 (w+1)^2 normal system to 1e-12 relative, for any split of the stations into
-chunks. Each comparison also runs with ``forecaster.CHUNK_BYTES`` and
-``pipeline.CHUNK_BYTES`` cut to 1, so every station is its own chunk and
-the normalization stats are read one row at a time.
+chunks. Each comparison also runs with ``pipeline.CHUNK_BYTES`` cut to 1,
+so every station is its own chunk and the normalization stats are read one
+row at a time.
 """
 
 import tracemalloc
@@ -49,7 +49,6 @@ def assert_rel(actual, expected, rel=REL):
 @pytest.fixture(params=["default", 1])
 def chunk_bytes(request, monkeypatch):
     if request.param != "default":
-        monkeypatch.setattr(forecaster, "CHUNK_BYTES", request.param)
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", request.param)
     return request.param
 
@@ -94,6 +93,21 @@ def test_model_matches_oracle(small_corpus, chunk_bytes, kind):
     assert_rel(theta, np.r_[expect.theta0, expect.theta], rel)
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_training_stamps_stats_and_lag_on_the_solved_model(small_corpus, kind):
+    m, w = KINDS[kind]
+    model, diag = train_block_regression(small_corpus, m=m, w=w, train_hours=240)
+    d = differenced(small_corpus, m, 240)
+    stats = fit_normalization(d, w)
+    solved, solved_diag = train_cg(forecaster._accumulate(d, w, stats))
+    assert (model.seasonality_m, model.window_w, model.kind) == (m, w, kind)
+    assert model.theta0 == solved.theta0
+    np.testing.assert_array_equal(model.theta, solved.theta)
+    for name in ("mu_x", "sigma_x", "mu_y", "sigma_y"):
+        np.testing.assert_array_equal(getattr(model.stats, name), getattr(stats, name))
+    assert diag == solved_diag
+
+
 def accumulated(t: TrafficMatrix, kind: str) -> NormalSystem:
     """The normal system `train_block_regression` trains ``kind`` on."""
     m, w = KINDS[kind]
@@ -133,7 +147,6 @@ def test_lr_lands_on_the_dense_solve(fleet):
 def test_one_station_chunks_change_models_by_rounding_only(fleet, kind, monkeypatch):
     m, w = KINDS[kind]
     default, _ = train_block_regression(fleet, m=m, w=w, train_hours=240)
-    monkeypatch.setattr(forecaster, "CHUNK_BYTES", 1)
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 1)
     one, _ = train_block_regression(fleet, m=m, w=w, train_hours=240)
     assert_rel(full(one), full(default), 1e-11)
@@ -152,8 +165,7 @@ def test_grouping_changes_fitted_values_by_rounding_only(n_bs, seed, kind):
     t = make_corpus(n_bs=n_bs, seed=seed)
     m, w = KINDS[kind]
     default, _ = train_block_regression(t, m=m, w=w, train_hours=240)
-    with mock.patch.object(forecaster, "CHUNK_BYTES", 1), \
-            mock.patch.object(pipeline, "CHUNK_BYTES", 1):
+    with mock.patch.object(pipeline, "CHUNK_BYTES", 1):
         one, _ = train_block_regression(t, m=m, w=w, train_hours=240)
     gram = accumulated(t, kind).gram
     d, theta = full(one) - full(default), full(default)
@@ -161,7 +173,7 @@ def test_grouping_changes_fitted_values_by_rounding_only(n_bs, seed, kind):
 
 
 def test_each_sample_windowed_once(small_corpus, monkeypatch):
-    monkeypatch.setattr(forecaster, "CHUNK_BYTES", 3 * (240 - 24 - 3) * 4 * 8)
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 3 * (240 - 24 - 3) * 4 * 8)
     seen = []
 
     def counting(d, w):
@@ -203,9 +215,10 @@ def test_window_count_and_chunk_split(n, L, data):
     f = slide_windows(d, w)
     assert f.n_samples == n * positions
     stats = fit_normalization(d, w)
-    whole = NormalSystem.from_features(apply_normalization(f, stats))
+    whole = NormalSystem.empty(w)
+    whole.add(apply_normalization(f, stats))
     budget = per_chunk * positions * (w + 1) * 8
-    with mock.patch.object(forecaster, "CHUNK_BYTES", budget):
+    with mock.patch.object(pipeline, "CHUNK_BYTES", budget):
         chunked = forecaster._accumulate(d, w, stats)
     assert chunked.n_samples == whole.n_samples == n * positions
     assert_rel(chunked.gram, whole.gram)
@@ -217,7 +230,7 @@ def test_lr_training_memory_is_bounded_by_chunks():
     t = make_corpus(n_bs=500)
     m, w, train_hours = 0, 72, 240
     design_bytes = t.n_bs * (train_hours - m - w) * w * 8
-    bound = 4 * forecaster.CHUNK_BYTES + 4 * t.values.nbytes
+    bound = 4 * pipeline.CHUNK_BYTES + 4 * t.values.nbytes
     assert design_bytes > bound  # the bound would not hold one whole design
     tracemalloc.start()
     try:
@@ -235,4 +248,4 @@ def test_accumulate_holds_one_chunk_at_a_time():
     m, w = KINDS["br"]
     d = differenced(make_corpus(n_bs=2000), m, 240)
     _, peak = traced_peak(forecaster._accumulate, d, w, fit_normalization(d, w))
-    assert peak < 3 * forecaster.CHUNK_BYTES, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 3 * pipeline.CHUNK_BYTES, f"peak {peak / 2**20:.2f} MiB"

@@ -11,6 +11,8 @@ per-column sums.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from blockreg import FeatureSet, NormalizationStats, TrafficMatrix, train_cg
@@ -89,4 +91,5 @@ def normalized_samples(
 
 def train_block_regression(t, m, w, train_hours):
     f_hat, stats = normalized_samples(t, m, w, train_hours)
-    return train_cg(f_hat, stats=stats, seasonality_m=m)
+    model, diag = train_cg(f_hat)
+    return replace(model, stats=stats, seasonality_m=m), diag
