@@ -67,37 +67,51 @@ def train_block_regression(
 ) -> tuple[BlockModel, TrainingDiagnostics]:
     """Full training pipeline over the first ``train_hours`` columns.
 
-    Differences at lag m (m = 0 skips differencing), fits normalization on
-    the training samples only, slides windows of width w over chunks of
-    stations, normalizes each chunk and adds it into one `NormalSystem`, and
-    trains by conjugate gradient on that system. The model carries the
-    fitted stats and the lag m, which forecasting needs.
+    Differences at lag m (m = 0 skips differencing) and fits normalization
+    on the training samples only. The `NormalSystem` of the normalized
+    width-w windows then comes from lag sums of the differenced matrix
+    (`_normal_system`), so no window is built, and conjugate gradient
+    trains on it. The model carries the fitted stats and the lag m, which
+    forecasting needs.
     """
     train = training_slice(t, train_hours)
     if m < 0:
         raise InvalidConfig(f"seasonality m must be >= 0, got {m}")
     d = seasonal_difference(train, m) if m > 0 else identity_difference(train)
     stats = fit_normalization(d, w)
-    system = _accumulate(d, w, stats)
-    model, diag = train_cg(system)
+    model, diag = train_cg(_normal_system(d, w, stats))
     return replace(model, stats=stats, seasonality_m=m), diag
 
 
-def _accumulate(
+def _normal_system(
     d: DifferencedMatrix, w: int, stats: NormalizationStats
 ) -> NormalSystem:
-    """Window, normalize and add every station of ``d``, one chunk at a time.
+    """The `NormalSystem` of the windows of ``d``, normalized by ``stats``.
 
-    Each sample is windowed exactly once.
+    `pipeline._lag_gram` sums the windows less the mean c of the column with
+    the least deviation, scaled by the power of two 2^-e nearest the largest
+    deviation; each column's mean and deviation, shifted and scaled alike,
+    then map those sums onto the normalized ones. Any other column's mean
+    differs from c by about its own deviation, so the map cancels little.
     """
-    station_bytes = (d.n_cols - w) * (w + 1) * 8
-    step = max(1, pipeline.CHUNK_BYTES // station_bytes)
-    system = NormalSystem.empty(w)
-    for lo in range(0, d.n_bs, step):
-        # No name holds a chunk's windows, so they are freed before the next
-        # chunk is windowed.
-        system.add(apply_normalization(slide_windows(d.rows(lo, lo + step), w), stats))
-    return system
+    mu = np.r_[stats.mu_x, stats.mu_y]
+    sigma = np.r_[stats.sigma_x, stats.sigma_y]
+    c = mu[np.argmin(sigma)]
+    _, e = np.frexp(sigma.max())
+    gram, sums = pipeline._lag_gram(d.values, w, c, e)
+    n = d.n_bs * (d.n_cols - w)
+    a = np.ldexp(mu - c, -e)
+    scale = np.ldexp(sigma, -e)
+    # sum (u_i - a_i)(u_j - a_j) = gram - a_i s_j - s_i a_j + n a_i a_j, with
+    # the middle terms as cross + cross.T, which is symmetric bit for bit.
+    cross = np.outer(a, sums - 0.5 * n * a)
+    centred = gram - (cross + cross.T)
+    # The Gram of [1 | xhat | yhat] holds A^T A, A^T y and y^T y for A = [1 | xhat].
+    full = np.empty((w + 2, w + 2))
+    full[0, 0] = n
+    full[0, 1:] = full[1:, 0] = (sums - n * a) / scale
+    full[1:, 1:] = centred / np.outer(scale, scale)
+    return NormalSystem(w, full[:-1, :-1], full[-1, :-1], float(full[-1, -1]), n)
 
 
 def _window_features(model: BlockModel, hist: np.ndarray) -> np.ndarray:
@@ -106,6 +120,17 @@ def _window_features(model: BlockModel, hist: np.ndarray) -> np.ndarray:
     if m > 0:
         return hist[..., m:m + w] - hist[..., :w]
     return hist[..., -w:]
+
+
+def _dot(xhat: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``xhat @ theta``, rounded the same for a row wherever it sits.
+
+    BLAS's matrix-vector product sums the trailing rows of a matrix in
+    another order than the others, so one window would round differently
+    in a one_step block than in one hour of the fleet; einsum sums each row
+    on its own.
+    """
+    return np.einsum("...j,j->...", xhat, theta)
 
 
 def forecast_one(model: BlockModel, history: np.ndarray) -> float | np.ndarray:
@@ -130,7 +155,7 @@ def forecast_one(model: BlockModel, history: np.ndarray) -> float | np.ndarray:
     # Divided in place: two (n, w) temporaries freed together hand their
     # memory back to the OS, and every hour of a horizon faults it in again.
     xhat /= model.stats.sigma_x
-    z = model.theta0 + xhat @ model.theta
+    z = model.theta0 + _dot(xhat, model.theta)
     value = model.stats.mu_y + z * model.stats.sigma_y
     if m > 0:
         value = value + hist[..., w]
@@ -206,26 +231,49 @@ def forecast_horizon(
 ) -> ForecastSeries:
     """Forecast k hours beginning at corpus column ``start`` for every station.
 
-    One loop over the horizon hours serves the whole fleet: each step reads
-    the m + w hours before it from a working matrix of the m + w hours
-    before ``start`` and the horizon, and forecasts one column. one_step:
-    every lag and the t_{l-m} term read recorded actuals, so the corpus must
-    cover the whole horizon, and the working matrix is a read-only view of
-    it. recursive: the working matrix is a copy, each step's forecasts are
-    written into its horizon and read by later steps, and the horizon may
-    extend past the end of the corpus.
+    one_step: every lag and the t_{l-m} term read recorded actuals, so the
+    corpus must cover the whole horizon, and the forecasts are the model
+    applied to the windows that training's pipeline builds: a block of
+    stations at a time, the m + w hours before ``start`` and the horizon are
+    differenced, windowed and normalized (`_one_step`). recursive: one loop
+    over the horizon hours serves the whole fleet; each step forecasts one
+    column with `forecast_one` from a working copy of the m + w hours before
+    ``start`` and the horizon, writes it into the horizon for later steps to
+    read, and the horizon may extend past the end of the corpus.
     """
     need = model.seasonality_m + model.window_w
     check_horizon(t, start, k, mode, need)
     if mode == "one_step":
-        working = t.values[:, start - need:start + k]
-        working.flags.writeable = False
-    else:
-        working = np.empty((t.n_bs, need + k))
-        working[:, :need] = t.values[:, start - need:start]
+        return horizon_series(t, start, _one_step(model, t, start, k), mode)
+    working = np.empty((t.n_bs, need + k))
+    working[:, :need] = t.values[:, start - need:start]
     forecast = np.empty((t.n_bs, k))
     for j in range(k):
         forecast[:, j] = forecast_one(model, working[:, j:j + need])
-        if mode == "recursive":
-            working[:, need + j] = forecast[:, j]
+        working[:, need + j] = forecast[:, j]
     return horizon_series(t, start, forecast, mode)
+
+
+def _one_step(model: BlockModel, t: TrafficMatrix, start: int, k: int) -> np.ndarray:
+    """The (n, k) one_step forecasts of a checked horizon, through the pipeline.
+
+    A block holds as many stations as fit their k windows and the windows'
+    normalized copy into `pipeline.CHUNK_BYTES`, and at least one. Window
+    (i, j) holds the lags of hour ``start + j`` of station i, so
+    ``theta0 + xhat @ theta`` is that hour's normalized forecast, computed
+    as `forecast_one` computes it.
+    """
+    m, w, stats = model.seasonality_m, model.window_w, model.stats
+    hours = t.values[:, start - m - w:start + k]
+    step = max(1, pipeline.CHUNK_BYTES // (2 * k * (w + 1) * 8))
+    forecast = np.empty((t.n_bs, k))
+    for lo in range(0, t.n_bs, step):
+        block = TrafficMatrix(t.bs_ids[lo:lo + step], hours[lo:lo + step])
+        d = seasonal_difference(block, m) if m > 0 else identity_difference(block)
+        f = apply_normalization(slide_windows(d, w), stats)
+        z = model.theta0 + _dot(f.x, model.theta)
+        value = (stats.mu_y + z * stats.sigma_y).reshape(-1, k)
+        if m > 0:
+            value = value + block.values[:, w:w + k]
+        forecast[lo:lo + step] = value
+    return forecast

@@ -4,7 +4,8 @@ Turns a cleaned traffic matrix into a normalized regression problem. The
 stages are pure and deterministic; window rows are ordered by
 (bs_index, target_hour) regardless of how the work is scheduled.
 Normalization statistics come from per-column sums of the differenced
-matrix, so fitting them builds no window.
+matrix, and training's sums over windows from lag sums of it
+(`_lag_gram`), so fitting and training build no window.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from .errors import (
 
 # Work on the fleet goes a block of stations at a time: a block holds as
 # many stations as fit their working data (their rows of the differenced
-# matrix, or their windowed samples as float64) into this many bytes, and at
-# least one. So no stage holds a copy the size of the whole matrix or design.
+# matrix in the normalization fit and the lag sums of training, or the
+# windows of a one_step horizon and their normalized copy, as float64) into
+# this many bytes, and at least one. So no stage holds a copy the size of
+# the whole matrix or design.
 CHUNK_BYTES = 1024 * 1024
 
 
@@ -49,10 +52,6 @@ class DifferencedMatrix:
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
-
-    def rows(self, lo: int, hi: int) -> "DifferencedMatrix":
-        """Stations ``lo`` to ``hi - 1``, as a view of this matrix."""
-        return DifferencedMatrix(self.seasonality_m, self.values[lo:hi])
 
 
 @dataclass
@@ -220,3 +219,72 @@ def apply_normalization(f: FeatureSet, s: NormalizationStats) -> FeatureSet:
     y = f.y - s.mu_y
     y /= s.sigma_y
     return FeatureSet(x=x, y=y, provenance=f.provenance, window_w=f.window_w)
+
+
+def _lag_gram(
+    values: np.ndarray, w: int, c: float, e: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix and column sums of the windows of ``(values - c) * 2**-e``.
+
+    The windows are those `slide_windows` makes at width w, features then
+    target, over all rows; none is built. With C columns and P = C - w
+    positions, window entry (i, i + l) is the sum of the lag-l products
+    r_l[q] = sum over rows of v[:, q] * v[:, q + l] for q in [i, i + P).
+    When P > w, each such range is a suffix of the first w columns, all of
+    the middle columns [w, P) and a prefix of the last w. The middle comes
+    from one dot of shifted views per lag, and the edges' products from two
+    small Grams; otherwise the products of every column come from the
+    Gram of all C <= 2w columns. Either way each entry is a sliding sum of
+    products that the window holds, with no subtraction, so a spike in a
+    column some windows leave out never cancels in theirs. Reads ``values``
+    `CHUNK_BYTES` of rows at a time into one buffer; ``c`` and ``e`` keep a
+    common level and the exponent range out of the sums.
+    """
+    n_rows, n_cols = values.shape
+    k, per_bs = w + 1, n_cols - w
+    split = per_bs > w
+    step = max(1, min(n_rows, CHUNK_BYTES // (n_cols * 8)))
+    buffer = np.empty((step, n_cols))
+    totals = np.zeros(n_cols)
+    if split:
+        middle = np.zeros(k)
+        left, right = np.zeros((w, 2 * w)), np.zeros((w, w))
+    else:
+        whole = np.zeros((n_cols, n_cols))
+    for lo in range(0, n_rows, step):
+        rows = values[lo:lo + step]
+        v = np.subtract(rows, c, out=buffer[:rows.shape[0]])
+        np.ldexp(v, -e, out=v)
+        totals += v.sum(axis=0)
+        if split:
+            centre = v[:, w:per_bs]
+            for lag in range(k):
+                middle[lag] += np.einsum("ij,ij->", centre, v[:, w + lag:per_bs + lag])
+            left += v[:, :w].T @ v[:, :2 * w]
+            right += v[:, per_bs:].T @ v[:, per_bs:]
+        else:
+            whole += v.T @ v
+    if split:
+        # The columns [0, w), the middle as one, and [P, C): a window's range
+        # is k consecutive ones of these 2w + 1.
+        products = np.hstack(
+            [_diagonals(left, k), middle[:, None], _diagonals(right, k)])
+        totals = np.r_[totals[:w], totals[w:per_bs].sum(), totals[per_bs:]]
+    else:
+        products = _diagonals(whole, k)
+    width = products.shape[1] - w  # k when split, else P
+    window = np.lib.stride_tricks.sliding_window_view
+    band = window(products, width, axis=1).sum(axis=2)  # band[l, i]: entry (i, i + l)
+    i, j = np.triu_indices(k)
+    gram = np.empty((k, k))
+    gram[i, j] = gram[j, i] = band[j - i, i]
+    return gram, window(totals, width).sum(axis=1)
+
+
+def _diagonals(q: np.ndarray, k: int) -> np.ndarray:
+    """(k, rows) array whose entry (l, i) is ``q[i, i + l]``, 0 past the last column."""
+    n_rows, n_cols = q.shape
+    padded = np.zeros((n_rows, n_cols + k))
+    padded[:, :n_cols] = q
+    i = np.arange(n_rows)
+    return padded[i, i + np.arange(k)[:, None]]

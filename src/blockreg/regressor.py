@@ -8,8 +8,10 @@ a convex quadratic, so linear conjugate gradient on its normal-equations
 system H theta = b is exact in at most W + 1 steps of exact arithmetic.
 Stopped relative to b, it lands within about 1e-11 of lr's least-squares
 optimum as a direct dense solve, the oracle, finds it. Both solve from a
-`NormalSystem`: the (W+1)^2 sums the cost depends on. Samples are added to
-it a group at a time, so they need never be held all at once.
+`NormalSystem`: the (W+1)^2 sums the cost depends on. Samples may be added
+to it a group at a time; training fills it from lag sums of the
+differenced matrix instead (`forecaster.train_block_regression`), so its
+windows are never built.
 
 The solvers only solve: each returns a model over the windows it was
 given, with identity normalization stats and m = 0. The caller that

@@ -3,14 +3,17 @@
 These are the one-station, one-hour-at-a-time implementations that
 ``forecast_horizon`` and ``forecast_sa`` replaced. They take a station id
 and return that station's k forecasts as a 1-D array; validation is left to
-the fleet functions. `forecast_csv` is the reference for the forecast CSV
-that the `forecast` command writes.
+the fleet functions. `one_step_loop` is the fleet's one_step loop over the
+hours that ``forecast_horizon`` ran before it scored a block of stations
+through the feature pipeline. `forecast_csv` is the reference for the
+forecast CSV that the `forecast` command writes.
 """
 
 from itertools import repeat
 
 import numpy as np
 
+from blockreg import forecast_one
 from sa_oracle import station
 
 
@@ -91,7 +94,7 @@ def fleet_forecast_one(model, history):
     hist = np.asarray(history, dtype=float)[..., -(m + w):]
     lags = hist[..., m:m + w] - hist[..., :w] if m > 0 else hist[..., -w:]
     xhat = np.subtract(lags, model.stats.mu_x, order="C") / model.stats.sigma_x
-    z = model.theta0 + xhat @ model.theta
+    z = model.theta0 + np.einsum("...j,j->...", xhat, model.theta)
     value = model.stats.mu_y + z * model.stats.sigma_y
     if m > 0:
         value = value + hist[..., w]
@@ -112,6 +115,19 @@ def fleet_forecast(model, t, start, k, mode):
         forecast[:, j] = fleet_forecast_one(model, working[:, j:j + need])
         if mode == "recursive":
             working[:, need + j] = forecast[:, j]
+    return forecast
+
+
+def one_step_loop(model, t, start, k):
+    """Every station's one_step br/lr forecasts for k hours from column
+    ``start``, one `forecast_one` per hour over a read-only view of the
+    corpus, as an (n, k) array."""
+    need = model.seasonality_m + model.window_w
+    working = t.values[:, start - need:start + k]
+    working.flags.writeable = False
+    forecast = np.empty((t.n_bs, k))
+    for j in range(k):
+        forecast[:, j] = forecast_one(model, working[:, j:j + need])
     return forecast
 
 

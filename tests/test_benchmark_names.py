@@ -135,6 +135,8 @@ def _install_counters(monkeypatch, names) -> Counter:
 @pytest.mark.parametrize("mode", ["one_step", "recursive"])
 @pytest.mark.parametrize("kind", ["br", "lr", "sa"])
 def test_evaluate_reaches_traced_functions(small_corpus, monkeypatch, kind, mode):
+    # one_step br/lr scoring runs the feature pipeline; recursive runs the
+    # per-hour forecast.
     from blockreg import evaluate, train_block_regression, train_sa
 
     if kind == "sa":
@@ -145,7 +147,13 @@ def test_evaluate_reaches_traced_functions(small_corpus, monkeypatch, kind, mode
             small_corpus, m=0 if kind == "lr" else 24, w=72 if kind == "lr" else 3,
             train_hours=240,
         )
-        reached = ["forecaster.forecast_horizon", "forecaster.forecast_one"]
+        reached = ["forecaster.forecast_horizon"]
+        if mode == "recursive":
+            reached.append("forecaster.forecast_one")
+        else:
+            reached += ["pipeline.slide_windows", "pipeline.apply_normalization"]
+            if kind == "br":
+                reached.append("pipeline.seasonal_difference")
     reached.append("evaluation.nrmse")
     counts = _install_counters(monkeypatch, reached)
     evaluate(model, small_corpus, mode=mode)
@@ -157,17 +165,15 @@ def test_evaluate_reaches_traced_functions(small_corpus, monkeypatch, kind, mode
 def test_training_reaches_traced_functions(small_corpus, monkeypatch, kind):
     # A batched private helper that bypassed a traced name would make its
     # calls read 0 in the traced benchmark run, which counts as a failure.
+    # br/lr training sums lag products and builds no window.
     from blockreg import train_block_regression, train_sa
 
     if kind == "sa":
         reached = ["baselines.hannan_rissanen", "pipeline.seasonal_difference"]
     else:
-        reached = [
-            "pipeline.slide_windows",
-            "pipeline.fit_normalization",
-            "pipeline.apply_normalization",
-            "regressor.train_cg",
-        ]
+        reached = ["pipeline.fit_normalization", "regressor.train_cg"]
+        if kind == "br":
+            reached.append("pipeline.seasonal_difference")
     counts = _install_counters(monkeypatch, reached)
     if kind == "sa":
         train_sa(small_corpus)
@@ -178,3 +184,37 @@ def test_training_reaches_traced_functions(small_corpus, monkeypatch, kind):
         )
     for name in reached:
         assert counts[name] >= 1, f"{name} was not reached through its module attribute"
+
+
+def test_benchmark_flow_reaches_every_traced_function(small_corpus, monkeypatch, tmp_path):
+    """The benchmark's flow, in process, reaches every traced name.
+
+    Each path reaches only some names (training no longer windows, and
+    one_step scoring no longer calls `forecast_one`), so a name is kept
+    alive by the flow as a whole: set-up through the corpus files, the
+    three trainings and their model files, both modes of `evaluate` for
+    each kind, a recursive `forecast_fleet` and a `sweep_seasonality`.
+    """
+    names = _traced_functions()
+    counts = _install_counters(monkeypatch, names)
+    import blockreg
+
+    raw, corpus = str(tmp_path / "raw.csv"), str(tmp_path / "corpus.csv")
+    blockreg.save_corpus(blockreg.synthesize(blockreg.SynthConfig(n_bs=20, seed=1)), raw)
+    blockreg.save_corpus(blockreg.clean(blockreg.load_corpus(raw)), corpus)
+    t = blockreg.load_corpus(corpus)
+    models = {
+        "br": blockreg.train_block_regression(t, m=24, w=3, train_hours=240)[0],
+        "lr": blockreg.train_block_regression(t, m=0, w=72, train_hours=240)[0],
+        "sa": blockreg.train_sa(t),
+    }
+    for kind, model in models.items():
+        path = str(tmp_path / f"{kind}.json")
+        blockreg.save_model(model, path)
+        model = blockreg.load_model(path)
+        for mode in ("one_step", "recursive"):
+            blockreg.evaluate(model, t, mode=mode)
+    blockreg.forecast_fleet(models["br"], t, 240, 96, "recursive")
+    blockreg.sweep_seasonality(t, [12, 24])
+    missed = [name for name in names if counts[name] == 0]
+    assert not missed, f"not reached through their module attributes: {missed}"

@@ -5,8 +5,13 @@ are compared per station within 1e-12 times the station's largest traffic
 value; the SA recursion keeps the loop's order of operations and must be
 bit-identical. br/lr forecasts must also be bit-identical to the fleet
 loop of ``forecast_oracle``, which makes an (n, w) array for the
-subtraction and another for the division.
+subtraction and another for the division, and one_step forecasts, scored a
+block of stations at a time through the feature pipeline, to the per-hour
+`forecast_one` loop they replaced.
 """
+
+from unittest import mock
+
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 
 from blockreg import (
     BlockModel,
+    pipeline,
     NormalizationStats,
     SaCoefficients,
     TrafficMatrix,
@@ -24,7 +30,7 @@ from blockreg import (
     train_sa,
 )
 
-from forecast_oracle import block_forecast, fleet_forecast, sa_forecast
+from forecast_oracle import block_forecast, fleet_forecast, one_step_loop, sa_forecast
 from sa_oracle import fleet_model, without
 
 MODES = ("one_step", "recursive")
@@ -171,3 +177,32 @@ def test_block_fleet_bitwise_equals_fleet_oracle(size, mode, differenced, data):
                        stats, m, w)
     fs = forecast_horizon(model, t, start, k, mode)
     np.testing.assert_array_equal(fs.forecast, fleet_forecast(model, t, start, k, mode))
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, pipeline.CHUNK_BYTES], ids=["one_station", "default"])
+@pytest.mark.parametrize("differenced", [False, True], ids=["lr", "br"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_step_equals_the_per_hour_loop(chunk_bytes, differenced, data):
+    # One station, or enough that w = 72 windows fill several blocks; w up
+    # to the whole history before the horizon.
+    n = data.draw(st.sampled_from([1, data.draw(st.integers(2, 40))]), label="stations")
+    m = data.draw(st.integers(1, 30), label="m") if differenced else 0
+    start = data.draw(st.integers(m + 1, m + 80), label="start")
+    w = data.draw(st.sampled_from([start - m, data.draw(st.integers(1, start - m))]),
+                  label="w")
+    k = data.draw(st.integers(1, 60), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    t = TrafficMatrix(
+        bs_ids=[f"bs_{i}" for i in range(n)],
+        values=rng.uniform(0.5, 2.0, size=(n, start + k)) * rng.uniform(1, 100, (n, 1)),
+    )
+    stats = NormalizationStats(
+        rng.normal(size=w), rng.uniform(0.5, 2.0, w),
+        float(rng.normal()), float(rng.uniform(0.5, 2.0)),
+    )
+    model = BlockModel(float(rng.normal()), rng.normal(scale=0.2 / w, size=w),
+                       stats, m, w)
+    with mock.patch.object(pipeline, "CHUNK_BYTES", chunk_bytes):
+        fs = forecast_horizon(model, t, start, k, "one_step")
+    np.testing.assert_array_equal(fs.forecast, one_step_loop(model, t, start, k))

@@ -195,13 +195,30 @@ def test_forecast_sa_bounded(mode):
 def test_one_step_forecasts_do_not_copy_the_corpus():
     # one_step reads the corpus in place: what is left is the (n, k)
     # forecasts and actuals and the per-hour vectors, well under the matrix.
+    # br/lr scoring holds a block of windows instead; see the next test.
     t = synthesize(SynthConfig(n_bs=300, n_hours=336, seed=3))
-    sa = train_sa(t)
-    br, _ = train_block_regression(t, m=24, w=3, train_hours=240)
-    for forecast, model in ((forecast_sa, sa), (forecast_horizon, br)):
-        fs, peak = traced_peak(forecast, model, t, 240, 96, "one_step")
-        assert fs.forecast.shape == (300, 96)
-        assert peak < 0.8 * t.values.nbytes, forecast.__name__
+    fs, peak = traced_peak(forecast_sa, train_sa(t), t, 240, 96, "one_step")
+    assert fs.forecast.shape == (300, 96)
+    assert peak < 0.8 * t.values.nbytes
+    assert t.values.flags.writeable
+
+
+# One one_step block's windows and their normalized copy take at most
+# CHUNK_BYTES; with the windows' provenance, the block's difference and its
+# forecasts, the block holds under this many bytes.
+ONE_STEP_BLOCK = 3 * pipeline.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("m,w", [(24, 3), (0, 72)], ids=["br", "lr"])
+def test_one_step_scoring_holds_one_block(m, w):
+    # The (n, k) forecasts and one block of stations' windows: never a copy
+    # of the corpus, which here is over three times that.
+    t = synthesize(SynthConfig(n_bs=2000, n_hours=1000, seed=3))
+    model, _ = train_block_regression(t, m=m, w=w, train_hours=240)
+    fs, peak = traced_peak(forecast_horizon, model, t, 240, 96, "one_step")
+    bound = fs.forecast.nbytes + ONE_STEP_BLOCK
+    assert 3 * bound < t.values.nbytes
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB"
     assert t.values.flags.writeable
 
 
@@ -212,16 +229,15 @@ def test_synthesize_bounded():
     assert peak < 1.8 * t.values.nbytes
 
 
-@pytest.mark.parametrize("mode", ["one_step", "recursive"])
-def test_lr_horizon_holds_one_feature_array_per_hour(mode):
+def test_lr_recursive_horizon_holds_one_feature_array_per_hour():
     # Each hour's (n, w) features are normalized in the one array that the
     # subtraction makes. A second such array, freed with the first, would
     # hand the memory back to the OS, to be faulted in again every hour.
     t = synthesize(SynthConfig(n_bs=2000, n_hours=336, seed=3))
     model, _ = train_block_regression(t, m=0, w=72, train_hours=240)
-    fs, peak = traced_peak(forecast_horizon, model, t, 240, 96, mode)
+    fs, peak = traced_peak(forecast_horizon, model, t, 240, 96, "recursive")
     features = t.n_bs * model.window_w * 8
-    working = 0 if mode == "one_step" else t.n_bs * (model.window_w + 96) * 8
+    working = t.n_bs * (model.window_w + 96) * 8
     assert (peak - fs.forecast.nbytes - working) / features < 1.5
 
 
@@ -264,10 +280,12 @@ def test_evaluate_bounded(scored, kind, mode, bound):
     # place; a recursive forecast holds the m + w hours before the horizon
     # and the horizon, not the history. What is left is a few (n, k)
     # arrays, and lr's (n, w) features.
+    # br/lr one_step scoring also holds one block of windows.
     t, models = scored
     report, peak = traced_peak(evaluate, models[kind], t, Split(), mode)
     assert len(report.per_bs) == 300
-    assert peak < bound * t.values.nbytes
+    block = ONE_STEP_BLOCK if kind != "sa" and mode == "one_step" else 0
+    assert peak < bound * t.values.nbytes + block
 
 
 @pytest.mark.parametrize("mode", ["one_step", "recursive"])
@@ -276,7 +294,8 @@ def test_forecast_command_bounded(scored, tmp_path, monkeypatch, kind, mode):
     # The sidecar's matrix, the forecasts, and one read of the CSV with its
     # newline mask: never the CSV's text, which is over three times the
     # matrix, nor a second matrix. A recursive horizon also holds its
-    # working matrix, the m + w hours before it and the horizon.
+    # working matrix, the m + w hours before it and the horizon; a br/lr
+    # one_step horizon, one block of windows.
     t, models = scored
     corpus, model = str(tmp_path / "c.csv"), str(tmp_path / "model.json")
     save_corpus(t, corpus)
@@ -289,6 +308,8 @@ def test_forecast_command_bounded(scored, tmp_path, monkeypatch, kind, mode):
     forecast = t.n_bs * 96 * 8
     need = {"br": 27, "lr": 72, "sa": 0}[kind] if mode == "recursive" else 0
     working = t.n_bs * (need + 96) * 8 if need else 0
+    if kind != "sa" and mode == "one_step":
+        working = ONE_STEP_BLOCK
     bound = t.values.nbytes + forecast + working + 2 * sidecar.READ_BYTES + READ_SLACK
     assert peak < bound
 

@@ -1,11 +1,11 @@
-"""Training from a normal system accumulated per station chunk.
+"""Training from a normal system built from lag sums.
 
-``train_oracle`` holds the path that materializes every sample at once;
-the chunked path must give the same normalization stats and the same
-(w+1)^2 normal system to 1e-12 relative, for any split of the stations into
-chunks. Each comparison also runs with ``pipeline.CHUNK_BYTES`` cut to 1,
-so every station is its own chunk and the normalization stats are read one
-row at a time.
+``train_oracle`` holds the path that materializes every sample at once, and
+`train_oracle.accumulate`, which windowed, normalized and added one chunk
+of stations at a time. The lag-sum path must give the same normalization
+stats and the same (w+1)^2 normal system to 1e-12 relative. Each comparison
+also runs with ``pipeline.CHUNK_BYTES`` cut to 1, so the normalization stats
+and the lag sums are read one row at a time.
 """
 
 import tracemalloc
@@ -20,18 +20,17 @@ import train_oracle
 from blockreg import (
     NormalSystem,
     TrafficMatrix,
-    apply_normalization,
     fit_normalization,
     forecaster,
     pipeline,
-    slide_windows,
     train_block_regression,
     train_cg,
     train_normal_equations,
 )
 from blockreg.errors import InvalidConfig
+from blockreg.pipeline import DifferencedMatrix
 from conftest import make_corpus
-from test_io_memory import traced_peak
+from test_normalization import corpora
 from train_oracle import differenced
 
 REL = 1e-12
@@ -66,7 +65,7 @@ def test_stats_and_system_match_oracle(small_corpus, chunk_bytes, kind):
     assert abs(stats.mu_y - oracle_stats.mu_y) <= REL * oracle_stats.sigma_y
     assert stats.sigma_y == pytest.approx(oracle_stats.sigma_y, rel=REL)
 
-    system = forecaster._accumulate(d, w, stats)
+    system = forecaster._normal_system(d, w, stats)
     gram, aty = train_oracle.normal_system(f_hat)
     assert system.n_samples == f_hat.n_samples
     assert_rel(system.gram, gram)
@@ -99,7 +98,7 @@ def test_training_stamps_stats_and_lag_on_the_solved_model(small_corpus, kind):
     model, diag = train_block_regression(small_corpus, m=m, w=w, train_hours=240)
     d = differenced(small_corpus, m, 240)
     stats = fit_normalization(d, w)
-    solved, solved_diag = train_cg(forecaster._accumulate(d, w, stats))
+    solved, solved_diag = train_cg(forecaster._normal_system(d, w, stats))
     assert (model.seasonality_m, model.window_w, model.kind) == (m, w, kind)
     assert model.theta0 == solved.theta0
     np.testing.assert_array_equal(model.theta, solved.theta)
@@ -112,7 +111,7 @@ def accumulated(t: TrafficMatrix, kind: str) -> NormalSystem:
     """The normal system `train_block_regression` trains ``kind`` on."""
     m, w = KINDS[kind]
     d = differenced(t, m, 240)
-    return forecaster._accumulate(d, w, fit_normalization(d, w))
+    return forecaster._normal_system(d, w, fit_normalization(d, w))
 
 
 def full(model) -> np.ndarray:
@@ -172,19 +171,19 @@ def test_grouping_changes_fitted_values_by_rounding_only(n_bs, seed, kind):
     assert d @ gram @ d <= (1e-11) ** 2 * (theta @ gram @ theta)
 
 
-def test_each_sample_windowed_once(small_corpus, monkeypatch):
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 3 * (240 - 24 - 3) * 4 * 8)
-    seen = []
-
-    def counting(d, w):
-        f = slide_windows(d, w)
-        seen.append(f.n_samples)
-        return f
-
-    monkeypatch.setattr(forecaster, "slide_windows", counting)
-    _, diag = train_block_regression(small_corpus, m=24, w=3, train_hours=240)
-    assert len(seen) == 7  # 20 stations, 3 per chunk
-    assert sum(seen) == diag.n_samples == 20 * (240 - 24 - 3)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_training_builds_no_window(small_corpus, monkeypatch, kind):
+    calls = []
+    for name in ("slide_windows", "apply_normalization"):
+        for module in (pipeline, forecaster):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *a, __name=name, __fn=original: calls.append(__name) or __fn(*a))
+    m, w = KINDS[kind]
+    _, diag = train_block_regression(small_corpus, m=m, w=w, train_hours=240)
+    assert calls == []
+    assert diag.n_samples == 20 * (240 - m - w)
 
 
 @pytest.mark.parametrize("m", [-1, -24])
@@ -193,59 +192,53 @@ def test_negative_m_rejected(small_corpus, m):
         train_block_regression(small_corpus, m=m, w=3, train_hours=240)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(1, 6),
-    L=st.integers(3, 40),
-    data=st.data(),
-)
-def test_window_count_and_chunk_split(n, L, data):
-    m = data.draw(st.integers(0, L - 2), label="m")
-    w = data.draw(st.integers(1, L - m - 1), label="w")
-    per_chunk = data.draw(st.integers(1, n + 1), label="stations per chunk")
-    positions = L - m - w
-    assume(n * positions >= 2)
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    t = TrafficMatrix(
-        bs_ids=[f"s{i}" for i in range(n)],
-        values=np.random.default_rng(seed).normal(5.0, 2.0, size=(n, L)),
-    )
-    d = differenced(t, m, L)
+@st.composite
+def lagged(draw):
+    """A differenced matrix of `test_normalization.corpora` and a width w.
 
-    f = slide_windows(d, w)
-    assert f.n_samples == n * positions
+    Those corpora share a large level or have levels of their own, and may
+    hold a spike at the fit's shift ``d.values[0, w]`` or anywhere else;
+    their w is at most P - 1 for P positions, and here w may also reach the
+    last column. The matrix is then scaled by 2^k, |k| <= 500, as far as the
+    fit's squared deviations stay in the float range.
+    """
+    d, w, _ = draw(corpora())
+    w = draw(st.sampled_from([w, draw(st.integers(1, d.n_cols - 1), label="wide w")]))
+    assume(d.n_bs * (d.n_cols - w) >= 2)
+    top = np.frexp(np.abs(d.values).max())[1]
+    k = min(draw(st.integers(-500, 500), label="k"), 500 - top)
+    return DifferencedMatrix(d.seasonality_m, np.ldexp(d.values, k)), w
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lagged(), chunk_bytes=st.sampled_from([1, pipeline.CHUNK_BYTES]))
+def test_lag_sums_match_accumulated_windows(case, chunk_bytes):
+    d, w = case
     stats = fit_normalization(d, w)
-    whole = NormalSystem.empty(w)
-    whole.add(apply_normalization(f, stats))
-    budget = per_chunk * positions * (w + 1) * 8
-    with mock.patch.object(pipeline, "CHUNK_BYTES", budget):
-        chunked = forecaster._accumulate(d, w, stats)
-    assert chunked.n_samples == whole.n_samples == n * positions
-    assert_rel(chunked.gram, whole.gram)
-    assert_rel(chunked.aty, whole.aty)
-    assert chunked.yty == pytest.approx(whole.yty, rel=REL)
+    with mock.patch.object(pipeline, "CHUNK_BYTES", chunk_bytes):
+        system = forecaster._normal_system(d, w, stats)
+        oracle = train_oracle.accumulate(d, w, stats)
+    assert system.n_samples == oracle.n_samples == d.n_bs * (d.n_cols - w)
+    assert_rel(system.gram, oracle.gram)
+    assert_rel(system.aty, oracle.aty)
+    assert system.yty == pytest.approx(oracle.yty, rel=REL)
 
 
-def test_lr_training_memory_is_bounded_by_chunks():
-    t = make_corpus(n_bs=500)
-    m, w, train_hours = 0, 72, 240
-    design_bytes = t.n_bs * (train_hours - m - w) * w * 8
-    bound = 4 * pipeline.CHUNK_BYTES + 4 * t.values.nbytes
-    assert design_bytes > bound  # the bound would not hold one whole design
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_training_holds_the_difference_and_a_few_chunks(kind):
+    # A br model holds its training difference, which fit_normalization
+    # reads whole; lr's is a view of the corpus. Beyond that, one block of
+    # rows. Had training windowed a chunk of stations, the windows, their
+    # provenance and their normalized copy would take about 2.5 CHUNK_BYTES.
+    t = make_corpus(n_bs=2000)
+    m, w = KINDS[kind]
+    difference = t.n_bs * (240 - m) * 8 if m > 0 else 0
+    bound = difference + 2 * pipeline.CHUNK_BYTES
+    assert bound < t.values.nbytes + 2 * pipeline.CHUNK_BYTES
     tracemalloc.start()
     try:
-        train_block_regression(t, m=m, w=w, train_hours=train_hours)
+        train_block_regression(t, m=m, w=w, train_hours=240)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
-
-
-def test_accumulate_holds_one_chunk_at_a_time():
-    # A chunk's windows, its provenance and their normalized copy take about
-    # 2.5 MiB for br; had a name kept them while the next chunk is
-    # windowed, two chunks would be alive at once.
-    m, w = KINDS["br"]
-    d = differenced(make_corpus(n_bs=2000), m, 240)
-    _, peak = traced_peak(forecaster._accumulate, d, w, fit_normalization(d, w))
-    assert peak < 3 * pipeline.CHUNK_BYTES, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB"

@@ -1,12 +1,14 @@
-"""Reference training path that materializes the whole design matrix.
+"""Reference training paths that build the windows.
 
 This is the training pipeline as it was before training accumulated a
 normal system per station chunk: one windowed copy of every sample, one
 normalized copy, and the ``[1 | X]`` design whose Gram matrix CG solves.
-Tests compare the chunked path in ``blockreg.forecaster`` against it.
-It also keeps the normalization fit that read strided views of the
-differenced matrix, one window column at a time, before the fit moved to
-per-column sums.
+`accumulate` is the chunked path that followed it, which windowed,
+normalized and added one chunk of stations at a time, before training
+summed lag products instead. Tests compare the lag-sum path in
+``blockreg.forecaster`` against both. It also keeps the normalization fit
+that read strided views of the differenced matrix, one window column at a
+time, before the fit moved to per-column sums.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from blockreg import FeatureSet, NormalizationStats, TrafficMatrix, train_cg
+from blockreg import (
+    FeatureSet,
+    NormalizationStats,
+    NormalSystem,
+    TrafficMatrix,
+    pipeline,
+    train_cg,
+)
 from blockreg.errors import InsufficientSamples
 from blockreg.pipeline import (
     DifferencedMatrix,
@@ -93,3 +102,18 @@ def train_block_regression(t, m, w, train_hours):
     f_hat, stats = normalized_samples(t, m, w, train_hours)
     model, diag = train_cg(f_hat)
     return replace(model, stats=stats, seasonality_m=m), diag
+
+
+def accumulate(d: DifferencedMatrix, w: int, stats: NormalizationStats) -> NormalSystem:
+    """Window, normalize and add every station of ``d``, one chunk at a time.
+
+    A chunk holds as many stations as fit their windows into
+    `pipeline.CHUNK_BYTES`, and at least one; each sample is windowed once.
+    """
+    station_bytes = (d.n_cols - w) * (w + 1) * 8
+    step = max(1, pipeline.CHUNK_BYTES // station_bytes)
+    system = NormalSystem.empty(w)
+    for lo in range(0, d.n_bs, step):
+        rows = DifferencedMatrix(d.seasonality_m, d.values[lo:lo + step])
+        system.add(apply_normalization(slide_windows(rows, w), stats))
+    return system
