@@ -122,15 +122,17 @@ def _window_features(model: BlockModel, hist: np.ndarray) -> np.ndarray:
     return hist[..., -w:]
 
 
-def _dot(xhat: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``xhat @ theta``, rounded the same for a row wherever it sits.
+def _predict(model: BlockModel, xhat: np.ndarray) -> np.ndarray:
+    """``mu_y + (theta0 + xhat @ theta) * sigma_y`` for each row of ``xhat``.
 
-    BLAS's matrix-vector product sums the trailing rows of a matrix in
-    another order than the others, so one window would round differently
-    in a one_step block than in one hour of the fleet; einsum sums each row
-    on its own.
+    The denormalized differenced forecast of normalized features, rounded
+    the same for a row wherever it sits: BLAS's matrix-vector product sums
+    the trailing rows of a matrix in another order than the others, so one
+    window would round differently in a one_step block than in one hour of
+    the fleet; einsum sums each row on its own.
     """
-    return np.einsum("...j,j->...", xhat, theta)
+    z = model.theta0 + np.einsum("...j,j->...", xhat, model.theta)
+    return model.stats.mu_y + z * model.stats.sigma_y
 
 
 def forecast_one(model: BlockModel, history: np.ndarray) -> float | np.ndarray:
@@ -155,8 +157,7 @@ def forecast_one(model: BlockModel, history: np.ndarray) -> float | np.ndarray:
     # Divided in place: two (n, w) temporaries freed together hand their
     # memory back to the OS, and every hour of a horizon faults it in again.
     xhat /= model.stats.sigma_x
-    z = model.theta0 + _dot(xhat, model.theta)
-    value = model.stats.mu_y + z * model.stats.sigma_y
+    value = _predict(model, xhat)
     if m > 0:
         value = value + hist[..., w]
     return value
@@ -259,20 +260,18 @@ def _one_step(model: BlockModel, t: TrafficMatrix, start: int, k: int) -> np.nda
 
     A block holds as many stations as fit their k windows and the windows'
     normalized copy into `pipeline.CHUNK_BYTES`, and at least one. Window
-    (i, j) holds the lags of hour ``start + j`` of station i, so
-    ``theta0 + xhat @ theta`` is that hour's normalized forecast, computed
-    as `forecast_one` computes it.
+    (i, j) holds the lags of hour ``start + j`` of station i, and `_predict`
+    maps it to that hour's differenced forecast, as in `forecast_one`.
     """
-    m, w, stats = model.seasonality_m, model.window_w, model.stats
+    m, w = model.seasonality_m, model.window_w
     hours = t.values[:, start - m - w:start + k]
     step = max(1, pipeline.CHUNK_BYTES // (2 * k * (w + 1) * 8))
     forecast = np.empty((t.n_bs, k))
     for lo in range(0, t.n_bs, step):
         block = TrafficMatrix(t.bs_ids[lo:lo + step], hours[lo:lo + step])
         d = seasonal_difference(block, m) if m > 0 else identity_difference(block)
-        f = apply_normalization(slide_windows(d, w), stats)
-        z = model.theta0 + _dot(f.x, model.theta)
-        value = (stats.mu_y + z * stats.sigma_y).reshape(-1, k)
+        f = apply_normalization(slide_windows(d, w), model.stats)
+        value = _predict(model, f.x).reshape(-1, k)
         if m > 0:
             value = value + block.values[:, w:w + k]
         forecast[lo:lo + step] = value

@@ -10,6 +10,7 @@ matrix, and training's sums over windows from lag sums of it
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,22 +183,37 @@ def fit_normalization(d: DifferencedMatrix, w: int) -> NormalizationStats:
     )
 
 
-def _column_moments(values: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of ``values - c``: the mean and the sum of squared deviations.
+def _row_blocks(
+    values: np.ndarray, c: float, e: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(lo, (values[lo:lo + n] - c) * 2**-e)`` for blocks of n rows.
 
-    Reads ``values`` once, `CHUNK_BYTES` of rows at a time into one reused
-    buffer, and merges each block's moments into the running ones (Chan,
-    Golub and LeVeque's pairwise update).
+    A block holds as many rows as fit `CHUNK_BYTES`, and at least one; every
+    block is written into one reused buffer, so a consumer must be done
+    with a block before it asks for the next.
     """
     n_rows, n_cols = values.shape
     step = max(1, min(n_rows, CHUNK_BYTES // (n_cols * 8)))
     buffer = np.empty((step, n_cols))
-    mean = np.zeros(n_cols)
-    m2 = np.zeros(n_cols)
     for lo in range(0, n_rows, step):
         rows = values[lo:lo + step]
-        k = rows.shape[0]
-        block = np.subtract(rows, c, out=buffer[:k])
+        block = np.subtract(rows, c, out=buffer[:rows.shape[0]])
+        np.ldexp(block, -e, out=block)
+        yield lo, block
+
+
+def _column_moments(values: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of ``values - c``: the mean and the sum of squared deviations.
+
+    Reads ``values`` once, a block of rows at a time (`_row_blocks`), and
+    merges each block's moments into the running ones (Chan, Golub and
+    LeVeque's pairwise update).
+    """
+    n_cols = values.shape[1]
+    mean = np.zeros(n_cols)
+    m2 = np.zeros(n_cols)
+    for lo, block in _row_blocks(values, c, 0):
+        k = block.shape[0]
         block_mean = block.sum(axis=0) / k
         block -= block_mean
         block *= block
@@ -230,61 +246,25 @@ def _lag_gram(
     target, over all rows; none is built. With C columns and P = C - w
     positions, window entry (i, i + l) is the sum of the lag-l products
     r_l[q] = sum over rows of v[:, q] * v[:, q + l] for q in [i, i + P).
-    When P > w, each such range is a suffix of the first w columns, all of
-    the middle columns [w, P) and a prefix of the last w. The middle comes
-    from one dot of shifted views per lag, and the edges' products from two
-    small Grams; otherwise the products of every column come from the
-    Gram of all C <= 2w columns. Either way each entry is a sliding sum of
-    products that the window holds, with no subtraction, so a spike in a
-    column some windows leave out never cancels in theirs. Reads ``values``
-    `CHUNK_BYTES` of rows at a time into one buffer; ``c`` and ``e`` keep a
-    common level and the exponent range out of the sums.
+    One pass over the row blocks (`_row_blocks`) adds every r_l, a column
+    product per lag, and a width-P sliding sum of each lag's products then
+    gives its window entries, as one of the column sums gives the window
+    sums: O(N C k) for N rows and k = w + 1. The sums only add, so a spike
+    in a column some windows leave out never cancels in theirs; ``c`` and
+    ``e`` keep a common level and the exponent range out of them.
     """
-    n_rows, n_cols = values.shape
+    n_cols = values.shape[1]
     k, per_bs = w + 1, n_cols - w
-    split = per_bs > w
-    step = max(1, min(n_rows, CHUNK_BYTES // (n_cols * 8)))
-    buffer = np.empty((step, n_cols))
+    products = np.zeros((k, n_cols))  # products[l, q] = r_l[q], 0 past C - l
     totals = np.zeros(n_cols)
-    if split:
-        middle = np.zeros(k)
-        left, right = np.zeros((w, 2 * w)), np.zeros((w, w))
-    else:
-        whole = np.zeros((n_cols, n_cols))
-    for lo in range(0, n_rows, step):
-        rows = values[lo:lo + step]
-        v = np.subtract(rows, c, out=buffer[:rows.shape[0]])
-        np.ldexp(v, -e, out=v)
+    for _, v in _row_blocks(values, c, e):
         totals += v.sum(axis=0)
-        if split:
-            centre = v[:, w:per_bs]
-            for lag in range(k):
-                middle[lag] += np.einsum("ij,ij->", centre, v[:, w + lag:per_bs + lag])
-            left += v[:, :w].T @ v[:, :2 * w]
-            right += v[:, per_bs:].T @ v[:, per_bs:]
-        else:
-            whole += v.T @ v
-    if split:
-        # The columns [0, w), the middle as one, and [P, C): a window's range
-        # is k consecutive ones of these 2w + 1.
-        products = np.hstack(
-            [_diagonals(left, k), middle[:, None], _diagonals(right, k)])
-        totals = np.r_[totals[:w], totals[w:per_bs].sum(), totals[per_bs:]]
-    else:
-        products = _diagonals(whole, k)
-    width = products.shape[1] - w  # k when split, else P
+        for lag in range(k):
+            products[lag, :n_cols - lag] += np.einsum(
+                "ij,ij->j", v[:, :n_cols - lag], v[:, lag:])
     window = np.lib.stride_tricks.sliding_window_view
-    band = window(products, width, axis=1).sum(axis=2)  # band[l, i]: entry (i, i + l)
+    band = window(products, per_bs, axis=1).sum(axis=2)  # band[l, i]: entry (i, i + l)
     i, j = np.triu_indices(k)
     gram = np.empty((k, k))
     gram[i, j] = gram[j, i] = band[j - i, i]
-    return gram, window(totals, width).sum(axis=1)
-
-
-def _diagonals(q: np.ndarray, k: int) -> np.ndarray:
-    """(k, rows) array whose entry (l, i) is ``q[i, i + l]``, 0 past the last column."""
-    n_rows, n_cols = q.shape
-    padded = np.zeros((n_rows, n_cols + k))
-    padded[:, :n_cols] = q
-    i = np.arange(n_rows)
-    return padded[i, i + np.arange(k)[:, None]]
+    return gram, window(totals, per_bs).sum(axis=1)

@@ -26,7 +26,11 @@ both modes, so the sa model has a corpus station it did not fit. For each
 file it prints
 "identical", or, when the text around the numbers agrees, the largest
 relative difference among the file's numbers and the largest difference
-over the file's largest number. Then it prints each blockreg command's own
+over the file's largest number. Under each eval JSON report and sweep file
+that is not identical it also prints the old and the new average NRMSE: a
+report's ``average``, and each sweep point's ``average_nrmse`` by its m,
+with their relative difference, so that a change by rounding can say how
+far NRMSE moved. Then it prints each blockreg command's own
 peak RSS (``ru_maxrss``, MiB), old against new: every command is started
 by `LAUNCHER`, a small process, because a child's ``ru_maxrss`` counts the
 memory of the process it was forked from. Last comes one line with the
@@ -41,6 +45,8 @@ standard library and numpy.
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
 import re
 import subprocess
@@ -247,6 +253,30 @@ def compare(old: Path, new: Path) -> str:
     return differences(nums_a, nums_b)
 
 
+def averages(path: Path) -> list[tuple[str, float | None]]:
+    """The average NRMSEs in an eval JSON report (its ``average``) or a sweep
+    file (each point's ``average_nrmse``, None for a point with no score)."""
+    if path.name.startswith("sweep."):
+        with path.open(encoding="utf-8", newline="") as fh:
+            points = json.load(fh) if path.suffix == ".json" else list(csv.DictReader(fh))
+        return [(f"m={p['m']} average_nrmse", float(p["average_nrmse"])
+                 if p["average_nrmse"] not in (None, "") else None) for p in points]
+    if path.name.startswith("eval_") and path.suffix == ".json":
+        return [("average", json.loads(path.read_text(encoding="utf-8"))["average"])]
+    return []
+
+
+def average_lines(old: Path, new: Path) -> list[str]:
+    """One line per average of ``averages``: old, new and relative difference."""
+    lines = []
+    for (label, a), (_, b) in zip(averages(old), averages(new)):
+        line = f"{label}: old {a}, new {b}"
+        if a is not None and b is not None and a != b:
+            line += f" (relative difference {abs(a - b) / max(abs(a), abs(b)):.3g})"
+        lines.append(line)
+    return lines
+
+
 def package_lines(src: str) -> int:
     """Lines in the ``.py`` files of the ``blockreg`` package under ``src``."""
     return sum(len(path.read_text(encoding="utf-8").splitlines())
@@ -270,7 +300,11 @@ def main(argv=None) -> int:
         files = [f for _, written in steps for f in written]
         width = max(map(len, files))
         for name in files:
-            print(f"{name:<{width}}  {compare(old / name, new / name)}")
+            result = compare(old / name, new / name)
+            print(f"{name:<{width}}  {result}")
+            if result != "identical" and not result.startswith("missing"):
+                for line in average_lines(old / name, new / name):
+                    print(f"{'':<{width}}    {line}")
     commands = [(" ".join(argv[2:]), a, b) for (argv, _), a, b
                 in zip(steps, peaks_old, peaks_new) if argv[0] == "-m"]
     width = max(len(c) for c, _, _ in commands)

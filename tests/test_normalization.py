@@ -58,7 +58,8 @@ def assert_close(stats, mu, sigma, rel=REL, ulps=2):
 def corpora(draw):
     """A differenced matrix and a width w up to P - 1, for P positions.
 
-    A spike may sit at the shift ``d.values[0, w]`` or anywhere else.
+    A spike may sit at the shift ``d.values[0, w]``, in the first or the
+    last column, or anywhere else.
     """
     n = draw(st.integers(1, 6), label="stations")
     hours = draw(st.integers(4, 48), label="hours")
@@ -76,10 +77,13 @@ def corpora(draw):
         values = noise
     t = TrafficMatrix(bs_ids=[f"s{i}" for i in range(n)], values=values)
     d = differenced(t, m, hours)
-    spike = draw(st.sampled_from([None, "shift", "anywhere"]), label="spike")
+    spike = draw(st.sampled_from([None, "shift", "first", "last", "anywhere"]),
+                 label="spike")
     if spike is not None:
-        at = (0, w) if spike == "shift" else (
-            draw(st.integers(0, n - 1)), draw(st.integers(0, d.n_cols - 1)))
+        cols = {"shift": st.just(w), "first": st.just(0),
+                "last": st.just(d.n_cols - 1), "anywhere": st.integers(0, d.n_cols - 1)}
+        row = 0 if spike == "shift" else draw(st.integers(0, n - 1))
+        at = (row, draw(cols[spike]))
         spiked = np.array(d.values)
         spiked[at] += draw(st.sampled_from([1e4, -1e8, 1e12]), label="size")
         d = DifferencedMatrix(m, spiked)

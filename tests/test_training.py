@@ -197,10 +197,11 @@ def lagged(draw):
     """A differenced matrix of `test_normalization.corpora` and a width w.
 
     Those corpora share a large level or have levels of their own, and may
-    hold a spike at the fit's shift ``d.values[0, w]`` or anywhere else;
-    their w is at most P - 1 for P positions, and here w may also reach the
-    last column. The matrix is then scaled by 2^k, |k| <= 500, as far as the
-    fit's squared deviations stay in the float range.
+    hold a spike at the fit's shift ``d.values[0, w]``, in the first or the
+    last column, or anywhere else; their w is at most P - 1 for P positions,
+    and here w may also reach the last column. The matrix is then scaled by
+    2^k, |k| <= 500, as far as the fit's squared deviations stay in the
+    float range.
     """
     d, w, _ = draw(corpora())
     w = draw(st.sampled_from([w, draw(st.integers(1, d.n_cols - 1), label="wide w")]))
