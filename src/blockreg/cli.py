@@ -121,9 +121,10 @@ def _width(opts: dict) -> int:
 def _cmd_synth(args, opts: dict) -> int:
     if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
         # numpy.random imports hashlib and hmac (through secrets), which load
-        # OpenSSL's libcrypto, about 3 MB of RSS, though synth takes no digest.
-        # With _hashlib marked absent they use CPython's builtin hashes, as on
-        # a CPython built without OpenSSL; the RNG stream does not use them.
+        # OpenSSL's libcrypto, about 3 MB of RSS, though only a large corpus's
+        # sidecar takes a digest from it (`sidecar.algorithm`). With _hashlib
+        # marked absent they use CPython's builtin hashes, as on a CPython
+        # built without OpenSSL; the RNG stream does not use them.
         sys.modules["_hashlib"] = None
         try:
             import numpy.random  # noqa: F401

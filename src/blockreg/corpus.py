@@ -12,8 +12,7 @@ import re
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -621,20 +620,24 @@ def station_lines(t: TrafficMatrix, stations, lo: int, hi: int,
         return _csv_lines(*source, starts, starts + (hi - lo))
     values = np.asarray(t.values, dtype=float)  # repr "1.0", never "1"
     piece = max(1, CHUNK_BYTES // 128)
+    # Each piece's lines, hours filled in, built once as one format string:
+    # about 13 bytes an hour, where a list of hour strings would hold 62.
+    cuts = range(lo, hi, piece)
+    start = t.start_hour
+    forms = ["".join([f"%s,{h},%s\n" for h in range(start + j, start + min(j + piece, hi))])
+             for j in cuts]
+    return ((r, _csv_piece(forms[k], t.bs_ids[i], values[i, j:min(j + piece, hi)]).encode())
+            for r, i in enumerate(stations) for k, j in enumerate(cuts))
 
-    @lru_cache(maxsize=1)  # a row of one piece builds its hour strings once
-    def hours(j: int) -> list[str]:
-        return list(map(str, range(t.start_hour + j, t.start_hour + min(j + piece, hi))))
 
-    return ((r, _csv_piece(t.bs_ids[i], hours(j), values[i, j:min(j + piece, hi)]).encode())
-            for r, i in enumerate(stations) for j in range(lo, hi, piece))
-
-
-def _csv_piece(bs_id: str, hours: list[str], row: np.ndarray) -> str:
-    volumes = list(map(repr, row.tolist()))
+def _csv_piece(form: str, bs_id: str, row: np.ndarray) -> str:
+    """The lines of ``form`` (see `station_lines`) for ``bs_id`` and the
+    volumes ``row``, NaN as NA."""
+    fields = [bs_id] * (2 * len(row))
+    fields[1::2] = map(repr, row.tolist())
     for j in np.flatnonzero(np.isnan(row)).tolist():
-        volumes[j] = "NA"
-    return "\n".join(map(",".join, zip(repeat(bs_id), hours, volumes))) + "\n"
+        fields[2 * j + 1] = "NA"
+    return form % tuple(fields)
 
 
 def save_corpus(t: TrafficMatrix, path: str) -> None:
@@ -663,7 +666,8 @@ def _save(path: str, t: TrafficMatrix, pieces: Iterator[bytes]) -> None:
     them as they go, then its sidecar."""
     from .modelio import atomic_write_text
 
-    csv_digest = sidecar.digest()
+    algorithm = sidecar.algorithm(t.n_bs * t.n_hours)
+    csv_digest = sidecar.digest(algorithm)
 
     def fed():
         for piece in pieces:
@@ -671,7 +675,7 @@ def _save(path: str, t: TrafficMatrix, pieces: Iterator[bytes]) -> None:
             yield piece
 
     atomic_write_text(path, fed())
-    sidecar.save(path, t, csv_digest.hexdigest())
+    sidecar.save(path, t, algorithm, csv_digest.hexdigest())
 
 
 def clean_file(source: str, path: str) -> tuple[TrafficMatrix, TrafficMatrix]:
@@ -699,7 +703,7 @@ def clean_file(source: str, path: str) -> tuple[TrafficMatrix, TrafficMatrix]:
             # its header line too), whose digest the pass checks; its sidecar
             # holds the matrix whose digest the read checked.
             atomic_write_text(path, pieces)
-            sidecar.save(path, t, header["csv_blake2b"], header["matrix_blake2b"])
+            sidecar.save(path, t, *sidecar.digests(header))
         else:
             _save(path, t, pieces)
         return raw, t
@@ -761,7 +765,8 @@ def _csv_lines(path: str, header: dict, starts: np.ndarray,
     # Line l starts after the l-th newline, counting from 1; even edges
     # start a range, odd ones end it.
     edges = np.column_stack([starts, stops]).ravel()
-    source_digest = sidecar.digest()
+    algorithm, csv_hex, _ = sidecar.digests(header)
+    source_digest = sidecar.digest(algorithm)
     lines, i = 0, int(np.searchsorted(edges, 0, side="right"))  # at the next read
     try:
         with open(path, "rb") as fh:
@@ -779,5 +784,5 @@ def _csv_lines(path: str, header: dict, starts: np.ndarray,
                 lines, i = lines + len(ends), j
     except OSError:
         raise _StaleSource from None
-    if source_digest.hexdigest() != header["csv_blake2b"]:
+    if source_digest.hexdigest() != csv_hex:
         raise _StaleSource

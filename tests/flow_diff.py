@@ -26,7 +26,9 @@ both modes, so the sa model has a corpus station it did not fit. For each
 file it prints
 "identical", or, when the text around the numbers agrees, the largest
 relative difference among the file's numbers and the largest difference
-over the file's largest number. Under each eval JSON report and sweep file
+over the file's largest number. For a sidecar whose header line differs,
+it names the header keys that differ, on either side, and says whether
+the float64 matrix after the header is identical. Under each eval JSON report and sweep file
 that is not identical it also prints the old and the new average NRMSE: a
 report's ``average``, and each sweep point's ``average_nrmse`` by its m,
 with their relative difference, so that a change by rounding can say how
@@ -243,9 +245,18 @@ def compare(old: Path, new: Path) -> str:
     if old.suffix == ".matrix":  # one JSON header line, then float64 volumes
         head_a, _, body_a = a.partition(b"\n")
         head_b, _, body_b = b.partition(b"\n")
-        if head_a != head_b:
-            return "differs (sidecar header)"
-        return differences(np.frombuffer(body_a, "<f8"), np.frombuffer(body_b, "<f8"))
+        if body_a == body_b:
+            matrix = "identical"
+        elif len(body_a) % 8 or len(body_b) % 8:  # a sidecar cut short
+            matrix = "differs (not whole float64s)"
+        else:
+            matrix = differences(np.frombuffer(body_a, "<f8"), np.frombuffer(body_b, "<f8"))
+        if head_a == head_b:
+            return matrix
+        doc_a, doc_b = json.loads(head_a), json.loads(head_b)
+        keys = [k for k in {**doc_a, **doc_b} if k not in doc_a or k not in doc_b
+                or doc_a[k] != doc_b[k]]
+        return f"differs (sidecar header keys {', '.join(keys)}; matrix {matrix})"
     text_a, nums_a = split_numbers(a.decode())
     text_b, nums_b = split_numbers(b.decode())
     if text_a != text_b:

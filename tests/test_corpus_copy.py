@@ -164,8 +164,8 @@ class CountingDigest:
 
     made: list = []
 
-    def __init__(self, data=b""):
-        self.hash, self.fed = REAL_DIGEST(data), len(data)
+    def __init__(self, algorithm, data=b""):
+        self.hash, self.fed = REAL_DIGEST(algorithm, data), len(data)
         CountingDigest.made.append(self)
 
     def update(self, data):

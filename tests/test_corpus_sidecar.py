@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,3 +258,141 @@ def test_corpus_io_does_not_load_openssl(tmp_path):
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False", "False"]
     assert sidecar(tmp_path / "c.csv").exists()
+
+
+# The digest algorithm: blake2b below `sidecar.SHA256_CELLS` matrix entries,
+# SHA-256 from there on; these corpora have 5 x 48 = 240.
+CELLS = 5 * 48
+
+
+def written_with(path: Path, cells_threshold: int, monkeypatch) -> dict:
+    """Save the 5 x 48 corpus of ``saved`` to ``path`` with `SHA256_CELLS`
+    at ``cells_threshold``; returns the sidecar's header."""
+    with monkeypatch.context() as patch:
+        patch.setattr(blockreg.sidecar, "SHA256_CELLS", cells_threshold)
+        save_corpus(make_corpus(n_bs=5, n_hours=48), str(path))
+    return json.loads(sidecar(path).read_bytes().partition(b"\n")[0])
+
+
+def expected_sidecar(path: Path, name: str) -> bytes:
+    """The sidecar of the CSV at ``path`` with ``name`` digests, built from
+    its parse: the header line, then the matrix."""
+    import hashlib
+
+    t = parsed_outcome(path)
+    values, bs_ids, start = np.frombuffer(t[0], "<f8").reshape(t[2]), t[4], t[5]
+    new = {"blake2b": lambda: hashlib.blake2b(digest_size=32), "sha256": hashlib.sha256}[name]
+    csv_digest, matrix_digest = new(), new()
+    csv_digest.update(path.read_bytes())
+    matrix_digest.update(json.dumps([start, values.shape[1], bs_ids]).encode())
+    matrix_digest.update(values)
+    header = {"version": 1, f"csv_{name}": csv_digest.hexdigest(),
+              f"matrix_{name}": matrix_digest.hexdigest(), "start_hour": start,
+              "n_hours": values.shape[1], "bs_ids": bs_ids}
+    return json.dumps(header).encode() + b"\n" + values.tobytes()
+
+
+@pytest.mark.parametrize("threshold, name", [(CELLS + 1, "blake2b"), (CELLS, "sha256")],
+                         ids=["one_cell_below", "at_the_threshold"])
+def test_corpus_size_picks_the_digest(tmp_path, monkeypatch, threshold, name):
+    path = tmp_path / "c.csv"
+    # The bytes of a writer of this one algorithm: below the threshold,
+    # those that blake2b-only writers wrote.
+    written_with(path, threshold, monkeypatch)
+    assert sidecar(path).read_bytes() == expected_sidecar(path, name)
+    expected = parsed_outcome(path)
+    monkeypatch.setattr(blockreg.corpus, "_read_chunks", None)  # the sidecar serves
+    assert outcome(path) == expected
+
+
+@pytest.mark.parametrize("written", [1, 2**62], ids=["sha256", "blake2b"])
+@pytest.mark.parametrize("read", [1, 2**62], ids=["read_large", "read_small"])
+def test_either_digest_loads_at_any_size(tmp_path, monkeypatch, written, read):
+    path = tmp_path / "c.csv"
+    written_with(path, written, monkeypatch)
+    expected = parsed_outcome(path)
+    monkeypatch.setattr(blockreg.sidecar, "SHA256_CELLS", read)
+    monkeypatch.setattr(blockreg.corpus, "_read_chunks", None)
+    assert outcome(path) == expected
+
+
+def wrong(key: str):
+    """A header edit that changes the last digit of the digest ``key``."""
+    def change(doc):
+        doc[key] = doc[key][:-1] + ("1" if doc[key][-1] == "0" else "0")
+    return change
+
+
+def renamed(old: str, new: str):
+    def change(doc):
+        doc[new] = doc.pop(old)
+    return change
+
+
+HEADER_DEFECTS = {
+    "wrong_csv_digest": lambda name: wrong(f"csv_{name}"),
+    "wrong_matrix_digest": lambda name: wrong(f"matrix_{name}"),
+    # The other algorithm's keys holding this algorithm's digests.
+    "other_keys": lambda name: lambda doc: [
+        renamed(f"{kind}_{name}", f"{kind}_{OTHER[name]}")(doc) for kind in ("csv", "matrix")],
+    "mixed_keys": lambda name: renamed(f"matrix_{name}", f"matrix_{OTHER[name]}"),
+    "both_pairs": lambda name: lambda doc: doc.update(
+        {f"{kind}_{OTHER[name]}": doc[f"{kind}_{name}"] for kind in ("csv", "matrix")}),
+    "no_csv_digest": lambda name: lambda doc: doc.pop(f"csv_{name}"),
+    "digest_not_string": lambda name: lambda doc: doc.update({f"csv_{name}": 1}),
+}
+OTHER = {"blake2b": "sha256", "sha256": "blake2b"}
+
+
+@pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+@pytest.mark.parametrize("threshold, name", [(CELLS + 1, "blake2b"), (CELLS, "sha256")],
+                         ids=["blake2b", "sha256"])
+def test_bad_digest_of_either_kind_gives_the_parse(tmp_path, monkeypatch, defect,
+                                                   threshold, name):
+    path = tmp_path / "c.csv"
+    written_with(path, threshold, monkeypatch)
+    edit_header(path, HEADER_DEFECTS[defect](name))
+    parsed = mock.Mock(wraps=blockreg.corpus._read_chunks)
+    monkeypatch.setattr(blockreg.corpus, "_read_chunks", parsed)
+    assert outcome(path) == parsed_outcome(path)
+    assert parsed.call_count == 2
+
+
+def test_without_openssl_large_corpora_take_blake2b(tmp_path, monkeypatch):
+    # A CPython built without OpenSSL has no _hashlib: it writes blake2b at
+    # any size, and checks a SHA-256 sidecar with its own SHA-256.
+    sha = tmp_path / "sha.csv"
+    written_with(sha, CELLS, monkeypatch)
+    monkeypatch.setitem(sys.modules, "_hashlib", None)
+    monkeypatch.setattr(blockreg.sidecar, "SHA256_CELLS", CELLS)
+    path = tmp_path / "c.csv"
+    save_corpus(make_corpus(n_bs=5, n_hours=48), str(path))
+    assert sidecar(path).read_bytes() == expected_sidecar(path, "blake2b")
+    expected = {p: parsed_outcome(p) for p in (sha, path)}
+    monkeypatch.setattr(blockreg.corpus, "_read_chunks", None)
+    assert {p: outcome(p) for p in (sha, path)} == expected
+    assert b'"csv_sha256"' in sidecar(sha).read_bytes()
+
+
+def test_large_corpus_io_loads_openssl_and_not_hashlib(tmp_path):
+    # SHA-256 comes from OpenSSL's _hashlib, never through hashlib.
+    src = str(Path(blockreg.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import blockreg.cli\n"
+        "from blockreg import TrafficMatrix, load_corpus, save_corpus, sidecar\n"
+        "sidecar.SHA256_CELLS = 6\n"
+        "t = TrafficMatrix(['a', 'b'], np.arange(6.0).reshape(2, 3), 0)\n"
+        "save_corpus(t, sys.argv[1])\n"
+        "blockreg.corpus._read_chunks = None  # the load must not parse\n"
+        "assert np.array_equal(load_corpus(sys.argv[1]).values, t.values)\n"
+        "print('_hashlib' in sys.modules, 'hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["True", "False"]
+    assert b'"csv_sha256"' in sidecar(tmp_path / "c.csv").read_bytes()

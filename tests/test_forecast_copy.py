@@ -227,8 +227,8 @@ def count_digests(monkeypatch) -> list:
     fed, digest = [], blockreg.sidecar.digest
 
     class Counting:
-        def __init__(self, data=b""):
-            self.hash, self.fed = digest(data), len(data)
+        def __init__(self, algorithm, data=b""):
+            self.hash, self.fed = digest(algorithm, data), len(data)
             fed.append(self)
 
         def update(self, data):
