@@ -34,6 +34,7 @@ import numpy as np
 from .baselines import train_sa
 from .corpus import (
     SynthConfig,
+    _float_reprs,
     clean_file,
     load_corpus,
     save_corpus,
@@ -171,13 +172,16 @@ def _forecast_csv(fs, lines) -> Iterator[str | bytes]:
     """
     yield FORECAST_HEADER
     if lines is None:
+        # The hours' lines, built once as one format string; each station
+        # fills in its bs_id.
         hours = fs.hours.tolist()
-        lines = ((i, "".join(f"{bs},{h},\n" for h in hours).encode())
+        form = "".join([f"%s,{h},\n" for h in hours])
+        lines = ((i, (form % ((bs,) * len(hours))).encode())
                  for i, bs in enumerate(fs.bs_ids))
     for i, pieces in groupby(lines, key=itemgetter(0)):
         # Latin-1 gives back every byte as it was, whatever the bs_id.
         text = b"".join(piece for _, piece in pieces).decode("latin-1")
-        rows = zip(text.split("\n"), map(repr, fs.forecast[i].tolist()), repeat(fs.mode))
+        rows = zip(text.split("\n"), _float_reprs(fs.forecast[i]), repeat(fs.mode))
         yield ("\n".join(map(",".join, rows)) + "\n").encode("latin-1")
 
 

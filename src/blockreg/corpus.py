@@ -618,7 +618,6 @@ def station_lines(t: TrafficMatrix, stations, lo: int, hi: int,
     if source is not None:
         starts = 1 + np.asarray(stations, dtype=np.int64) * t.n_hours + lo
         return _csv_lines(*source, starts, starts + (hi - lo))
-    values = np.asarray(t.values, dtype=float)  # repr "1.0", never "1"
     piece = max(1, CHUNK_BYTES // 128)
     # Each piece's lines, hours filled in, built once as one format string:
     # about 13 bytes an hour, where a list of hour strings would hold 62.
@@ -626,7 +625,7 @@ def station_lines(t: TrafficMatrix, stations, lo: int, hi: int,
     start = t.start_hour
     forms = ["".join([f"%s,{h},%s\n" for h in range(start + j, start + min(j + piece, hi))])
              for j in cuts]
-    return ((r, _csv_piece(forms[k], t.bs_ids[i], values[i, j:min(j + piece, hi)]).encode())
+    return ((r, _csv_piece(forms[k], t.bs_ids[i], t.values[i, j:min(j + piece, hi)]).encode())
             for r, i in enumerate(stations) for k, j in enumerate(cuts))
 
 
@@ -634,10 +633,29 @@ def _csv_piece(form: str, bs_id: str, row: np.ndarray) -> str:
     """The lines of ``form`` (see `station_lines`) for ``bs_id`` and the
     volumes ``row``, NaN as NA."""
     fields = [bs_id] * (2 * len(row))
-    fields[1::2] = map(repr, row.tolist())
+    fields[1::2] = _float_reprs(row)
     for j in np.flatnonzero(np.isnan(row)).tolist():
         fields[2 * j + 1] = "NA"
     return form % tuple(fields)
+
+
+def _float_reprs(row: np.ndarray) -> list[str]:
+    """``repr`` of each float of the 1-D ``row`` as float64 (so "1.0",
+    never "1", for an integer array), from orjson's shortest
+    round-trip formatter. Its digits are those of `repr`, and so is its
+    notation for zero and for 1e-4 <= |x| < 1e16; every other value,
+    NaN and the infinities (which it writes as null) among them, takes
+    `repr` one at a time."""
+    import orjson  # only the commands that render float text load it
+
+    row = np.ascontiguousarray(row, dtype=np.float64)
+    if not row.size:
+        return []
+    texts = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(row)
+    for j in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (row != 0)).tolist():
+        texts[j] = repr(float(row[j]))
+    return texts
 
 
 def save_corpus(t: TrafficMatrix, path: str) -> None:

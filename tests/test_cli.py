@@ -206,6 +206,48 @@ def test_commands_do_not_load_openssl(workspace, tmp_path):
     assert (tmp_path / "sweep.json").exists()
 
 
+def test_only_commands_that_render_float_text_load_orjson(workspace, tmp_path):
+    # orjson renders the volumes and forecasts of corpus and forecast CSVs;
+    # clean copies its source's text when the sidecar vouches for it, and
+    # models, reports and sweeps are written without it.
+    corpus = workspace / "corpus.csv"
+    commands = [
+        (("clean", "--input", corpus, "--output", tmp_path / "clean.csv"), False),
+        *((("train", "--kind", kind, "--input", corpus,
+            "--model", tmp_path / f"{kind}.json"), False) for kind in ("br", "lr", "sa")),
+        *((("eval", "--input", corpus, "--model", tmp_path / f"{kind}.json",
+            "--mode", mode, "--output", tmp_path / f"{kind}.{mode}.json"), False)
+          for kind in ("br", "lr", "sa") for mode in ("one_step", "recursive")),
+        (("sweep", "--input", corpus, "--output", tmp_path / "sweep.json"), False),
+        (("forecast", "--input", corpus, "--model", tmp_path / "br.json",
+          "--output", tmp_path / "fc.csv"), True),
+    ]
+    code = (
+        "import json, sys\n"
+        "from blockreg.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    print('orjson' in sys.modules)\n"
+    )
+    argvs = json.dumps([list(map(str, argv)) for argv, _ in commands])
+    r = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded = [line for line in r.stdout.splitlines() if line in ("True", "False")]
+    assert loaded == [str(expect) for _, expect in commands]
+
+    code = (
+        "import sys\n"
+        "from blockreg.cli import main\n"
+        "assert 'orjson' not in sys.modules\n"
+        "assert main(['synth', '--output', sys.argv[1]]) == 0\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "True"
+
+
 def test_synth_does_not_load_openssl(tmp_path):
     # numpy.random imports hashlib and hmac; synth imports it with _hashlib
     # marked absent, so both work afterwards on CPython's builtin hashes.
