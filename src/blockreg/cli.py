@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import re
 import reprlib
 import sys
 from collections.abc import Iterator
 from dataclasses import fields
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -55,6 +56,7 @@ from .evaluation import (
 )
 from .forecaster import MODES, train_block_regression
 from .modelio import atomic_write_text, dump_json, load_json, load_model, save_model
+from .sidecar import SUFFIX
 
 RUNS = ("forecast", "eval", "sweep")
 FORECAST_HEADER = "bs_id,hour,actual,forecast,mode\n"
@@ -168,21 +170,19 @@ def _forecast_csv(fs, lines) -> Iterator[str | bytes]:
     ``lines`` gives each station's ``bs_id,hour,actual`` lines of the
     horizon, in pieces numbered by row of ``fs`` (see
     `corpus.station_lines`); None, past the corpus end, leaves the actual
-    column empty.
+    column empty. Each station's lines, every "%" doubled and each line end
+    made the format of the rest of the line, take its forecast texts.
     """
     yield FORECAST_HEADER
     if lines is None:
-        # The hours' lines, built once as one format string; each station
-        # fills in its bs_id.
-        hours = fs.hours.tolist()
-        form = "".join([f"%s,{h},\n" for h in hours])
-        lines = ((i, (form % ((bs,) * len(hours))).encode())
-                 for i, bs in enumerate(fs.bs_ids))
+        # The hours' lines, built once; each station's bs_id replaces the NUL.
+        form = b"\0,%d,\n" * len(fs.hours) % tuple(fs.hours.tolist())
+        lines = ((i, form.replace(b"\0", bs.encode())) for i, bs in enumerate(fs.bs_ids))
+    end = b",%s," + fs.mode.encode() + b"\n"
     for i, pieces in groupby(lines, key=itemgetter(0)):
-        # Latin-1 gives back every byte as it was, whatever the bs_id.
-        text = b"".join(piece for _, piece in pieces).decode("latin-1")
-        rows = zip(text.split("\n"), _float_reprs(fs.forecast[i]), repeat(fs.mode))
-        yield ("\n".join(map(",".join, rows)) + "\n").encode("latin-1")
+        text = b"".join(piece for _, piece in pieces)
+        yield text.replace(b"%", b"%%").replace(b"\n", end) % tuple(
+            _float_reprs(fs.forecast[i]))
 
 
 def _cmd_forecast(args, opts: dict) -> int:
@@ -241,6 +241,24 @@ def _cmd_sweep(args, opts: dict) -> int:
     _write_result(args.output, result, sweep_csv, sweep_doc)
     print(f"sweep: best_m={best} average_nrmse={best_value:.6f} -> {args.output}")
     return 0
+
+
+def _check_output(args) -> None:
+    """Raise InvalidConfig if the file that a command writes from a corpus
+    (train's model, every other output) is that corpus's CSV or sidecar,
+    which it would replace. clean may write its input in place, and a
+    missing input is left to the command to report."""
+    if args.command in ("synth", "clean") or not os.path.exists(args.input):
+        return
+    flag = "model" if args.command == "train" else "output"
+    written = getattr(args, flag)
+    for path in (args.input, args.input + SUFFIX):
+        try:
+            same = os.path.samefile(written, path)
+        except OSError:  # one of them does not exist
+            same = os.path.realpath(written) == os.path.realpath(path)
+        if same:
+            raise InvalidConfig(f"--{flag} {written} would overwrite the input corpus ({path})")
 
 
 COMMANDS = {  # command: (help, function, required file flags)
@@ -329,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_output(args)
         # Outputs are checked for non-finite numbers, which raise Overflow,
         # so numpy's floating-point warnings would only repeat that on stderr.
         with np.errstate(all="ignore"):

@@ -619,42 +619,45 @@ def station_lines(t: TrafficMatrix, stations, lo: int, hi: int,
         starts = 1 + np.asarray(stations, dtype=np.int64) * t.n_hours + lo
         return _csv_lines(*source, starts, starts + (hi - lo))
     piece = max(1, CHUNK_BYTES // 128)
-    # Each piece's lines, hours filled in, built once as one format string:
-    # about 13 bytes an hour, where a list of hour strings would hold 62.
+    # Each piece's lines, hours filled in, built once as one bytes format:
+    # the bs_id field is a NUL, which each station's piece replaces, and
+    # each volume field a %s.
     cuts = range(lo, hi, piece)
     start = t.start_hour
-    forms = ["".join([f"%s,{h},%s\n" for h in range(start + j, start + min(j + piece, hi))])
-             for j in cuts]
-    return ((r, _csv_piece(forms[k], t.bs_ids[i], t.values[i, j:min(j + piece, hi)]).encode())
+    forms = [b"\0,%d,%%s\n" * len(hours) % tuple(hours)
+             for hours in (range(start + j, start + min(j + piece, hi)) for j in cuts)]
+    return ((r, _csv_piece(forms[k], t.bs_ids[i], t.values[i, j:min(j + piece, hi)]))
             for r, i in enumerate(stations) for k, j in enumerate(cuts))
 
 
-def _csv_piece(form: str, bs_id: str, row: np.ndarray) -> str:
+def _csv_piece(form: bytes, bs_id: str, row: np.ndarray) -> bytes:
     """The lines of ``form`` (see `station_lines`) for ``bs_id`` and the
-    volumes ``row``, NaN as NA."""
-    fields = [bs_id] * (2 * len(row))
-    fields[1::2] = _float_reprs(row)
-    for j in np.flatnonzero(np.isnan(row)).tolist():
-        fields[2 * j + 1] = "NA"
-    return form % tuple(fields)
+    volumes ``row``, NaN as NA. A "%" of the bs_id is doubled, so that
+    the format gives it back as it is."""
+    return form.replace(b"\0", bs_id.encode().replace(b"%", b"%%")) % tuple(
+        _float_reprs(row, b"NA"))
 
 
-def _float_reprs(row: np.ndarray) -> list[str]:
+def _float_reprs(row: np.ndarray, nan: bytes = b"nan") -> list[bytes]:
     """``repr`` of each float of the 1-D ``row`` as float64 (so "1.0",
-    never "1", for an integer array), from orjson's shortest
-    round-trip formatter. Its digits are those of `repr`, and so is its
-    notation for zero and for 1e-4 <= |x| < 1e16; every other value,
-    NaN and the infinities (which it writes as null) among them, takes
-    `repr` one at a time."""
+    never "1", for an integer array), in UTF-8, NaN as ``nan``, from
+    orjson's shortest round-trip formatter. Its digits are those of
+    `repr`, and so is its notation for zero and for 1e-4 <= |x| < 1e16;
+    every other value, NaN and the infinities (which it writes as null)
+    among them, takes `repr` or ``nan`` one at a time. A row whose
+    extremes lie in that range is not scanned value by value."""
     import orjson  # only the commands that render float text load it
 
     row = np.ascontiguousarray(row, dtype=np.float64)
     if not row.size:
         return []
-    texts = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    texts = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    if 1e-4 <= row.min() and row.max() < 1e16:  # false for a NaN
+        return texts
     size = np.abs(row)
     for j in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (row != 0)).tolist():
-        texts[j] = repr(float(row[j]))
+        x = float(row[j])
+        texts[j] = repr(x).encode() if x == x else nan
     return texts
 
 
@@ -703,27 +706,27 @@ def clean_file(source: str, path: str) -> tuple[TrafficMatrix, TrafficMatrix]:
     With a sidecar at ``source`` (see `with_sidecar`), the kept station
     blocks are copied from the CSV in the one pass that checks its digest,
     instead of rendered again: the sidecar vouches that the CSV is what
-    `corpus_to_csv` writes for its matrix. Neither path takes
-    `save_corpus`'s refusals, which cannot fire: the corpus loaded from a
-    CSV, whose ids and hours the schema bounds, and `clean` keeps a station.
+    `corpus_to_csv` writes for its matrix. When every station is kept, the
+    copy is the source itself, header line included, copied read by read
+    (`_csv_reads`). Neither path takes `save_corpus`'s refusals, which
+    cannot fire: the corpus loaded from a CSV, whose ids and hours the
+    schema bounds, and `clean` keeps a station.
     """
     from .modelio import atomic_write_text
 
     def write(raw: TrafficMatrix, header: dict | None):
         t = clean(raw)
+        if header is not None and t.n_bs == raw.n_bs:
+            # The copy's digest is the source's, which the pass checks; its
+            # sidecar holds the matrix whose digest the read checked.
+            atomic_write_text(path, _csv_reads(source, header))
+            sidecar.save(path, t, *sidecar.digests(header))
+            return raw, t
         # Both are in bs_id order, the order of the source's station blocks.
         ids = set(t.bs_ids)
         kept = np.flatnonzero([bs_id in ids for bs_id in raw.bs_ids])
         source_csv = None if header is None else (source, header)
-        pieces = _with_header(station_lines(raw, kept, 0, raw.n_hours, source_csv))
-        if header is not None and t.n_bs == raw.n_bs:
-            # A copy of every station is the source (the sidecar vouches for
-            # its header line too), whose digest the pass checks; its sidecar
-            # holds the matrix whose digest the read checked.
-            atomic_write_text(path, pieces)
-            sidecar.save(path, t, *sidecar.digests(header))
-        else:
-            _save(path, t, pieces)
+        _save(path, t, _with_header(station_lines(raw, kept, 0, raw.n_hours, source_csv)))
         return raw, t
 
     return with_sidecar(source, write)
@@ -736,13 +739,14 @@ def with_sidecar(path: str, write):
     None)``.
 
     Until the CSV's digest is checked, the matrix is unverified: ``write``
-    checks it by reading the CSV through `_csv_lines` once (`station_lines`
-    with a source), or returns None before it reads the CSV. If it raises a
-    BlockregError or finds the CSV changed before that pass completes,
-    whatever it wrote must be discarded. Unless it gave a result, a pass of
-    `_csv_lines` over no lines checks the CSV's digest; once it has, the
-    error stands. So the sidecar is read once and no step that failed runs
-    again on the same matrix. The parse runs without the sidecar's matrix.
+    checks it by reading the CSV through `_csv_reads` once (`station_lines`
+    with a source, or `_csv_reads` itself), or returns None before it reads
+    the CSV. If it raises a BlockregError or finds the CSV changed before
+    that pass completes, whatever it wrote must be discarded. Unless it gave
+    a result, a pass of `_csv_lines` over no lines checks the CSV's digest;
+    once it has, the error stands. So the sidecar is read once and no step
+    that failed runs again on the same matrix. The parse runs without the
+    sidecar's matrix.
     """
     cached = sidecar.read(path)
     if cached is not None:
@@ -770,37 +774,44 @@ class _StaleSource(Exception):
     """The CSV to copy from is not the one its sidecar was written with."""
 
 
-def _csv_lines(path: str, header: dict, starts: np.ndarray,
-               stops: np.ndarray) -> Iterator[tuple[int, memoryview]]:
-    """Pieces of lines ``starts[r] .. stops[r] - 1`` of the CSV at ``path``,
-    each with its ``r``, reading and digesting the whole CSV once, in reads
-    of ``sidecar.READ_BYTES``. Lines count from 0, the header line, and
-    each range starts at or after the stop of the one before; once the last
-    range is copied, the reads are only digested. After the last read,
-    raises _StaleSource unless the whole CSV has the digest of the
-    sidecar ``header``; so does a read that fails.
+def _csv_reads(path: str, header: dict) -> Iterator[bytes]:
+    """The CSV at ``path`` in reads of ``sidecar.READ_BYTES``, digested as
+    they go. After the last read, raises _StaleSource unless the whole CSV
+    has the digest of the sidecar ``header``; so does a read that fails.
     """
-    # Line l starts after the l-th newline, counting from 1; even edges
-    # start a range, odd ones end it.
-    edges = np.column_stack([starts, stops]).ravel()
     algorithm, csv_hex, _ = sidecar.digests(header)
     source_digest = sidecar.digest(algorithm)
-    lines, i = 0, int(np.searchsorted(edges, 0, side="right"))  # at the next read
     try:
         with open(path, "rb") as fh:
             while chunk := fh.read(sidecar.READ_BYTES):
                 source_digest.update(chunk)
-                if i == len(edges):  # past the last range
-                    continue
-                ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
-                j = int(np.searchsorted(edges, lines + len(ends), side="right"))
-                cuts = (ends[edges[i:j] - lines - 1] + 1).tolist()
-                view, pos = memoryview(chunk), [0, *cuts, len(chunk)]
-                for n, (a, b) in enumerate(zip(pos, pos[1:]), i):
-                    if n % 2 and a < b:  # between a start and its stop
-                        yield n // 2, view[a:b]
-                lines, i = lines + len(ends), j
+                yield chunk
     except OSError:
         raise _StaleSource from None
     if source_digest.hexdigest() != csv_hex:
         raise _StaleSource
+
+
+def _csv_lines(path: str, header: dict, starts: np.ndarray,
+               stops: np.ndarray) -> Iterator[tuple[int, memoryview]]:
+    """Pieces of lines ``starts[r] .. stops[r] - 1`` of the CSV at ``path``,
+    each with its ``r``, from the one pass of `_csv_reads` over it. Lines
+    count from 0, the header line, and each range starts at or after the
+    stop of the one before; once the last range is copied, the reads are
+    only digested. Raises what `_csv_reads` raises.
+    """
+    # Line l starts after the l-th newline, counting from 1; even edges
+    # start a range, odd ones end it.
+    edges = np.column_stack([starts, stops]).ravel()
+    lines, i = 0, int(np.searchsorted(edges, 0, side="right"))  # at the next read
+    for chunk in _csv_reads(path, header):
+        if i == len(edges):  # past the last range
+            continue
+        ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
+        j = int(np.searchsorted(edges, lines + len(ends), side="right"))
+        cuts = (ends[edges[i:j] - lines - 1] + 1).tolist()
+        view, pos = memoryview(chunk), [0, *cuts, len(chunk)]
+        for n, (a, b) in enumerate(zip(pos, pos[1:]), i):
+            if n % 2 and a < b:  # between a start and its stop
+                yield n // 2, view[a:b]
+        lines, i = lines + len(ends), j

@@ -14,9 +14,10 @@ than `SHA256_CELLS` matrix entries, and SHA-256 (``csv_sha256`` and
 pair at any size.
 
 A read takes the header and the matrix (`read`), then checks the CSV's
-digest in the one pass over the CSV (`corpus._csv_lines`). Every file
+digest in the one pass over the CSV (`corpus._csv_reads`). Every file
 derived from a corpus takes its lines from `corpus.station_lines`, which
-copies them from the CSV in that pass instead of rendering them again,
+copies them from the CSV in that pass instead of rendering them again
+(a `clean` that keeps every station writes the reads themselves),
 taking them for what `corpus.corpus_to_csv` writes for the matrix. So a
 sidecar also vouches that its CSV is what `corpus_to_csv` renders for
 its matrix, and
@@ -44,7 +45,7 @@ if TYPE_CHECKING:
 
 SUFFIX = ".matrix"
 VERSION = 1
-# The pass over a corpus CSV (`corpus._csv_lines`) reads it this many bytes at a time.
+# The pass over a corpus CSV (`corpus._csv_reads`) reads it this many bytes at a time.
 READ_BYTES = 256 * 1024
 # Corpora of at least this many matrix entries (a 4 MiB matrix, a CSV of
 # about 16 MB) get SHA-256 digests. On a CPU with SHA extensions, OpenSSL
@@ -128,7 +129,7 @@ def read(path: str) -> tuple[dict, np.ndarray] | None:
     It is used only if its header is valid (see `_header`) and the digest
     of the matrix equals the header's (see `digests`). Any other sidecar,
     or one that cannot be read, gives None. The CSV's own digest is not checked here,
-    but in the pass over the CSV (`corpus._csv_lines`); until then the
+    but in the pass over the CSV (`corpus._csv_reads`); until then the
     matrix is unverified.
     """
     try:

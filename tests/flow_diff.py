@@ -4,8 +4,12 @@
 
 Runs the whole flow once with ``PYTHONPATH=OLD_SRC`` and once with
 ``PYTHONPATH=NEW_SRC``, each in its own temporary directory: synth
-``--seed 1``, clean, train br/lr/sa, eval each model in both modes to .json
-and .csv, forecast each model in both modes, and sweep to .json and .csv.
+``--seed 1``, a text edit that gives two stations the ids ``bs_0001%s``
+and ``bs_0002é`` (`ODD_IDS`, so that every file written from the corpus,
+copied or rendered, holds an id that a format string would misread and
+one that is not ASCII), clean, train br/lr/sa, eval each model in both
+modes to .json and .csv, forecast each model in both modes, and sweep to
+.json and .csv.
 That is 25 files, and the two corpus sidecars (``<csv>.matrix``). Then a
 copy of the synth CSV with an NA or a negative volume in a few stations
 (`DIRTY`, the same text edit on both sides) is saved with its sidecar and
@@ -65,6 +69,24 @@ NUMBER = re.compile(
     re.IGNORECASE,
 )
 
+
+# Renames two stations of raw.csv in place, keeping the bs_id order: one id
+# holds "%s", which a format string would read as a conversion, and one a
+# letter that UTF-8 spells in two bytes. Then saves it with its sidecar; the
+# save must give back the edited text.
+ODD_IDS = """
+from blockreg.corpus import load_corpus, save_corpus
+with open("raw.csv", encoding="utf-8", newline="") as fh:
+    text = fh.read()
+for old, new in (("bs_0001,", "bs_0001%s,"), ("bs_0002,", "bs_0002\\u00e9,")):
+    assert "\\n" + old in text
+    text = text.replace("\\n" + old, "\\n" + new)
+with open("raw.csv", "w", encoding="utf-8", newline="") as fh:
+    fh.write(text)
+save_corpus(load_corpus("raw.csv"), "raw.csv")
+with open("raw.csv", encoding="utf-8", newline="") as fh:
+    assert fh.read() == text, "the save changed the edited CSV"
+"""
 
 # Writes dirty.csv: raw.csv with the volume of every 4001st row, from the
 # 18th on, made NA or negative in turn, then saves it with its sidecar. The
@@ -132,6 +154,7 @@ def flow(synth_config: str | None) -> list[tuple[list[str], list[str]]]:
     steps = [(["synth", "--seed", "1", "--output", "raw.csv"]
               + (["--config", synth_config] if synth_config else []),
               ["raw.csv", "raw.csv.matrix"]),
+             (["-c", ODD_IDS], []),
              (["clean", "--input", "raw.csv", "--output", "corpus.csv"],
               ["corpus.csv", "corpus.csv.matrix"])]
     for kind in KINDS:

@@ -3,6 +3,7 @@
 import hashlib
 import hmac
 import json
+import os
 import subprocess
 import sys
 
@@ -739,3 +740,46 @@ def test_clean_rejects_settings_flags(workspace, tmp_path, flag):
     assert r.returncode == 2
     assert "unrecognized arguments" in r.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+OVER_INPUT = ["csv", "csv_other_spelling", "csv_hard_link", "sidecar"]
+
+
+@pytest.mark.parametrize("command, target", [
+    *((command, target) for command in ("train", "forecast", "eval", "sweep")
+      for target in OVER_INPUT),
+    ("clean", "csv"), ("clean", "csv_other_spelling")])
+def test_output_over_the_input_corpus(workspace, tmp_path, command, target):
+    # A command that writes over the corpus it reads would leave a CSV that
+    # its sidecar no longer describes, or a sidecar that is not one: it is
+    # refused before anything is written. clean writes its input in place.
+    corpus = tmp_path / "c.csv"
+    for name in ("corpus.csv", "corpus.csv.matrix"):
+        (tmp_path / name.replace("corpus", "c")).write_bytes((workspace / name).read_bytes())
+    (tmp_path / "sub").mkdir()
+    os.link(corpus, tmp_path / "link.csv")
+    out = {"csv": corpus, "csv_other_spelling": tmp_path / "sub" / ".." / "c.csv",
+           "csv_hard_link": tmp_path / "link.csv", "sidecar": tmp_path / "c.csv.matrix"}[target]
+    flag = "--model" if command == "train" else "--output"
+    model = ("--model", workspace / "br.json") if command in ("forecast", "eval") else ()
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    r = run(command, "--input", corpus, *model, flag, out)
+    after = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert after == before
+    if command == "clean":  # every station is kept: the same bytes
+        assert r.returncode == 0, r.stderr
+        return
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and len(r.stderr.splitlines()) == 1
+    err = json.loads(r.stderr)
+    assert err["error"] == "InvalidConfig"
+    assert "would overwrite the input corpus" in err["message"]
+
+
+def test_output_named_as_a_missing_input(workspace, tmp_path):
+    # No corpus to overwrite: the missing input is reported as it always is.
+    missing = tmp_path / "missing.csv"
+    r = run("eval", "--input", missing, "--model", workspace / "br.json", "--output", missing)
+    assert r.returncode == 3, r.stderr
+    assert json.loads(r.stderr)["error"] == "ParseError"
+    assert not missing.exists()

@@ -158,6 +158,33 @@ def test_clean_in_place(tmp_path, drop, monkeypatch, capsys):
     assert np.array_equal(load_corpus(str(corpus)).values, load_corpus(str(fresh)).values)
 
 
+def test_clean_keeping_every_station_copies_the_source_read_by_read(tmp_path, monkeypatch):
+    # The sidecar vouches for every line of a copy that keeps every
+    # station, header included, so clean copies the source in whole reads:
+    # it opens the CSV once, and neither splits the reads into lines nor
+    # renders a line. The sidecar is the one save_corpus writes.
+    t = make_corpus(n_bs=30, n_hours=48)
+    src, copied, saved = (tmp_path / name for name in ("src.csv", "c.csv", "s.csv"))
+    save_corpus(t, str(src))
+    save_corpus(t, str(saved))
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(blockreg.corpus, "open", counting_open, raising=False)
+    monkeypatch.setattr(blockreg.corpus, "_csv_lines", None)
+    monkeypatch.setattr(blockreg.corpus, "_csv_piece", None)
+    monkeypatch.setattr(blockreg.sidecar, "READ_BYTES", 1000)  # many reads
+    raw, kept = clean_file(str(src), str(copied))
+    assert kept.n_bs == raw.n_bs == 30
+    assert opened == [str(src)]
+    assert copied.read_bytes() == src.read_bytes()
+    assert sidecar(copied).read_bytes() == sidecar(saved).read_bytes()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 class CountingDigest:
     """A sidecar digest that counts the bytes fed to it; every one made is
     kept in ``made``."""

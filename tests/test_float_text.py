@@ -2,7 +2,7 @@
 
 `blockreg.corpus._float_reprs` renders a row of floats with orjson's
 shortest round-trip formatter and must give, for every float64, the
-string ``repr`` gives: orjson writes the same digits, but in its own
+string ``repr`` gives, in UTF-8: orjson writes the same digits, but in its own
 notation below 1e-4 and from 1e16 up, and null for NaN and the
 infinities, so those values take ``repr``.
 """
@@ -15,8 +15,8 @@ from hypothesis.extra.numpy import arrays
 from blockreg.corpus import _float_reprs
 
 
-def oracle(row: np.ndarray) -> list[str]:
-    return [repr(float(x)) for x in row]
+def oracle(row: np.ndarray) -> list[bytes]:
+    return [repr(float(x)).encode() for x in row]
 
 
 @settings(max_examples=300, deadline=None)

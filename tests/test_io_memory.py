@@ -77,13 +77,24 @@ def test_save_and_load_corpus_bounded(tmp_path, monkeypatch, n_bs, n_hours):
         _, peak = traced_peak(clean_file, str(path), str(tmp_path / "d.csv"))
     assert (tmp_path / "d.csv").read_bytes() == path.read_bytes()
     # A read through the sidecar, the kept rows that clean makes of it (here
-    # the read itself: every station is kept), and one read of the CSV with
-    # its newline mask.
+    # the read itself: every station is kept), and one read of the CSV.
     assert peak < 2 * t.values.nbytes + 2 * sidecar.READ_BYTES + READ_SLACK
     path.with_name("c.csv.matrix").unlink()
     back, peak = traced_peak(load_corpus, str(path))  # through the parser
     assert np.array_equal(back.values, t.values)
     assert peak < t.values.nbytes + READ_SLACK
+
+
+def test_clean_keeping_every_station_holds_the_matrix_and_a_read(tmp_path):
+    # The sidecar's matrix, which the cleaned corpus shares, and one read of
+    # the source CSV, copied as it is: no second matrix, no newline mask.
+    t = synthesize(SynthConfig(n_bs=2000, n_hours=336, seed=3))
+    path = tmp_path / "c.csv"
+    save_corpus(t, str(path))
+    (raw, kept), peak = traced_peak(clean_file, str(path), str(tmp_path / "d.csv"))
+    assert kept.n_bs == raw.n_bs
+    assert (tmp_path / "d.csv").read_bytes() == path.read_bytes()
+    assert peak < t.values.nbytes + 2 * sidecar.READ_BYTES + READ_SLACK
 
 
 @pytest.mark.parametrize("step", ["load_corpus", "clean_file"])
